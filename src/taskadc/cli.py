@@ -44,6 +44,10 @@ def _atomic_write(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
+            # mkstemp creates mode 0600; give the file the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

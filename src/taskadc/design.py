@@ -22,8 +22,11 @@ from .spectra import (
     SpectralMatrixFunction,
     StackedSpectrum,
     alias_order,
+    interleave_re_im,
     make_frequency_grid,
     psd_sqrt,
+    row_runs,
+    take_rows,
 )
 
 RANK_TOL = 1e-10  # singular values below tol*largest do not count toward rank
@@ -110,7 +113,7 @@ class FilterDesign:
                     "n": self.h_bar.base_grid.n_points,
                 },
                 "block_cols": self.h_bar.block_cols,
-                "values": _interleave(self.h_bar.blocks),
+                "values": interleave_re_im(self.h_bar.blocks),
             },
             "g_freq": None if self.g_freq is None else self.g_freq.to_dict(),
             "h": None if self.h is None else self.h.to_dict(),
@@ -153,15 +156,6 @@ class FilterDesign:
             nmse=data["nmse"],
             dynamic_range=data["dynamic_range"],
         )
-
-
-def _interleave(values: np.ndarray) -> list:
-    re = values.real.ravel()
-    im = values.imag.ravel()
-    out = np.empty(2 * re.size)
-    out[0::2] = re
-    out[1::2] = im
-    return out.tolist()
 
 
 def auto_grid_points(fs: float, f_max: float, target: int = DEFAULT_GRID_POINTS) -> int:
@@ -272,27 +266,25 @@ def equalize_diagonal(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def _svd_gauge_fixed(blocks: np.ndarray):
-    """Batched thin SVD with a deterministic phase convention.
+    """Batched thin SVD (singular values, right vectors) with a deterministic phase.
 
     The largest-magnitude entry of every right-singular vector is made real
-    and positive; left vectors absorb the conjugate phase so the product is
-    unchanged.
+    and positive.
     """
-    u, s, vh = np.linalg.svd(blocks, full_matrices=False)
+    _, s, vh = np.linalg.svd(blocks, full_matrices=False)
     jmax = np.argmax(np.abs(vh), axis=-1)
     pivot = np.take_along_axis(vh, jmax[..., None], axis=-1)[..., 0]
     mag = np.abs(pivot)
     safe = mag > 0
     phase = np.where(safe, np.conj(pivot) / np.where(safe, mag, 1.0), 1.0)
-    # v_i -> v_i * conj(phase_i)  <=>  row i of vh -> phase_i? : vh row is v_i^H
     vh = vh * np.conj(phase)[..., None]
-    u = u * phase[..., None, :]
-    return u, s, vh
+    return s, vh
 
 
 def max_rank_bound(task_stack: StackedSpectrum) -> int:
     """Largest numerical rank of the stacked task response over the grid."""
-    s = np.linalg.svd(task_stack.blocks, compute_uv=False)
+    starts, _ = row_runs(task_stack.blocks)
+    s = np.linalg.svd(take_rows(task_stack.blocks, starts), compute_uv=False)
     top = s[:, :1]
     ranks = np.sum(s > RANK_TOL * np.maximum(top, 1e-300), axis=1)
     return int(ranks.max(initial=0))
@@ -338,7 +330,11 @@ def design_analog_filter(
     k = cfg.k_adcs
     if k > m_cols:
         raise ValueError(f"k_adcs={k} exceeds the input count M={m_cols}")
-    u, s, vh = _svd_gauge_fixed(task_stack.blocks)
+    # per-frequency work runs once per run of identical rows; the water-fill
+    # and everything FilterDesign stores stay on the dense grid
+    starts, index = row_runs(task_stack.blocks)
+    s_runs, vh = _svd_gauge_fixed(take_rows(task_stack.blocks, starts))
+    s = take_rows(s_runs, index)
     n_pts = task_stack.base_grid.n_points
     k_eff = min(k, task_stack.stacked_cols)
     r = min(s.shape[1], k_eff)
@@ -348,17 +344,18 @@ def design_analog_filter(
     zeta = solve_waterfill_level(waterfill_input, task_stack.base_grid.weights, cfg)
     sigma_h = np.sqrt(np.maximum(zeta * waterfill_input - 1.0, 0.0)) / 2.0**cfg.bits
 
-    core = sigma_h[:, :r, None] * vh[:, :r, :]  # rows beyond the task rank stay zero
+    sigma_runs = take_rows(sigma_h, starts)
+    core = sigma_runs[:, :r, None] * vh[:, :r, :]  # rows beyond the task rank stay zero
     if with_unitary:
-        u_h = _batched_equalizers(sigma_h**2, k)
+        u_h = _batched_equalizers(sigma_runs**2, k)
         blocks = u_h[:, :, :r] @ core
     else:
-        blocks = np.zeros((n_pts, k, task_stack.stacked_cols), dtype=complex)
+        blocks = np.zeros((starts.size, k, task_stack.stacked_cols), dtype=complex)
         blocks[:, :r, :] = core
     h_bar = StackedSpectrum(
         base_grid=task_stack.base_grid,
         alias_order_=task_stack.alias_order_,
-        blocks=blocks,
+        blocks=take_rows(blocks, index),
         block_cols=m_cols,
         fs=task_stack.fs,
     )
@@ -386,17 +383,22 @@ def _batched_equalizers(diag_rows: np.ndarray, k: int) -> np.ndarray:
 
 
 def _cross_and_output_spectra(h_bar: StackedSpectrum, task_stack: StackedSpectrum, cfg: AdcConfig):
+    """(s_cross, c_out, noise_var, index): cross-spectrum and sampled-output
+    covariance once per run of identical rows of both stacks; ``index`` maps
+    grid points to runs."""
     if h_bar.base_grid.n_points != task_stack.base_grid.n_points:
         raise ValueError("analog filter and task stacks must share the baseband grid")
     if h_bar.stacked_cols != task_stack.stacked_cols:
         raise ValueError("analog filter and task stacks must share the alias layout")
-    noise_var, gamma = quantizer_noise(h_bar, cfg)
-    h_conj = h_bar.blocks.conj().swapaxes(-1, -2)
-    s_cross = task_stack.blocks @ h_conj  # N x K per frequency
-    c_out = cfg.ts * (h_bar.blocks @ h_conj)
+    noise_var, _ = quantizer_noise(h_bar, cfg)
+    starts, index = row_runs(h_bar.blocks, task_stack.blocks)
+    h = take_rows(h_bar.blocks, starts)
+    h_conj = h.conj().swapaxes(-1, -2)
+    s_cross = take_rows(task_stack.blocks, starts) @ h_conj  # N x K per run
+    c_out = cfg.ts * (h @ h_conj)
     idx = np.arange(h_bar.rows)
     c_out[:, idx, idx] += noise_var
-    return s_cross, c_out, noise_var, gamma
+    return s_cross, c_out, noise_var, index
 
 
 def design_digital_filter(
@@ -407,27 +409,33 @@ def design_digital_filter(
     Valid for any analog filter, not only the designed one; the quantization
     noise level is derived from the filter actually supplied.
     """
-    s_cross, c_out, noise_var, _ = _cross_and_output_spectra(h_bar, task_stack, cfg)
+    s_cross, c_out, noise_var, index = _cross_and_output_spectra(h_bar, task_stack, cfg)
     if noise_var > 0:
         g = np.linalg.solve(c_out, s_cross.conj().swapaxes(-1, -2))
         g = g.conj().swapaxes(-1, -2)
     else:
         # zero-step quantizer: sample-output covariance may be singular
         g = s_cross @ np.linalg.pinv(c_out, rcond=1e-12, hermitian=True)
-    return SpectralMatrixFunction(grid=h_bar.base_grid, values=g, kind="filter")
+    return SpectralMatrixFunction(
+        grid=h_bar.base_grid, values=take_rows(g, index), kind="filter"
+    )
 
 
 def theoretical_mse(
     h_bar: StackedSpectrum, task_stack: StackedSpectrum, cfg: AdcConfig
 ) -> MseReport:
     """Recovery MSE of the optimal digital filter behind a given analog filter."""
-    s_cross, c_out, noise_var, _ = _cross_and_output_spectra(h_bar, task_stack, cfg)
+    s_cross, c_out, noise_var, index = _cross_and_output_spectra(h_bar, task_stack, cfg)
     energy = task_energy(task_stack)
     if noise_var > 0:
         x = np.linalg.solve(c_out, s_cross.conj().swapaxes(-1, -2))
     else:
         x = np.linalg.pinv(c_out, rcond=1e-12, hermitian=True) @ s_cross.conj().swapaxes(-1, -2)
-    gains = np.einsum("jnk,jkn->j", s_cross, x).real
+    # the per-row trace is taken on the dense grid: einsum's summation order
+    # depends on the batch size, so gathering its result would not be exact
+    gains = np.einsum(
+        "jnk,jkn->j", take_rows(s_cross, index), take_rows(x, index)
+    ).real
     recovered = cfg.ts * float(task_stack.base_grid.weights @ gains)
     mse = energy - recovered
     nmse = mse / energy if energy > 0 else 0.0
@@ -465,10 +473,11 @@ def nyquist_analog_filter(
         raise ValueError("analog filter can only be unstacked at alias order 0")
     root = psd_sqrt(c_x)
     sampled = root.sample(design.h_bar.base_grid.points)
-    inv = np.linalg.pinv(sampled, rcond=1e-12, hermitian=True)
-    values = design.h_bar.blocks @ inv
+    starts, index = row_runs(design.h_bar.blocks, sampled)
+    inv = np.linalg.pinv(take_rows(sampled, starts), rcond=1e-12, hermitian=True)
+    values = take_rows(design.h_bar.blocks, starts) @ inv
     return SpectralMatrixFunction(
-        grid=design.h_bar.base_grid, values=values, kind="filter"
+        grid=design.h_bar.base_grid, values=take_rows(values, index), kind="filter"
     )
 
 

@@ -12,7 +12,9 @@ from .spectra import (
     StackedSpectrum,
     multiply_spectra,
     psd_sqrt,
+    row_runs,
     stack_aliases,
+    take_rows,
 )
 
 PINV_CUTOFF = 1e-12  # singular values below cutoff*largest count as zero
@@ -93,9 +95,12 @@ def analog_mmse_filter(
     n, m = c_sx.shape
     if c_x.shape != (m, m):
         raise ValueError("input PSD shape must match the cross-PSD columns")
-    inv = np.linalg.pinv(c_x.values, rcond=PINV_CUTOFF, hermitian=True)
-    values = c_sx.values @ inv
-    return SpectralMatrixFunction(grid=c_sx.grid, values=values, kind="filter")
+    starts, index = row_runs(c_sx.values, c_x.values)
+    inv = np.linalg.pinv(take_rows(c_x.values, starts), rcond=PINV_CUTOFF, hermitian=True)
+    values = take_rows(c_sx.values, starts) @ inv
+    return SpectralMatrixFunction(
+        grid=c_sx.grid, values=take_rows(values, index), kind="filter"
+    )
 
 
 def whitened_task_stack(

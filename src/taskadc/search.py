@@ -26,7 +26,14 @@ from .design import (
     theoretical_mse,
 )
 from .mmse import TaskModel, task_energy, whitened_task_stack
-from .spectra import StackedSpectrum, constant_spectrum, psd_sqrt, stack_aliases
+from .spectra import (
+    StackedSpectrum,
+    constant_spectrum,
+    psd_sqrt,
+    row_runs,
+    stack_aliases,
+    take_rows,
+)
 
 ARCHITECTURES = ("task_based", "analog_recovery", "digital_recovery")
 
@@ -92,40 +99,52 @@ def shift_mse_kernel(
         noise_var, _ = quantizer_noise(h_bar, cfg)
     energy = task_energy(task_stack)
     n_blocks = 2 * task_stack.alias_order_ + 1
-    gv = task_stack.block_view()
-    hv = h_bar.block_view()
-    cross = np.einsum("jnpm,jkpm->jpnk", gv, hv.conj())  # (n_f, P, N, K)
-    h = h_bar.blocks
+    # cross terms and solves once per run of identical rows; the weighted
+    # sum over frequency stays dense so its summation order is unchanged
+    starts, index = row_runs(task_stack.blocks, h_bar.blocks)
+    gv = take_rows(task_stack.block_view(), starts)
+    hv = take_rows(h_bar.block_view(), starts)
+    cross = np.einsum("jnpm,jkpm->jpnk", gv, hv.conj())  # (runs, P, N, K)
+    h = take_rows(h_bar.blocks, starts)
     c_out = cfg.ts * (h @ h.conj().swapaxes(-1, -2))
     idx = np.arange(h_bar.rows)
     c_out[:, idx, idx] += noise_var
+    rhs = cross.conj().swapaxes(-1, -2)  # (runs, P, K, N)
+    if noise_var > 0:
+        sol = np.linalg.solve(c_out[:, None], rhs)
+    else:
+        sol = np.linalg.pinv(c_out[:, None], rcond=1e-12, hermitian=True) @ rhs
     w = task_stack.base_grid.weights
+    dense = starts.size == w.size
     kernel = np.zeros((n_blocks, n_blocks), dtype=complex)
     chunk = max(1, int(2**22 // max(1, n_blocks * n_blocks)))
     for lo in range(0, w.size, chunk):
         hi = lo + chunk
-        rhs = cross[lo:hi].conj().swapaxes(-1, -2)  # (c, P, K, N)
-        if noise_var > 0:
-            sol = np.linalg.solve(c_out[lo:hi, None], rhs)
-        else:
-            sol = np.linalg.pinv(c_out[lo:hi, None], rcond=1e-12, hermitian=True) @ rhs
+        rows = slice(lo, hi) if dense else index[lo:hi]
         kernel += np.einsum(
-            "j,jpnk,jqkn->pq", w[lo:hi], cross[lo:hi], sol, optimize=True
+            "j,jpnk,jqkn->pq", w[lo:hi], cross[rows], sol[rows], optimize=True
         )
     return energy, cfg.ts * kernel
 
 
 def designed_shift_kernel(task_stack: StackedSpectrum, cfg: AdcConfig):
-    """Shift kernel of the MSE-minimizing design, in cancellation-free form.
+    """(const, kernel) of the MSE-minimizing design, without a linear solve.
 
     The inverse output covariance of the designed filter diagonalizes in the
     task's right-singular frame, so the recovered energy folds into the
-    per-mode weights sigma_h^2 / (sigma_h^2 + 4^-b) with no linear solve;
-    this stays accurate when the residual error is many orders below the
-    task energy.
+    per-mode weights sigma_h^2 / (sigma_h^2 + 4^-b).  Without aliasing the
+    error is returned as a sum of small positive terms, which stays accurate
+    far below the task energy.  With aliasing it is not cancellation-free:
+    mse(t0) = const - Re(p^T kernel conj(p)) subtracts two task-energy-sized
+    numbers, so when the error is small its relative accuracy is only about
+    eps * const / mse, and any change to the summation order of const or
+    kernel moves it by that much.
     """
     w = task_stack.base_grid.weights
-    _, s, vh = np.linalg.svd(task_stack.blocks, full_matrices=False)
+    starts, index = row_runs(task_stack.blocks)
+    _, s, vh = np.linalg.svd(take_rows(task_stack.blocks, starts), full_matrices=False)
+    s = take_rows(s, index)
+    vh = take_rows(vh, index)
     k_eff = min(cfg.k_adcs, task_stack.stacked_cols)
     r_act = min(k_eff, s.shape[1])
     sig_in = np.zeros((s.shape[0], k_eff))
@@ -398,7 +417,10 @@ def baseline_design(
         h = constant_spectrum(
             model.input_psd.grid, np.eye(model.m_inputs), kind="filter"
         )
-    sigma_h = np.linalg.svd(h_bar.blocks, compute_uv=False)
+    starts, index = row_runs(h_bar.blocks)
+    sigma_h = take_rows(
+        np.linalg.svd(take_rows(h_bar.blocks, starts), compute_uv=False), index
+    )
     return FilterDesign(
         cfg=cfg,
         h_bar=h_bar,

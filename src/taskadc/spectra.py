@@ -134,16 +134,11 @@ class SpectralMatrixFunction:
         return float(np.abs(diff).max())
 
     def to_dict(self) -> dict:
-        re = self.values.real.ravel()
-        im = self.values.imag.ravel()
-        interleaved = np.empty(2 * re.size)
-        interleaved[0::2] = re
-        interleaved[1::2] = im
         return {
             "grid": {"f_lo": self.grid.f_lo, "f_hi": self.grid.f_hi, "n": self.grid.n_points},
             "shape": list(self.shape),
             "kind": self.kind,
-            "values": interleaved.tolist(),
+            "values": interleave_re_im(self.values),
         }
 
     @classmethod
@@ -158,7 +153,54 @@ class SpectralMatrixFunction:
         return cls(grid=grid, values=values, kind=data["kind"])
 
 
+def interleave_re_im(values: np.ndarray) -> list:
+    """Flat [re, im, re, im, ...] list of a complex array in C order (JSON layout)."""
+    re = values.real.ravel()
+    im = values.imag.ravel()
+    out = np.empty(2 * re.size)
+    out[0::2] = re
+    out[1::2] = im
+    return out.tolist()
+
+
+def row_runs(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of consecutive rows (axis 0) that are bit-identical in every array.
+
+    Returns ``(starts, index)``: the first row of each run, and for every row
+    the run it belongs to, so ``a[starts][index]`` reproduces each ``a``
+    exactly.  Per-row work done on ``a[starts]`` and gathered with ``[index]``
+    is therefore bit-identical to the same work done on every row, provided
+    a row's result does not depend on the batch it is computed in: true of
+    numpy.linalg and matmul, not of every einsum.
+    """
+    n = arrays[0].shape[0]
+    new_run = np.zeros(n, dtype=bool)
+    new_run[:1] = True
+    for a in arrays:
+        if a.shape[0] != n:
+            raise ValueError("arrays must share the row count")
+        rows = np.ascontiguousarray(a).reshape(n, -1)
+        # compare bit patterns: float == would merge -0.0 with 0.0
+        word = np.uint64 if rows.itemsize % 8 == 0 else np.uint8
+        rows = rows.view(word)
+        new_run[1:] |= (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(new_run)
+    index = np.cumsum(new_run) - 1
+    return starts, index
+
+
+def take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``x[rows]`` for ``starts`` or ``index`` from :func:`row_runs`.
+
+    Both are non-decreasing and cover every run, so a full-length one is the
+    identity; then ``x`` itself is returned and nothing is copied.
+    """
+    return x if rows.size == x.shape[0] else x[rows]
+
+
 def _check_psd(values: np.ndarray) -> None:
+    starts, _ = row_runs(values)
+    values = take_rows(values, starts)
     herm_err = np.abs(values - values.conj().swapaxes(-1, -2)).max()
     scale = max(np.abs(values).max(), 1.0)
     if herm_err > 1e-9 * scale:
@@ -206,14 +248,17 @@ def psd_sqrt(c: SpectralMatrixFunction) -> SpectralMatrixFunction:
     """Per-frequency Hermitian PSD square root via eigendecomposition."""
     if c.kind != "psd":
         raise ValueError("psd_sqrt needs kind='psd'")
-    eigvals, eigvecs = np.linalg.eigh(c.values)
+    starts, index = row_runs(c.values)
+    eigvals, eigvecs = np.linalg.eigh(take_rows(c.values, starts))
     top = np.maximum(eigvals[:, -1], 0.0)
     if np.any(eigvals < -PSD_EIG_TOL * top[:, None] - 1e-300):
         raise ValueError("matrix is not PSD within tolerance")
     clipped = np.clip(eigvals, 0.0, None)
     roots = np.sqrt(clipped)
     values = (eigvecs * roots[:, None, :]) @ eigvecs.conj().swapaxes(-1, -2)
-    return SpectralMatrixFunction(grid=c.grid, values=values, kind="psd", validate=False)
+    return SpectralMatrixFunction(
+        grid=c.grid, values=take_rows(values, index), kind="psd", validate=False
+    )
 
 
 def alias_order(fs: float, f_max: float) -> int:
@@ -270,7 +315,9 @@ class StackedSpectrum:
 
     def outer_integral(self) -> np.ndarray:
         """Band integral of blocks(f) @ blocks(f)^H, a rows x rows matrix."""
-        prod = self.blocks @ self.blocks.conj().swapaxes(-1, -2)
+        starts, index = row_runs(self.blocks)
+        b = take_rows(self.blocks, starts)
+        prod = take_rows(b @ b.conj().swapaxes(-1, -2), index)
         return np.einsum("i,ijk->jk", self.base_grid.weights, prod)
 
 

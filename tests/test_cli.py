@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -59,6 +61,20 @@ class TestDesignCommand:
         design = FilterDesign.from_dict(data)
         assert design.to_dict() == data  # load then save reproduces the file
         assert design.cfg.k_adcs == 2
+
+    def test_outputs_follow_umask(self, scalar_scenario, tmp_path):
+        out = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            code = main([
+                "design", "--scenario", str(scalar_scenario), "--out", str(out),
+                "--k", "1", "--bits", "1", "--fs", "1.0", "--grid-points", "16",
+            ])
+        finally:
+            os.umask(old)
+        assert code == 0
+        for name in ("design.json", "summary.txt", "manifest.json"):
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o644
 
     def test_invalid_config_exits_2(self, matched_scenario, tmp_path):
         code = main([

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from taskadc.design import (
+    RANK_TOL,
     AdcConfig,
     analog_recovery_is_optimal,
     design_analog_filter,
@@ -15,10 +16,16 @@ from taskadc.design import (
     theoretical_mse,
     theoretical_mse_waterfilled,
 )
-from taskadc.mmse import task_energy, whitened_task_stack
+from taskadc.mmse import TaskModel, task_energy, whitened_task_stack
 from taskadc.quantizer import effective_loading
 from taskadc.scenarios import isotropic_scenario
-from taskadc.spectra import StackedSpectrum, constant_spectrum, make_frequency_grid
+from taskadc.spectra import (
+    SpectralMatrixFunction,
+    StackedSpectrum,
+    constant_spectrum,
+    make_frequency_grid,
+    row_runs,
+)
 
 from conftest import random_flat_model, unit_scalar_model
 
@@ -368,6 +375,44 @@ class TestRankAndIsotropy:
     def test_matched_scenario_bound(self, matched_model):
         stack = whitened_task_stack(matched_model, matched_model.f_nyq, 128)
         assert max_rank_bound(stack) == 4
+
+    def test_piecewise_flat_matches_dense_references(self, rng):
+        # three flat pieces, one with a rank-1 task: per-run work must equal
+        # per-point SVDs and solves bit for bit
+        n_pts, n, m = 96, 2, 3
+        piece = np.repeat(np.arange(3), n_pts // 3)
+        a = rng.standard_normal((3, m, m))
+        input_level = a @ a.swapaxes(-1, -2) + m * np.eye(m)
+        cross_level = rng.standard_normal((3, n, m))
+        cross_level[1, 1] = 2.0 * cross_level[1, 0]
+        grid = make_frequency_grid(-0.5, 0.5, n_pts)
+
+        def spectrum(levels, kind):
+            return SpectralMatrixFunction(grid=grid, values=levels[piece], kind=kind)
+
+        model = TaskModel(
+            task_filter=spectrum(cross_level @ np.linalg.inv(input_level), "filter"),
+            input_psd=spectrum(input_level, "psd"),
+            cross_psd=spectrum(cross_level, "cross_psd"),
+        )
+        cfg = AdcConfig(2, 0.6, 4)
+        stack = whitened_task_stack(model, cfg.fs, n_pts)
+        assert stack.alias_order_ == 1
+        assert 3 <= row_runs(stack.blocks)[0].size < n_pts
+
+        s_ref = np.linalg.svd(stack.blocks, compute_uv=False)
+        ranks = np.sum(s_ref > RANK_TOL * s_ref[:, :1], axis=1)
+        assert max_rank_bound(stack) == ranks.max() == 2
+
+        design = design_filters(model, cfg, n_pts)
+        _, s_task, _ = np.linalg.svd(stack.blocks, full_matrices=False)
+        assert np.array_equal(design.sigma_task, s_task)
+        h = design.h_bar.blocks
+        h_conj = h.conj().swapaxes(-1, -2)
+        c_out = cfg.ts * (h @ h_conj)
+        c_out[:, np.arange(2), np.arange(2)] += design.quant_noise_var
+        g_ref = np.linalg.solve(c_out, (stack.blocks @ h_conj).conj().swapaxes(-1, -2))
+        assert np.array_equal(design.g_freq.values, g_ref.conj().swapaxes(-1, -2))
 
     def test_isotropy_predicate(self):
         assert analog_recovery_is_optimal(3.0 * np.eye(4))

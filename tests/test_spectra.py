@@ -9,6 +9,7 @@ from taskadc.spectra import (
     make_frequency_grid,
     multiply_spectra,
     psd_sqrt,
+    row_runs,
     stack_aliases,
 )
 
@@ -84,6 +85,48 @@ class TestPsdSqrt:
         f = SpectralMatrixFunction(grid=grid, values=values, kind="filter")
         with pytest.raises(ValueError):
             psd_sqrt(f.__class__(grid=grid, values=values, kind="psd"))
+
+
+class TestRowRuns:
+    def test_round_trip(self, rng):
+        a = rng.standard_normal((12, 2, 3)) + 1j * rng.standard_normal((12, 2, 3))
+        a[3:7] = a[3]
+        a[9:] = a[9]
+        b = np.zeros(12)
+        b[5:] = -0.0  # equal to 0.0, but a different bit pattern
+        starts, index = row_runs(a, b)
+        np.testing.assert_array_equal(starts, [0, 1, 2, 3, 5, 7, 8, 9])
+        assert np.array_equal(a[starts][index], a)
+        assert np.array_equal(b[starts][index].view(np.uint64), b.view(np.uint64))
+
+    def test_constant_spectrum_is_one_run(self, rng):
+        a = rng.standard_normal((3, 3))
+        f = constant_spectrum(make_frequency_grid(-0.5, 0.5, 64), a @ a.T)
+        starts, index = row_runs(f.values)
+        np.testing.assert_array_equal(starts, [0])
+        np.testing.assert_array_equal(index, np.zeros(64))
+
+    def test_varying_psd_matches_dense_eigh(self, rng):
+        n = 32
+        a = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+        values = a @ a.conj().swapaxes(-1, -2)
+        f = SpectralMatrixFunction(
+            grid=make_frequency_grid(-0.5, 0.5, n), values=values, kind="psd"
+        )
+        starts, _ = row_runs(f.values)
+        assert starts.size == n
+        vals, vecs = np.linalg.eigh(values)
+        roots = np.sqrt(np.clip(vals, 0.0, None))
+        dense = (vecs * roots[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        assert np.array_equal(psd_sqrt(f).values, dense)
+
+    def test_matched_scenario_runs(self, matched_model):
+        nyquist = whitened_task_stack(matched_model, matched_model.f_nyq, 512)
+        assert row_runs(nyquist.blocks)[0].size == 1
+        # five alias blocks; the outer ones cover the band on one side of 0 only
+        aliased = whitened_task_stack(matched_model, 100e6, 512)
+        assert aliased.alias_order_ == 2
+        np.testing.assert_array_equal(row_runs(aliased.blocks)[0], [0, 256])
 
 
 class TestStackAliases:
