@@ -6,6 +6,11 @@ task's right-singular vectors, and a unitary that equalizes the quantizer
 input variances.  The digital side is the linear MMSE recovery filter for the
 additive quantization-noise model, with the noise level derived from the
 actual analog filter.
+
+One modal core (``_waterfilled_modes``: SVD, water level, per-mode gains)
+feeds the analog design, its closed-form MSE and the designed shift kernel;
+one solve (``_solve_output``) feeds every digital filter, solve-based MSE and
+general shift kernel.
 """
 
 from __future__ import annotations
@@ -265,20 +270,15 @@ def equalize_diagonal(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return u_total
 
 
-def _svd_gauge_fixed(blocks: np.ndarray):
-    """Batched thin SVD (singular values, right vectors) with a deterministic phase.
-
-    The largest-magnitude entry of every right-singular vector is made real
-    and positive.
-    """
-    _, s, vh = np.linalg.svd(blocks, full_matrices=False)
+def _gauge_fixed(vh: np.ndarray) -> np.ndarray:
+    """Right-singular vectors with a deterministic phase: the largest-magnitude
+    entry of every vector is made real and positive."""
     jmax = np.argmax(np.abs(vh), axis=-1)
     pivot = np.take_along_axis(vh, jmax[..., None], axis=-1)[..., 0]
     mag = np.abs(pivot)
     safe = mag > 0
     phase = np.where(safe, np.conj(pivot) / np.where(safe, mag, 1.0), 1.0)
-    vh = vh * np.conj(phase)[..., None]
-    return s, vh
+    return vh * np.conj(phase)[..., None]
 
 
 def max_rank_bound(task_stack: StackedSpectrum) -> int:
@@ -318,55 +318,76 @@ def quantizer_noise(h_bar: StackedSpectrum, cfg: AdcConfig) -> tuple[float, floa
     return noise_var, float(np.sqrt(gamma_sq))
 
 
-def design_analog_filter(
-    task_stack: StackedSpectrum, cfg: AdcConfig, with_unitary: bool = True
-) -> FilterDesign:
+class _Modes(NamedTuple):
+    s: np.ndarray  # task singular values on the dense grid
+    vh: np.ndarray  # right vectors per run, LAPACK's phase; the design fixes it
+    starts: np.ndarray  # row_runs of the task stack
+    index: np.ndarray
+    gain: np.ndarray  # (zeta*s - 1)^+ per grid point and converter slot
+    sigma_h: np.ndarray  # designed singular values sqrt(gain) / 2^b
+    zeta: float
+
+
+def _waterfilled_modes(task_stack: StackedSpectrum, cfg: AdcConfig) -> _Modes:
+    """SVD once per run of identical rows; the water level and the per-mode
+    gains on the dense grid over the K largest singular values."""
+    starts, index = row_runs(task_stack.blocks)
+    _, s_runs, vh = np.linalg.svd(take_rows(task_stack.blocks, starts), full_matrices=False)
+    s = take_rows(s_runs, index)
+    k_eff = min(cfg.k_adcs, task_stack.stacked_cols)
+    r = min(s.shape[1], k_eff)
+    waterfill_input = np.zeros((s.shape[0], k_eff))
+    waterfill_input[:, :r] = s[:, :r]
+    zeta = solve_waterfill_level(waterfill_input, task_stack.base_grid.weights, cfg)
+    gain = np.maximum(zeta * waterfill_input - 1.0, 0.0)
+    return _Modes(s, vh, starts, index, gain, np.sqrt(gain) / 2.0**cfg.bits, zeta)
+
+
+def _waterfilled_residual(
+    sigma_task: np.ndarray, sigma_h: np.ndarray, weights: np.ndarray, bits: int
+) -> float:
+    """Band integral of sigma^2 4^-b / (sigma_h^2 + 4^-b) per filled mode plus the
+    energy of the unfilled ones: small positive terms, never energy minus
+    recovered, so it stays accurate far below the task energy."""
+    q = 4.0 ** (-bits)
+    r_act = min(sigma_h.shape[1], sigma_task.shape[1])
+    s2 = sigma_h[:, :r_act] ** 2
+    residual = sigma_task[:, :r_act] ** 2 * q / (s2 + q)
+    leak = (sigma_task[:, r_act:] ** 2).sum(axis=1)
+    return float(weights @ (residual.sum(axis=1) + leak))
+
+
+def design_analog_filter(task_stack: StackedSpectrum, cfg: AdcConfig) -> FilterDesign:
     """MSE-minimizing analog filter for a stacked whitened task response.
 
     Per frequency: water-filled singular values on the task's right-singular
     directions, rotated so all quantizer inputs carry equal variance.
     """
-    n_rows, m_cols = task_stack.rows, task_stack.block_cols
     k = cfg.k_adcs
-    if k > m_cols:
-        raise ValueError(f"k_adcs={k} exceeds the input count M={m_cols}")
-    # per-frequency work runs once per run of identical rows; the water-fill
-    # and everything FilterDesign stores stay on the dense grid
-    starts, index = row_runs(task_stack.blocks)
-    s_runs, vh = _svd_gauge_fixed(take_rows(task_stack.blocks, starts))
-    s = take_rows(s_runs, index)
-    n_pts = task_stack.base_grid.n_points
-    k_eff = min(k, task_stack.stacked_cols)
-    r = min(s.shape[1], k_eff)
-    waterfill_input = np.zeros((n_pts, k_eff))
-    waterfill_input[:, :r] = s[:, :r]
-
-    zeta = solve_waterfill_level(waterfill_input, task_stack.base_grid.weights, cfg)
-    sigma_h = np.sqrt(np.maximum(zeta * waterfill_input - 1.0, 0.0)) / 2.0**cfg.bits
-
-    sigma_runs = take_rows(sigma_h, starts)
-    core = sigma_runs[:, :r, None] * vh[:, :r, :]  # rows beyond the task rank stay zero
-    if with_unitary:
-        u_h = _batched_equalizers(sigma_runs**2, k)
-        blocks = u_h[:, :, :r] @ core
-    else:
-        blocks = np.zeros((starts.size, k, task_stack.stacked_cols), dtype=complex)
-        blocks[:, :r, :] = core
+    if k > task_stack.block_cols:
+        raise ValueError(f"k_adcs={k} exceeds the input count M={task_stack.block_cols}")
+    modes = _waterfilled_modes(task_stack, cfg)
+    # the equalizer and the filter rows run once per run of identical rows;
+    # everything FilterDesign stores stays on the dense grid.  Rows beyond
+    # the task rank stay zero.
+    r = min(modes.s.shape[1], modes.sigma_h.shape[1])
+    sigma_runs = take_rows(modes.sigma_h, modes.starts)
+    core = sigma_runs[:, :r, None] * _gauge_fixed(modes.vh[:, :r, :])
+    u_h = _batched_equalizers(sigma_runs**2, k)
     h_bar = StackedSpectrum(
         base_grid=task_stack.base_grid,
         alias_order_=task_stack.alias_order_,
-        blocks=take_rows(blocks, index),
-        block_cols=m_cols,
+        blocks=take_rows(u_h[:, :, :r] @ core, modes.index),
+        block_cols=task_stack.block_cols,
         fs=task_stack.fs,
     )
-    energy = task_energy(task_stack)
     return FilterDesign(
         cfg=cfg,
         h_bar=h_bar,
-        sigma_h=sigma_h,
-        water_level=zeta,
-        task_energy=energy,
-        sigma_task=s,
+        sigma_h=modes.sigma_h,
+        water_level=modes.zeta,
+        task_energy=task_energy(task_stack),
+        sigma_task=modes.s,
     )
 
 
@@ -382,23 +403,61 @@ def _batched_equalizers(diag_rows: np.ndarray, k: int) -> np.ndarray:
     return us[inverse]
 
 
-def _cross_and_output_spectra(h_bar: StackedSpectrum, task_stack: StackedSpectrum, cfg: AdcConfig):
-    """(s_cross, c_out, noise_var, index): cross-spectrum and sampled-output
-    covariance once per run of identical rows of both stacks; ``index`` maps
-    grid points to runs."""
+def _solve_output(h: np.ndarray, cross: np.ndarray, ts: float, noise_var: float) -> np.ndarray:
+    """x = c_out^-1 cross^H per run, c_out = Ts H H^H + noise_var I; h is
+    (runs, K, cols), cross (runs, ..., N, K) with its middle axes broadcast."""
+    c_out = ts * (h @ h.conj().swapaxes(-1, -2))
+    idx = np.arange(h.shape[1])
+    c_out[:, idx, idx] += noise_var
+    c_out = c_out.reshape(c_out.shape[:1] + (1,) * (cross.ndim - 3) + c_out.shape[1:])
+    rhs = cross.conj().swapaxes(-1, -2)
+    if noise_var > 0:
+        return np.linalg.solve(c_out, rhs)
+    # zero-step quantizer: sample-output covariance may be singular
+    return np.linalg.pinv(c_out, rcond=1e-12, hermitian=True) @ rhs
+
+
+class _MmseSolve(NamedTuple):
+    """One linear MMSE solve behind an analog filter, per run of identical rows."""
+
+    s_cross: np.ndarray  # task-to-samples cross-spectrum, (runs, N, K)
+    x: np.ndarray  # c_out^-1 s_cross^H, (runs, K, N)
+    index: np.ndarray  # run of every grid point
+    noise_var: float
+    dynamic_range: float
+
+    def filter(self, grid) -> SpectralMatrixFunction:
+        """The recovery filter g = x^H on the dense grid."""
+        values = take_rows(self.x.conj().swapaxes(-1, -2), self.index)
+        return SpectralMatrixFunction(grid=grid, values=values, kind="filter")
+
+    def report(self, task_stack: StackedSpectrum, ts: float) -> MseReport:
+        """Task energy minus the recovered energy Ts * integral of tr(s_cross x)."""
+        energy = task_energy(task_stack)
+        # the per-row trace is taken on the dense grid: einsum's summation order
+        # depends on the batch size, so gathering its result would not be exact
+        gains = np.einsum(
+            "jnk,jkn->j", take_rows(self.s_cross, self.index), take_rows(self.x, self.index)
+        ).real
+        mse = energy - ts * float(task_stack.base_grid.weights @ gains)
+        return MseReport(mse=mse, nmse=mse / energy if energy > 0 else 0.0)
+
+
+def _mmse_solve(
+    h_bar: StackedSpectrum, task_stack: StackedSpectrum, cfg: AdcConfig
+) -> _MmseSolve:
+    """The solve behind the digital filter and its MSE; the quantization-noise
+    level is derived from the filter actually supplied."""
     if h_bar.base_grid.n_points != task_stack.base_grid.n_points:
         raise ValueError("analog filter and task stacks must share the baseband grid")
     if h_bar.stacked_cols != task_stack.stacked_cols:
         raise ValueError("analog filter and task stacks must share the alias layout")
-    noise_var, _ = quantizer_noise(h_bar, cfg)
+    noise_var, gamma = quantizer_noise(h_bar, cfg)
     starts, index = row_runs(h_bar.blocks, task_stack.blocks)
     h = take_rows(h_bar.blocks, starts)
-    h_conj = h.conj().swapaxes(-1, -2)
-    s_cross = take_rows(task_stack.blocks, starts) @ h_conj  # N x K per run
-    c_out = cfg.ts * (h @ h_conj)
-    idx = np.arange(h_bar.rows)
-    c_out[:, idx, idx] += noise_var
-    return s_cross, c_out, noise_var, index
+    s_cross = take_rows(task_stack.blocks, starts) @ h.conj().swapaxes(-1, -2)
+    x = _solve_output(h, s_cross, cfg.ts, noise_var)
+    return _MmseSolve(s_cross, x, index, noise_var, gamma)
 
 
 def design_digital_filter(
@@ -409,54 +468,23 @@ def design_digital_filter(
     Valid for any analog filter, not only the designed one; the quantization
     noise level is derived from the filter actually supplied.
     """
-    s_cross, c_out, noise_var, index = _cross_and_output_spectra(h_bar, task_stack, cfg)
-    if noise_var > 0:
-        g = np.linalg.solve(c_out, s_cross.conj().swapaxes(-1, -2))
-        g = g.conj().swapaxes(-1, -2)
-    else:
-        # zero-step quantizer: sample-output covariance may be singular
-        g = s_cross @ np.linalg.pinv(c_out, rcond=1e-12, hermitian=True)
-    return SpectralMatrixFunction(
-        grid=h_bar.base_grid, values=take_rows(g, index), kind="filter"
-    )
+    return _mmse_solve(h_bar, task_stack, cfg).filter(h_bar.base_grid)
 
 
 def theoretical_mse(
     h_bar: StackedSpectrum, task_stack: StackedSpectrum, cfg: AdcConfig
 ) -> MseReport:
     """Recovery MSE of the optimal digital filter behind a given analog filter."""
-    s_cross, c_out, noise_var, index = _cross_and_output_spectra(h_bar, task_stack, cfg)
-    energy = task_energy(task_stack)
-    if noise_var > 0:
-        x = np.linalg.solve(c_out, s_cross.conj().swapaxes(-1, -2))
-    else:
-        x = np.linalg.pinv(c_out, rcond=1e-12, hermitian=True) @ s_cross.conj().swapaxes(-1, -2)
-    # the per-row trace is taken on the dense grid: einsum's summation order
-    # depends on the batch size, so gathering its result would not be exact
-    gains = np.einsum(
-        "jnk,jkn->j", take_rows(s_cross, index), take_rows(x, index)
-    ).real
-    recovered = cfg.ts * float(task_stack.base_grid.weights @ gains)
-    mse = energy - recovered
-    nmse = mse / energy if energy > 0 else 0.0
-    return MseReport(mse=mse, nmse=nmse)
+    return _mmse_solve(h_bar, task_stack, cfg).report(task_stack, cfg.ts)
 
 
 def theoretical_mse_waterfilled(design: FilterDesign) -> MseReport:
-    """Closed-form MSE of the designed filter from its singular-value profile.
-
-    Summed as small positive residuals per mode (never energy minus
-    recovered), so it stays accurate far below the task energy.
-    """
+    """Closed-form MSE of the designed filter from its singular-value profile."""
     if design.sigma_task is None:
         raise ValueError("design lacks the task singular values")
-    sigma = design.sigma_task
-    q = 4.0 ** (-design.cfg.bits)
-    r_act = min(design.sigma_h.shape[1], sigma.shape[1])
-    s2 = design.sigma_h[:, :r_act] ** 2
-    residual = sigma[:, :r_act] ** 2 * q / (s2 + q)
-    leak = (sigma[:, r_act:] ** 2).sum(axis=1)
-    mse = float(design.h_bar.base_grid.weights @ (residual.sum(axis=1) + leak))
+    mse = _waterfilled_residual(
+        design.sigma_task, design.sigma_h, design.h_bar.base_grid.weights, design.cfg.bits
+    )
     nmse = mse / design.task_energy if design.task_energy > 0 else 0.0
     return MseReport(mse=mse, nmse=nmse)
 

@@ -1,9 +1,11 @@
 """Rate-budget configuration search, time-shifted tasks, and baselines.
 
-The time-averaged error over a shift t0 in [0, Ts) is evaluated through the
-exact harmonic expansion of the shifted cross-spectrum: the error is a finite
-Fourier series in t0 with harmonics at multiples of fs, so midpoint averages
-converge immediately once the grid outnumbers the harmonics.
+The shifted-task error is a finite Fourier series in t0 with harmonics at
+k*fs, |k| <= 2*ups (ups the alias order), so its exact average over [0, Ts)
+is const - Re(trace(kernel)).  The search takes midpoint means instead,
+doubling from n_t0 shifts until two agree to 1e-3; an n-point mean misreads
+the harmonics at multiples of n, so from ups = 16, where 2*ups is a multiple
+of both 16 and 32, the loop stops on a wrong value.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ import numpy as np
 from .design import (
     AdcConfig,
     FilterDesign,
+    _mmse_solve,
+    _solve_output,
+    _waterfilled_modes,
+    _waterfilled_residual,
     auto_grid_points,
-    design_analog_filter,
-    design_digital_filter,
     design_filters,
     max_rank_bound,
     quantizer_noise,
-    solve_waterfill_level,
-    theoretical_mse,
 )
 from .mmse import TaskModel, task_energy, whitened_task_stack
 from .spectra import (
@@ -55,32 +57,24 @@ def modulated_stack(stack: StackedSpectrum, t0: float) -> StackedSpectrum:
 
 
 def _arch_chain(model: TaskModel, cfg: AdcConfig, arch: str, n_points: int | None):
-    """Task stack, analog-filter stack, and quantization-noise level for an architecture.
+    """Task stack and fixed analog-filter stack of a baseline architecture.
 
-    For the task-based architecture the equalizing unitary is omitted: it
-    cancels in every error expression, and the designed filter's noise level
-    is Ts/4^b exactly once the support constraint is tight.
+    The task-based filter is designed, not fixed: its error comes from
+    ``design_filters`` and ``designed_shift_kernel``.
     """
-    if arch not in ARCHITECTURES:
+    if arch not in ARCHITECTURES[1:]:
         raise ValueError(f"architecture must be one of {ARCHITECTURES}")
     if n_points is None:
         n_points = auto_grid_points(cfg.fs, model.band_edge)
     task_stack = whitened_task_stack(model, cfg.fs, n_points)
-    if arch == "task_based":
-        design = design_analog_filter(task_stack, cfg, with_unitary=False)
-        return task_stack, design.h_bar, cfg.ts / 4.0**cfg.bits
     if arch == "analog_recovery":
         if cfg.k_adcs != model.n_task:
             raise ValueError("analog recovery needs k_adcs == n_task")
-        h_bar = task_stack
-    else:
-        if cfg.k_adcs != model.m_inputs:
-            raise ValueError("digital recovery needs k_adcs == m_inputs")
-        h_bar = stack_aliases(
-            psd_sqrt(model.input_psd), cfg.fs, model.band_edge, n_points
-        )
-    noise_var, _ = quantizer_noise(h_bar, cfg)
-    return task_stack, h_bar, noise_var
+        return task_stack, task_stack
+    if cfg.k_adcs != model.m_inputs:
+        raise ValueError("digital recovery needs k_adcs == m_inputs")
+    h_bar = stack_aliases(psd_sqrt(model.input_psd), cfg.fs, model.band_edge, n_points)
+    return task_stack, h_bar
 
 
 def shift_mse_kernel(
@@ -105,15 +99,7 @@ def shift_mse_kernel(
     gv = take_rows(task_stack.block_view(), starts)
     hv = take_rows(h_bar.block_view(), starts)
     cross = np.einsum("jnpm,jkpm->jpnk", gv, hv.conj())  # (runs, P, N, K)
-    h = take_rows(h_bar.blocks, starts)
-    c_out = cfg.ts * (h @ h.conj().swapaxes(-1, -2))
-    idx = np.arange(h_bar.rows)
-    c_out[:, idx, idx] += noise_var
-    rhs = cross.conj().swapaxes(-1, -2)  # (runs, P, K, N)
-    if noise_var > 0:
-        sol = np.linalg.solve(c_out[:, None], rhs)
-    else:
-        sol = np.linalg.pinv(c_out[:, None], rcond=1e-12, hermitian=True) @ rhs
+    sol = _solve_output(take_rows(h_bar.blocks, starts), cross, cfg.ts, noise_var)
     w = task_stack.base_grid.weights
     dense = starts.size == w.size
     kernel = np.zeros((n_blocks, n_blocks), dtype=complex)
@@ -132,38 +118,28 @@ def designed_shift_kernel(task_stack: StackedSpectrum, cfg: AdcConfig):
 
     The inverse output covariance of the designed filter diagonalizes in the
     task's right-singular frame, so the recovered energy folds into the
-    per-mode weights sigma_h^2 / (sigma_h^2 + 4^-b).  Without aliasing the
-    error is returned as a sum of small positive terms, which stays accurate
-    far below the task energy.  With aliasing it is not cancellation-free:
-    mse(t0) = const - Re(p^T kernel conj(p)) subtracts two task-energy-sized
-    numbers, so when the error is small its relative accuracy is only about
-    eps * const / mse, and any change to the summation order of const or
-    kernel moves it by that much.
+    per-mode weights sigma_h^2 / (sigma_h^2 + 4^-b) of the design's own modal
+    core.  Without aliasing the error is the design's closed-form MSE, which
+    stays accurate far below the task energy.  With aliasing it is not
+    cancellation-free: mse(t0) = const - Re(p^T kernel conj(p)) subtracts two
+    task-energy-sized numbers, so when the error is small its relative
+    accuracy is only about eps * const / mse, and any change to the summation
+    order of const or kernel moves it by that much.
     """
     w = task_stack.base_grid.weights
-    starts, index = row_runs(task_stack.blocks)
-    _, s, vh = np.linalg.svd(take_rows(task_stack.blocks, starts), full_matrices=False)
-    s = take_rows(s, index)
-    vh = take_rows(vh, index)
-    k_eff = min(cfg.k_adcs, task_stack.stacked_cols)
-    r_act = min(k_eff, s.shape[1])
-    sig_in = np.zeros((s.shape[0], k_eff))
-    sig_in[:, :r_act] = s[:, :r_act]
-    zeta = solve_waterfill_level(sig_in, w, cfg)
-    q = 4.0 ** (-cfg.bits)
-    alpha = q * np.maximum(zeta * sig_in[:, :r_act] - 1.0, 0.0)
-    d = alpha / (alpha + q)
+    modes = _waterfilled_modes(task_stack, cfg)
+    s = modes.s
     if task_stack.alias_order_ == 0:
-        # no aliasing: shift phases drop out and every term of the error is a
-        # small positive quantity, so sum those instead of subtracting two
-        # task-energy-sized numbers
-        leak = float(w @ (s[:, r_act:] ** 2).sum(axis=1))
-        kept = float(w @ ((1.0 - d) * s[:, :r_act] ** 2).sum(axis=1))
-        return leak + kept, np.zeros((1, 1))
+        # no aliasing: the shift phases drop out
+        return _waterfilled_residual(s, modes.sigma_h, w, cfg.bits), np.zeros((1, 1))
+    r_act = min(modes.gain.shape[1], s.shape[1])
+    q = 4.0 ** (-cfg.bits)
+    alpha = q * modes.gain[:, :r_act]
+    d = alpha / (alpha + q)
     const = float(w @ (s**2).sum(axis=1))
     n_blocks = 2 * task_stack.alias_order_ + 1
     v_blocks = (
-        vh[:, :r_act, :]
+        take_rows(modes.vh, modes.index)[:, :r_act, :]
         .conj()
         .reshape(s.shape[0], r_act, n_blocks, task_stack.block_cols)
     )
@@ -201,12 +177,13 @@ def shifted_task_design(
     """
     if base is None:
         base = design_filters(model, cfg, n_points)
-    grid_n = base.h_bar.base_grid.n_points
-    task_stack = whitened_task_stack(model, cfg.fs, grid_n)
+    task_stack = whitened_task_stack(model, cfg.fs, base.h_bar.base_grid.n_points)
     shifted = modulated_stack(task_stack, t0)
-    g = design_digital_filter(base.h_bar, shifted, cfg)
-    report = theoretical_mse(base.h_bar, shifted, cfg)
-    return replace(base, g_freq=g, mse_theory=report.mse, nmse=report.nmse)
+    solve = _mmse_solve(base.h_bar, shifted, cfg)
+    report = solve.report(shifted, cfg.ts)
+    return replace(
+        base, g_freq=solve.filter(base.h_bar.base_grid), mse_theory=report.mse, nmse=report.nmse
+    )
 
 
 def _shift_kernel_for(
@@ -219,8 +196,8 @@ def _shift_kernel_for(
         task_stack = whitened_task_stack(model, cfg.fs, n_points)
         const, kernel = designed_shift_kernel(task_stack, cfg)
         return task_energy(task_stack), const, kernel
-    task_stack, h_bar, noise_var = _arch_chain(model, cfg, arch, n_points)
-    const, kernel = shift_mse_kernel(h_bar, task_stack, cfg, noise_var)
+    task_stack, h_bar = _arch_chain(model, cfg, arch, n_points)
+    const, kernel = shift_mse_kernel(h_bar, task_stack, cfg)
     return const, const, kernel
 
 
@@ -407,10 +384,9 @@ def baseline_design(
     """
     if arch == "task_based":
         return design_filters(model, cfg, n_points)
-    task_stack, h_bar, noise_var = _arch_chain(model, cfg, arch, n_points)
-    g = design_digital_filter(h_bar, task_stack, cfg)
-    report = theoretical_mse(h_bar, task_stack, cfg)
-    _, gamma = quantizer_noise(h_bar, cfg)
+    task_stack, h_bar = _arch_chain(model, cfg, arch, n_points)
+    solve = _mmse_solve(h_bar, task_stack, cfg)
+    report = solve.report(task_stack, cfg.ts)
     if arch == "analog_recovery":
         h = model.task_filter
     else:
@@ -427,10 +403,10 @@ def baseline_design(
         sigma_h=sigma_h,
         water_level=None,
         task_energy=task_energy(task_stack),
-        g_freq=g,
+        g_freq=solve.filter(h_bar.base_grid),
         h=h,
         mse_theory=report.mse,
         nmse=report.nmse,
-        dynamic_range=gamma,
-        quant_noise_var=noise_var,
+        dynamic_range=solve.dynamic_range,
+        quant_noise_var=solve.noise_var,
     )

@@ -157,6 +157,11 @@ def _plan_block(
     )
 
 
+def _sample_dc_and_bins(spectrum: SpectralMatrixFunction, plan: _BlockPlan):
+    """A spectrum at DC and at the block's positive in-band DFT bins."""
+    return spectrum.sample(np.zeros(1))[0], spectrum.sample(plan.pos_freqs)
+
+
 def _draw_increments(plan: _BlockPlan, roots_dc, roots_pos, rng):
     """Spectral increments for one trial: (xi_dc real (M,), xi_pos (m, M))."""
     m_ch = roots_dc.shape[0]
@@ -194,9 +199,7 @@ def synthesize_process(
     band_edge = max(abs(c_x.grid.f_lo), abs(c_x.grid.f_hi))
     f_nyq = 2.0 * band_edge
     plan = _plan_block(band_edge, f_nyq, oversample_factor, duration)
-    root = psd_sqrt(c_x)
-    roots_dc = root.sample(np.zeros(1))[0]
-    roots_pos = root.sample(plan.pos_freqs)
+    roots_dc, roots_pos = _sample_dc_and_bins(psd_sqrt(c_x), plan)
     xi_dc, xi_pos = _draw_increments(plan, roots_dc, roots_pos, rng)
     return Block(samples=_increments_to_block(plan, xi_dc, xi_pos), rate=plan.sim_rate)
 
@@ -261,25 +264,28 @@ def recover_task(
     A non-zero t0 is carried by the modulated design inside g_freq; here it
     only guards that the shifted instant stays inside the block.
     """
-    n_out = z.shape[-1]
     if block_duration is not None and abs(t0) > 0.4 * block_duration:
         raise ValueError("t0 falls outside the block interior")
-    z_half = np.fft.rfft(z, axis=-1)
+    g_half, phases = _recovery_filter(g_freq, fs, z.shape[-1], center)
+    return _recover(g_half, phases, z)
+
+
+def _recovery_filter(g_freq: SpectralMatrixFunction, fs: float, n_out: int, center: int):
+    """(g_half, phases): the digital filter at the rfft bins of an n_out-sample
+    stream, and the conjugate-pair weights that read the output at ``center``."""
     freqs = np.fft.rfftfreq(n_out, d=1.0 / fs)
-    g_half = g_freq.sample(freqs)
-    weights = _half_weights(n_out)
-    phases = weights * np.exp(2j * np.pi * np.arange(freqs.size) * center / n_out)
-    est = np.einsum("p,pnk,...kp->...n", phases, g_half, z_half) / n_out
-    return est.real
-
-
-def _half_weights(n: int) -> np.ndarray:
-    """Conjugate-pair weights for sums over an rfft half spectrum."""
-    weights = np.full(n // 2 + 1, 2.0)
+    weights = np.full(freqs.size, 2.0)
     weights[0] = 1.0
-    if n % 2 == 0:
+    if n_out % 2 == 0:
         weights[-1] = 1.0
-    return weights
+    phases = weights * np.exp(2j * np.pi * np.arange(freqs.size) * center / n_out)
+    return g_freq.sample(freqs), phases
+
+
+def _recover(g_half: np.ndarray, phases: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Recovered task (..., N) at the centre sample of streams z (..., K, n_out)."""
+    z_half = np.fft.rfft(z, axis=-1) * phases
+    return (np.einsum("pnk,...kp->...n", g_half, z_half) / z.shape[-1]).real
 
 
 def estimate_mse(run: SimulationRun, trial_dump=None) -> SimulationReport:
@@ -302,19 +308,12 @@ def estimate_mse(run: SimulationRun, trial_dump=None) -> SimulationReport:
         bits=cfg.bits, dynamic_range=design.dynamic_range, dithered=run.dithered
     )
 
-    root = psd_sqrt(model.input_psd)
-    roots_dc = root.sample(np.zeros(1))[0]
-    roots_pos = root.sample(plan.pos_freqs)
-    gamma_dc = model.task_filter.sample(np.zeros(1))[0]
-    gamma_pos = model.task_filter.sample(plan.pos_freqs)
+    roots_dc, roots_pos = _sample_dc_and_bins(psd_sqrt(model.input_psd), plan)
+    gamma_dc, gamma_pos = _sample_dc_and_bins(model.task_filter, plan)
 
     sim_freqs = np.fft.rfftfreq(plan.n_samples, d=1.0 / plan.sim_rate)
     h_half = design.h.sample(sim_freqs)
-    out_freqs = np.fft.rfftfreq(plan.n_out, d=1.0 / cfg.fs)
-    g_half = design.g_freq.sample(out_freqs)
-    out_phases = _half_weights(plan.n_out) * np.exp(
-        2j * np.pi * np.arange(out_freqs.size) * plan.center / plan.n_out
-    )
+    g_half, out_phases = _recovery_filter(design.g_freq, cfg.fs, plan.n_out, plan.center)
     # t = 0 reference sits at the center output sample; a design modulated by
     # e^{-j2*pi*f*t0} estimates the analog response at center - t0 (the error
     # statistics are even in the shift)
@@ -355,14 +354,7 @@ def estimate_mse(run: SimulationRun, trial_dump=None) -> SimulationReport:
         ).real
 
         z, overloads = _acquire(blocks, h_half, cfg, qspec, dither, plan.decim)
-        est = (
-            np.einsum(
-                "pnk,tkp->tn", g_half, np.fft.rfft(z, axis=-1) * out_phases
-            )
-            / plan.n_out
-        ).real
-
-        err = truth - est
+        err = truth - _recover(g_half, out_phases, z)
         sq_errors[lo:hi] = np.sum(err * err, axis=1)
         trial_overloads[lo:hi] = overloads.sum(axis=(1, 2))
         sample_total += overloads.size

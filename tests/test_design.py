@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taskadc.design import (
     RANK_TOL,
@@ -19,6 +20,7 @@ from taskadc.design import (
 from taskadc.mmse import TaskModel, task_energy, whitened_task_stack
 from taskadc.quantizer import effective_loading
 from taskadc.scenarios import isotropic_scenario
+from taskadc.search import designed_shift_kernel, mse_at_shifts, shift_mse_kernel
 from taskadc.spectra import (
     SpectralMatrixFunction,
     StackedSpectrum,
@@ -476,3 +478,70 @@ class TestNyquistUnstacking:
         design = design_analog_filter(stack, cfg)
         with pytest.raises(ValueError):
             nyquist_analog_filter(design, model.input_psd)
+
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@st.composite
+def flat_configs(draw):
+    """A random flat-band model with a converter count up to its task rank.
+
+    Resolutions stay at 8 bits or below (the monotonicity test adds one):
+    above that, theoretical_mse's energy-minus-recovered form can lose more
+    than 1e-9 of the error to cancellation.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 4))
+    model = random_flat_model(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n=n, m=m, n_points=32
+    )
+    cfg = AdcConfig(
+        k_adcs=draw(st.integers(1, n)),
+        fs=draw(st.sampled_from([0.3, 0.45, 0.7, 1.25])),  # alias orders 2, 1, 1, 0
+        bits=draw(st.integers(1, 7)),
+    )
+    return model, cfg
+
+
+class TestDesignProperties:
+    @PROPERTY
+    @given(flat_configs())
+    def test_support_constraint_is_tight(self, case):
+        model, cfg = case
+        design = design_filters(model, cfg, 32)
+        kappa = effective_loading(cfg.eta, cfg.bits)
+        lhs = kappa * cfg.ts / cfg.k_adcs * float(
+            design.h_bar.base_grid.weights @ (design.sigma_h**2).sum(axis=1)
+        )
+        assert abs(lhs - 1.0) <= 1e-12
+
+    @PROPERTY
+    @given(flat_configs())
+    def test_mse_forms_agree(self, case):
+        model, cfg = case
+        design = design_filters(model, cfg, 32)
+        stack = whitened_task_stack(model, cfg.fs, 32)
+        general = theoretical_mse(design.h_bar, stack, cfg).mse
+        assert abs(general - design.mse_theory) <= 1e-9 * design.mse_theory
+
+    @PROPERTY
+    @given(flat_configs())
+    def test_designed_kernel_matches_general_kernel(self, case):
+        model, cfg = case
+        design = design_filters(model, cfg, 32)
+        stack = whitened_task_stack(model, cfg.fs, 32)
+        t0s = np.array([0.0, 0.15, 0.5, 0.8]) * cfg.ts
+        designed = mse_at_shifts(*designed_shift_kernel(stack, cfg), cfg, t0s)
+        general = mse_at_shifts(*shift_mse_kernel(design.h_bar, stack, cfg), cfg, t0s)
+        np.testing.assert_allclose(designed, general, rtol=1e-9)
+
+    @PROPERTY
+    @given(flat_configs())
+    def test_nmse_bounded_and_monotone_in_bits(self, case):
+        model, cfg = case
+        coarse = design_filters(model, cfg, 32).nmse
+        finer = design_filters(
+            model, AdcConfig(cfg.k_adcs, cfg.fs, cfg.bits + 1), 32
+        ).nmse
+        assert 0.0 <= finer <= coarse <= 1.0
