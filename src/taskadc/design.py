@@ -518,20 +518,19 @@ def design_filters(
     task_stack = whitened_task_stack(model, cfg.fs, n_points)
     design = design_analog_filter(task_stack, cfg)
     _check_support_constraint(design)
-    g = design_digital_filter(design.h_bar, task_stack, cfg)
+    solve = _mmse_solve(design.h_bar, task_stack, cfg)
     report = theoretical_mse_waterfilled(design)
-    noise_var, gamma = quantizer_noise(design.h_bar, cfg)
     h = None
     if design.h_bar.alias_order_ == 0:
         h = nyquist_analog_filter(design, model.input_psd)
     return replace(
         design,
-        g_freq=g,
+        g_freq=solve.filter(design.h_bar.base_grid),
         h=h,
         mse_theory=report.mse,
         nmse=report.nmse,
-        dynamic_range=gamma,
-        quant_noise_var=noise_var,
+        dynamic_range=solve.dynamic_range,
+        quant_noise_var=solve.noise_var,
     )
 
 

@@ -77,20 +77,14 @@ def _arch_chain(model: TaskModel, cfg: AdcConfig, arch: str, n_points: int | Non
     return task_stack, h_bar
 
 
-def shift_mse_kernel(
-    h_bar: StackedSpectrum,
-    task_stack: StackedSpectrum,
-    cfg: AdcConfig,
-    noise_var: float | None = None,
-):
+def shift_mse_kernel(h_bar: StackedSpectrum, task_stack: StackedSpectrum, cfg: AdcConfig):
     """(const, kernel) with mse(t0) = const - Re(p(t0)^T kernel conj(p(t0))).
 
     kernel[k, k'] integrates the per-alias cross terms against the inverse
     sampled-output covariance; p_k(t0) = e^{j*2*pi*k*fs*t0}.  Valid for any
     analog filter stack.
     """
-    if noise_var is None:
-        noise_var, _ = quantizer_noise(h_bar, cfg)
+    noise_var, _ = quantizer_noise(h_bar, cfg)
     energy = task_energy(task_stack)
     n_blocks = 2 * task_stack.alias_order_ + 1
     # cross terms and solves once per run of identical rows; the weighted

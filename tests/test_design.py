@@ -544,4 +544,4 @@ class TestDesignProperties:
         finer = design_filters(
             model, AdcConfig(cfg.k_adcs, cfg.fs, cfg.bits + 1), 32
         ).nmse
-        assert 0.0 <= finer <= coarse <= 1.0
+        assert 0.0 <= finer <= coarse + 1e-12 and coarse <= 1.0 + 1e-12
