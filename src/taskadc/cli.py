@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,11 +24,12 @@ from .scenarios import ScenarioSpec, build_scenario
 from .search import (
     ARCHITECTURES,
     SearchSpec,
+    _baseline_chain,
     baseline_design,
     rate_search,
     shifted_task_design,
 )
-from .simulate import SimulationRun, estimate_mse
+from .simulate import _OVERSAMPLE, SimulationRun, estimate_mse
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -156,39 +158,39 @@ def _sweep_value_configs(args, model):
     return pairs
 
 
-def _snap_to_divisor(fs: float, f_nyq: float, oversample: int = 4) -> float:
+def _snap_to_divisor(fs: float, f_nyq: float) -> float:
     """Nearest rate that divides the simulation grid rate (integer decimation)."""
-    sim_rate = oversample * f_nyq
+    sim_rate = _OVERSAMPLE * f_nyq
     return sim_rate / max(1, round(sim_rate / fs))
+
+
+def _architectures(text: str) -> list[str]:
+    """Architecture names from a comma list that may use the short aliases."""
+    archs = [_ARCH_ALIASES.get(a, a) for a in text.split(",")]
+    for arch in archs:
+        if arch not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture {arch}")
+    return archs
 
 
 def cmd_sweep(args) -> int:
     _, model = _load_scenario(args.scenario, args.grid_points)
-    archs = [_ARCH_ALIASES.get(a, a) for a in args.arch.split(",")]
-    for arch in archs:
-        if arch not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {arch}")
+    archs = _architectures(args.arch)
     if args.var == "K" and set(archs) != {"task_based"}:
         raise ValueError("a K sweep is only supported for the task-based architecture")
     header = ["value", "arch", "theory_nmse"]
     if args.simulate:
         header += ["empirical_nmse", "std_error"]
     rows = []
+    pairs = _sweep_value_configs(args, model)
     if args.var == "t0":
-        if args.k is None or args.bits is None:
-            raise ValueError("t0 sweep needs --k and --bits")
-        cfg = AdcConfig(
-            k_adcs=args.k,
-            fs=args.fs if args.fs is not None else model.f_nyq,
-            bits=args.bits,
-            eta=args.eta,
-        )
+        cfg = pairs[0][1]  # the shift leaves the configuration fixed
         base = design_filters(model, cfg, args.grid_points)
-        for t0 in np.linspace(args.start, args.stop, args.steps):
-            shifted = shifted_task_design(model, float(t0), cfg, base=base)
-            rows.append([float(t0), "task_based", shifted.nmse])
+        for t0, _ in pairs:
+            shifted = shifted_task_design(model, t0, cfg, base=base)
+            rows.append([t0, "task_based", shifted.nmse])
     else:
-        for value, cfg in _sweep_value_configs(args, model):
+        for value, cfg in pairs:
             if args.simulate:
                 snapped = _snap_to_divisor(cfg.fs, model.f_nyq)
                 if snapped != cfg.fs:
@@ -198,12 +200,9 @@ def cmd_sweep(args) -> int:
                     if args.var == "fs":
                         value = snapped
             for arch in archs:
-                if arch == "analog_recovery" and cfg.k_adcs != model.n_task:
-                    cfg_arch = AdcConfig(model.n_task, cfg.fs, cfg.bits, cfg.eta)
-                elif arch == "digital_recovery" and cfg.k_adcs != model.m_inputs:
-                    cfg_arch = AdcConfig(model.m_inputs, cfg.fs, cfg.bits, cfg.eta)
-                else:
-                    cfg_arch = cfg
+                cfg_arch = cfg
+                if arch != "task_based":
+                    cfg_arch = replace(cfg, k_adcs=_baseline_chain(model, arch)[0])
                 design = baseline_design(model, cfg_arch, arch, args.grid_points)
                 row = [value, arch, design.nmse]
                 if args.simulate:
@@ -231,7 +230,7 @@ def cmd_rate_search(args) -> int:
     budgets = [float(b) for b in args.budgets.split(",") if b.strip()]
     if not budgets:
         raise ValueError("empty budgets list")
-    archs = [_ARCH_ALIASES.get(a, a) for a in args.arch.split(",")]
+    archs = _architectures(args.arch)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     best_rows = []
@@ -284,22 +283,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *reads):
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        if "seed" in reads:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--grid-points", type=int, default=None, dest="grid_points")
-        p.add_argument("--k", type=int, default=None, help="number of converters")
-        p.add_argument("--bits", type=int, default=None, help="bits per sample")
-        p.add_argument("--fs", type=float, default=None, help="sampling rate in Hz")
+        if "adc" in reads:
+            p.add_argument("--k", type=int, default=None, help="number of converters")
+            p.add_argument("--bits", type=int, default=None, help="bits per sample")
+            p.add_argument("--fs", type=float, default=None, help="sampling rate in Hz")
         p.add_argument("--eta", type=float, default=None, help="loading factor")
 
     p_design = sub.add_parser("design", help="closed-form filter design")
-    common(p_design)
+    common(p_design, "adc")
     p_design.set_defaults(func=cmd_design)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter, emit nmse CSV")
-    common(p_sweep)
+    common(p_sweep, "seed", "adc")
     p_sweep.add_argument("--var", required=True, choices=["eta", "b", "K", "fs", "t0"])
     p_sweep.add_argument("--from", type=float, required=True, dest="start")
     p_sweep.add_argument("--to", type=float, required=True, dest="stop")
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rate = sub.add_parser("rate-search", help="grid search under bit-rate budgets")
-    common(p_rate)
+    common(p_rate)  # K, b and fs of every cell come from the budget
     p_rate.add_argument("--budgets", required=True, help="comma list of bits/s budgets")
     p_rate.add_argument("--arch", default="task,analog,digital")
     p_rate.add_argument("--n-t0", type=int, default=16, dest="n_t0")
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DesignError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -20,15 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mmse import TaskModel, task_energy, whitened_task_stack
+from .mmse import TaskModel, _times_pinv, task_energy, whitened_task_stack
 from .quantizer import effective_loading, eta_schedule
 from .spectra import (
     DEFAULT_GRID_POINTS,
     SpectralMatrixFunction,
     StackedSpectrum,
     alias_order,
-    interleave_re_im,
-    make_frequency_grid,
     psd_sqrt,
     row_runs,
     take_rows,
@@ -111,15 +109,7 @@ class FilterDesign:
             "task_energy": self.task_energy,
             "dynamic_range": self.dynamic_range,
             "alias_order": self.h_bar.alias_order_,
-            "h_bar": {
-                "grid": {
-                    "f_lo": self.h_bar.base_grid.f_lo,
-                    "f_hi": self.h_bar.base_grid.f_hi,
-                    "n": self.h_bar.base_grid.n_points,
-                },
-                "block_cols": self.h_bar.block_cols,
-                "values": interleave_re_im(self.h_bar.blocks),
-            },
+            "h_bar": self.h_bar.to_dict(),
             "g_freq": None if self.g_freq is None else self.g_freq.to_dict(),
             "h": None if self.h is None else self.h.to_dict(),
         }
@@ -129,26 +119,14 @@ class FilterDesign:
         cfg = AdcConfig(
             k_adcs=data["k_adcs"], fs=data["fs_hz"], bits=data["bits"], eta=data["eta"]
         )
-        g = data["h_bar"]["grid"]
-        grid = make_frequency_grid(g["f_lo"], g["f_hi"], g["n"])
-        cols = data["h_bar"]["block_cols"]
-        ups = data["alias_order"]
-        flat = np.asarray(data["h_bar"]["values"], dtype=float)
-        rows = flat.size // (2 * grid.n_points * (2 * ups + 1) * cols)
-        blocks = (flat[0::2] + 1j * flat[1::2]).reshape(
-            grid.n_points, rows, (2 * ups + 1) * cols
-        )
-        h_bar = StackedSpectrum(
-            base_grid=grid, alias_order_=ups, blocks=blocks, block_cols=cols,
-            fs=cfg.fs,
-        )
+        h_bar = StackedSpectrum.from_dict(data["h_bar"], data["alias_order"], cfg.fs)
         g_freq = (
             None
             if data.get("g_freq") is None
             else SpectralMatrixFunction.from_dict(data["g_freq"])
         )
         h = None if data.get("h") is None else SpectralMatrixFunction.from_dict(data["h"])
-        sigma_h = np.zeros((grid.n_points, min(cfg.k_adcs, blocks.shape[2])))
+        sigma_h = np.zeros((h_bar.base_grid.n_points, min(cfg.k_adcs, h_bar.stacked_cols)))
         return cls(
             cfg=cfg,
             h_bar=h_bar,
@@ -281,10 +259,15 @@ def _gauge_fixed(vh: np.ndarray) -> np.ndarray:
     return vh * np.conj(phase)[..., None]
 
 
+def _singular_values(blocks: np.ndarray) -> np.ndarray:
+    """Singular values of every grid row, one SVD per run of identical rows."""
+    starts, index = row_runs(blocks)
+    return take_rows(np.linalg.svd(take_rows(blocks, starts), compute_uv=False), index)
+
+
 def max_rank_bound(task_stack: StackedSpectrum) -> int:
     """Largest numerical rank of the stacked task response over the grid."""
-    starts, _ = row_runs(task_stack.blocks)
-    s = np.linalg.svd(take_rows(task_stack.blocks, starts), compute_uv=False)
+    s = _singular_values(task_stack.blocks)
     top = s[:, :1]
     ranks = np.sum(s > RANK_TOL * np.maximum(top, 1e-300), axis=1)
     return int(ranks.max(initial=0))
@@ -373,7 +356,8 @@ def design_analog_filter(task_stack: StackedSpectrum, cfg: AdcConfig) -> FilterD
     r = min(modes.s.shape[1], modes.sigma_h.shape[1])
     sigma_runs = take_rows(modes.sigma_h, modes.starts)
     core = sigma_runs[:, :r, None] * _gauge_fixed(modes.vh[:, :r, :])
-    u_h = _batched_equalizers(sigma_runs**2, k)
+    # one equalizer per run; sigma_h has k columns, as k <= M
+    u_h = np.stack([equalize_diagonal(np.diag(d.astype(complex))) for d in sigma_runs**2])
     h_bar = StackedSpectrum(
         base_grid=task_stack.base_grid,
         alias_order_=task_stack.alias_order_,
@@ -389,18 +373,6 @@ def design_analog_filter(task_stack: StackedSpectrum, cfg: AdcConfig) -> FilterD
         task_energy=task_energy(task_stack),
         sigma_task=modes.s,
     )
-
-
-def _batched_equalizers(diag_rows: np.ndarray, k: int) -> np.ndarray:
-    """Equalizing unitaries for per-frequency diagonal matrices, deduplicated."""
-    n_pts = diag_rows.shape[0]
-    padded = np.zeros((n_pts, k))
-    padded[:, : diag_rows.shape[1]] = diag_rows
-    uniq, inverse = np.unique(padded, axis=0, return_inverse=True)
-    us = np.empty((uniq.shape[0], k, k), dtype=complex)
-    for i, row in enumerate(uniq):
-        us[i] = equalize_diagonal(np.diag(row.astype(complex)))
-    return us[inverse]
 
 
 def _solve_output(h: np.ndarray, cross: np.ndarray, ts: float, noise_var: float) -> np.ndarray:
@@ -499,14 +471,8 @@ def nyquist_analog_filter(
     """
     if design.h_bar.alias_order_ != 0:
         raise ValueError("analog filter can only be unstacked at alias order 0")
-    root = psd_sqrt(c_x)
-    sampled = root.sample(design.h_bar.base_grid.points)
-    starts, index = row_runs(design.h_bar.blocks, sampled)
-    inv = np.linalg.pinv(take_rows(sampled, starts), rcond=1e-12, hermitian=True)
-    values = take_rows(design.h_bar.blocks, starts) @ inv
-    return SpectralMatrixFunction(
-        grid=design.h_bar.base_grid, values=take_rows(values, index), kind="filter"
-    )
+    sampled = psd_sqrt(c_x).sample(design.h_bar.base_grid.points)
+    return _times_pinv(design.h_bar.base_grid, design.h_bar.blocks, sampled)
 
 
 def design_filters(

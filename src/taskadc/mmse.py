@@ -95,12 +95,16 @@ def analog_mmse_filter(
     n, m = c_sx.shape
     if c_x.shape != (m, m):
         raise ValueError("input PSD shape must match the cross-PSD columns")
-    starts, index = row_runs(c_sx.values, c_x.values)
-    inv = np.linalg.pinv(take_rows(c_x.values, starts), rcond=PINV_CUTOFF, hermitian=True)
-    values = take_rows(c_sx.values, starts) @ inv
-    return SpectralMatrixFunction(
-        grid=c_sx.grid, values=take_rows(values, index), kind="filter"
-    )
+    return _times_pinv(c_sx.grid, c_sx.values, c_x.values)
+
+
+def _times_pinv(grid, left: np.ndarray, psd: np.ndarray) -> SpectralMatrixFunction:
+    """The filter left @ pinv(psd) per grid row, one pseudo-inverse per run of
+    identical rows; singular values below PINV_CUTOFF*largest count as zero."""
+    starts, index = row_runs(left, psd)
+    inv = np.linalg.pinv(take_rows(psd, starts), rcond=PINV_CUTOFF, hermitian=True)
+    values = take_rows(left, starts) @ inv
+    return SpectralMatrixFunction(grid=grid, values=take_rows(values, index), kind="filter")
 
 
 def whitened_task_stack(

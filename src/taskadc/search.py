@@ -2,10 +2,12 @@
 
 The shifted-task error is a finite Fourier series in t0 with harmonics at
 k*fs, |k| <= 2*ups (ups the alias order), so its exact average over [0, Ts)
-is const - Re(trace(kernel)).  The search takes midpoint means instead,
-doubling from n_t0 shifts until two agree to 1e-3; an n-point mean misreads
-the harmonics at multiples of n, so from ups = 16, where 2*ups is a multiple
-of both 16 and 32, the loop stops on a wrong value.
+is const - Re(trace(kernel)).  The one time average (``time_averaged_nmse``,
+the search table's ``nmse``) takes midpoint means instead, doubling from n_t0
+shifts until two agree to 1e-3; an n-point mean misreads the harmonics at
+multiples of n, so from ups = 16, where 2*ups is a multiple of both 16 and
+32, the loop stops on a wrong value.  ``_baseline_chain`` alone fixes the
+converter count and analog filter of each baseline architecture.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .design import (
     AdcConfig,
     FilterDesign,
     _mmse_solve,
+    _singular_values,
     _solve_output,
     _waterfilled_modes,
     _waterfilled_residual,
@@ -56,23 +59,32 @@ def modulated_stack(stack: StackedSpectrum, t0: float) -> StackedSpectrum:
     )
 
 
-def _arch_chain(model: TaskModel, cfg: AdcConfig, arch: str, n_points: int | None):
-    """Task stack and fixed analog-filter stack of a baseline architecture.
+def _baseline_chain(model: TaskModel, arch: str):
+    """(converter count, fixed analog filter) of a baseline architecture.
 
-    The task-based filter is designed, not fixed: its error comes from
+    Analog recovery puts N converters behind the task filter; digital
+    recovery samples all M inputs with no analog filter (None).  The
+    task-based filter is designed, not fixed: its error comes from
     ``design_filters`` and ``designed_shift_kernel``.
     """
-    if arch not in ARCHITECTURES[1:]:
-        raise ValueError(f"architecture must be one of {ARCHITECTURES}")
+    if arch == "analog_recovery":
+        return model.n_task, model.task_filter
+    if arch == "digital_recovery":
+        return model.m_inputs, None
+    raise ValueError(f"architecture must be one of {ARCHITECTURES}")
+
+
+def _arch_chain(model: TaskModel, cfg: AdcConfig, arch: str, n_points: int | None):
+    """Task stack and fixed analog-filter stack of a baseline architecture."""
+    k, h = _baseline_chain(model, arch)
+    if cfg.k_adcs != k:
+        raise ValueError(f"{arch} needs k_adcs == {k}")
     if n_points is None:
         n_points = auto_grid_points(cfg.fs, model.band_edge)
     task_stack = whitened_task_stack(model, cfg.fs, n_points)
-    if arch == "analog_recovery":
-        if cfg.k_adcs != model.n_task:
-            raise ValueError("analog recovery needs k_adcs == n_task")
+    if h is not None:
+        # the task filter whitened is the task stack itself
         return task_stack, task_stack
-    if cfg.k_adcs != model.m_inputs:
-        raise ValueError("digital recovery needs k_adcs == m_inputs")
     h_bar = stack_aliases(psd_sqrt(model.input_psd), cfg.fs, model.band_edge, n_points)
     return task_stack, h_bar
 
@@ -202,15 +214,9 @@ def time_averaged_nmse(
     arch: str = "task_based",
     n_points: int | None = None,
 ) -> float:
-    """Midpoint average over t0 in [0, Ts) of the shifted-task nmse."""
-    if n_t0 < 8:
-        raise ValueError("n_t0 must be at least 8")
-    energy, const, kernel = _shift_kernel_for(model, cfg, arch, n_points)
-    t0s = (np.arange(n_t0) + 0.5) * cfg.ts / n_t0
-    mses = mse_at_shifts(const, kernel, cfg, t0s)
-    if energy <= 0:
-        return 0.0
-    return float(mses.mean() / energy)
+    """Average over t0 in [0, Ts) of the shifted-task nmse: the value
+    ``rate_search`` puts in its ``nmse`` column."""
+    return _converged_time_average(model, cfg, arch, n_t0, n_points)[0]
 
 
 @dataclass(frozen=True)
@@ -288,7 +294,10 @@ class SearchResult:
 
 
 def _converged_time_average(model, cfg, arch, n_t0, n_points) -> tuple[float, float]:
-    """(time-averaged nmse, nmse at t0=0), doubling the t0 grid until stable."""
+    """(time-averaged nmse, nmse at t0=0), doubling the t0 grid from n_t0
+    midpoints until two grids agree."""
+    if n_t0 < 8:
+        raise ValueError("n_t0 must be at least 8")
     energy, const, kernel = _shift_kernel_for(model, cfg, arch, n_points)
     if energy <= 0:
         return 0.0, 0.0
@@ -321,10 +330,8 @@ def rate_search(model: TaskModel, spec: SearchSpec) -> SearchResult:
         k_values = list(spec.k_range)
     elif spec.architecture == "task_based":
         k_values = list(range(1, model.n_task + 1))
-    elif spec.architecture == "analog_recovery":
-        k_values = [model.n_task]
     else:
-        k_values = [model.m_inputs]
+        k_values = [_baseline_chain(model, spec.architecture)[0]]
     if spec.architecture == "task_based":
         nyq_stack = whitened_task_stack(
             model, model.f_nyq, auto_grid_points(model.f_nyq, model.band_edge)
@@ -381,20 +388,13 @@ def baseline_design(
     task_stack, h_bar = _arch_chain(model, cfg, arch, n_points)
     solve = _mmse_solve(h_bar, task_stack, cfg)
     report = solve.report(task_stack, cfg.ts)
-    if arch == "analog_recovery":
-        h = model.task_filter
-    else:
-        h = constant_spectrum(
-            model.input_psd.grid, np.eye(model.m_inputs), kind="filter"
-        )
-    starts, index = row_runs(h_bar.blocks)
-    sigma_h = take_rows(
-        np.linalg.svd(take_rows(h_bar.blocks, starts), compute_uv=False), index
-    )
+    h = _baseline_chain(model, arch)[1]
+    if h is None:
+        h = constant_spectrum(model.input_psd.grid, np.eye(model.m_inputs), kind="filter")
     return FilterDesign(
         cfg=cfg,
         h_bar=h_bar,
-        sigma_h=sigma_h,
+        sigma_h=_singular_values(h_bar.blocks),
         water_level=None,
         task_energy=task_energy(task_stack),
         g_freq=solve.filter(h_bar.base_grid),

@@ -5,6 +5,9 @@ drawing complex spectral increments on the block DFT grid (circular, so
 filtering and decimation are exact for the periodic surrogate), run the
 acquisition chain with real mid-rise quantizers, and compare the recovered
 task against the analog MMSE estimate computed from the same increments.
+
+Every block lives on one simulation grid at ``_OVERSAMPLE`` times the
+Nyquist rate; a sampling rate must divide it so decimation is integer.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .quantizer import QuantizerSpec, quantize_midrise, sample_dither
 from .spectra import SpectralMatrixFunction, psd_sqrt
 
 RNG_NAME = "philox"  # counter-based; per-trial streams come from spawned seeds
+_OVERSAMPLE = 4  # simulation rate in multiples of the Nyquist rate
 
 
 @dataclass(frozen=True)
@@ -33,10 +37,6 @@ class Block:
     def n_samples(self) -> int:
         return self.samples.shape[-1]
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.rate
-
 
 @dataclass(frozen=True)
 class SimulationRun:
@@ -46,15 +46,11 @@ class SimulationRun:
     model: TaskModel
     design: FilterDesign
     n_trials: int = 10_000
-    block_duration: float | None = None  # None: 513 DFT bins across the band
-    oversample_factor: int = 4
     seed: int = 0
     dithered: bool = True
     t0: float = 0.0  # task time shift carried by the design's digital filter
 
     def __post_init__(self):
-        if self.oversample_factor < 4:
-            raise ValueError("oversample_factor must be at least 4")
         if self.n_trials < 100:
             raise ValueError("n_trials must be at least 100 for a reported MSE")
 
@@ -121,11 +117,9 @@ class _BlockPlan:
         return np.arange(1, self.n_pos_bins + 1) * self.df
 
 
-def _plan_block(
-    band_edge: float, fs: float, oversample_factor: int, duration: float | None
-) -> _BlockPlan:
+def _plan_block(band_edge: float, fs: float, duration: float | None) -> _BlockPlan:
     f_nyq = 2.0 * band_edge
-    sim_rate = oversample_factor * f_nyq
+    sim_rate = _OVERSAMPLE * f_nyq
     ratio = sim_rate / fs
     decim = int(round(ratio))
     if abs(ratio - decim) > 1e-9 or decim < 1:
@@ -133,10 +127,10 @@ def _plan_block(
             "fs must divide the simulation rate so decimation is integer"
         )
     if duration is None:
-        m = 256
+        m = 256  # 513 DFT bins across the band
     else:
         m = int(round(band_edge * duration - 0.5))
-    n_samples = (2 * m + 1) * oversample_factor
+    n_samples = (2 * m + 1) * _OVERSAMPLE
     if n_samples % decim != 0:
         # sub-Nyquist rates cannot keep the band edge mid-bin; pad to a
         # decimable length instead
@@ -184,12 +178,9 @@ def _increments_to_block(plan: _BlockPlan, xi_dc, xi_pos) -> np.ndarray:
 
 
 def synthesize_process(
-    c_x: SpectralMatrixFunction,
-    duration: float,
-    oversample_factor: int,
-    rng: np.random.Generator,
+    c_x: SpectralMatrixFunction, duration: float, rng: np.random.Generator
 ) -> Block:
-    """One bandlimited Gaussian block whose PSD matches c_x.
+    """One bandlimited Gaussian block whose PSD matches c_x, on the simulation grid.
 
     Independent complex Gaussian spectral increments shaped by the PSD square
     root on the block DFT grid, Hermitian-symmetrized and inverse-transformed.
@@ -198,7 +189,7 @@ def synthesize_process(
         raise ValueError("synthesis needs a PSD")
     band_edge = max(abs(c_x.grid.f_lo), abs(c_x.grid.f_hi))
     f_nyq = 2.0 * band_edge
-    plan = _plan_block(band_edge, f_nyq, oversample_factor, duration)
+    plan = _plan_block(band_edge, f_nyq, duration)
     roots_dc, roots_pos = _sample_dc_and_bins(psd_sqrt(c_x), plan)
     xi_dc, xi_pos = _draw_increments(plan, roots_dc, roots_pos, rng)
     return Block(samples=_increments_to_block(plan, xi_dc, xi_pos), rate=plan.sim_rate)
@@ -301,9 +292,7 @@ def estimate_mse(run: SimulationRun, trial_dump=None) -> SimulationReport:
         raise ValueError("simulation needs a design with unstacked h and g_freq")
     if design.dynamic_range is None or design.task_energy is None:
         raise ValueError("simulation needs a fully assembled design")
-    plan = _plan_block(
-        model.band_edge, cfg.fs, run.oversample_factor, run.block_duration
-    )
+    plan = _plan_block(model.band_edge, cfg.fs, None)
     qspec = QuantizerSpec(
         bits=cfg.bits, dynamic_range=design.dynamic_range, dithered=run.dithered
     )

@@ -135,7 +135,7 @@ class SpectralMatrixFunction:
 
     def to_dict(self) -> dict:
         return {
-            "grid": {"f_lo": self.grid.f_lo, "f_hi": self.grid.f_hi, "n": self.grid.n_points},
+            "grid": _grid_to_dict(self.grid),
             "shape": list(self.shape),
             "kind": self.kind,
             "values": interleave_re_im(self.values),
@@ -143,14 +143,21 @@ class SpectralMatrixFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpectralMatrixFunction":
-        g = data["grid"]
-        grid = make_frequency_grid(g["f_lo"], g["f_hi"], g["n"])
+        grid = _grid_from_dict(data["grid"])
         rows, cols = data["shape"]
         flat = np.asarray(data["values"], dtype=float)
         if flat.size != 2 * grid.n_points * rows * cols:
             raise ValueError("values length does not match grid and shape")
         values = (flat[0::2] + 1j * flat[1::2]).reshape(grid.n_points, rows, cols)
         return cls(grid=grid, values=values, kind=data["kind"])
+
+
+def _grid_to_dict(grid: FrequencyGrid) -> dict:
+    return {"f_lo": grid.f_lo, "f_hi": grid.f_hi, "n": grid.n_points}
+
+
+def _grid_from_dict(data: dict) -> FrequencyGrid:
+    return make_frequency_grid(data["f_lo"], data["f_hi"], data["n"])
 
 
 def interleave_re_im(values: np.ndarray) -> list:
@@ -312,6 +319,30 @@ class StackedSpectrum:
         """View with the alias axis split out: (n_points, rows, 2*ups+1, cols)."""
         n, r, _ = self.blocks.shape
         return self.blocks.reshape(n, r, 2 * self.alias_order_ + 1, self.block_cols)
+
+    def to_dict(self) -> dict:
+        """Grid, block width and interleaved values; the alias order and fs
+        are kept by the owner of the stack (``FilterDesign.to_dict``)."""
+        return {
+            "grid": _grid_to_dict(self.base_grid),
+            "block_cols": self.block_cols,
+            "values": interleave_re_im(self.blocks),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict, alias_order_: int, fs: float) -> "StackedSpectrum":
+        """Inverse of ``to_dict``; the row count follows from the values length."""
+        grid = _grid_from_dict(data["grid"])
+        cols = (2 * alias_order_ + 1) * data["block_cols"]
+        flat = np.asarray(data["values"], dtype=float)
+        rows, rest = divmod(flat.size, 2 * grid.n_points * cols)
+        if rest or rows == 0:
+            raise ValueError("values length does not match grid and alias layout")
+        blocks = (flat[0::2] + 1j * flat[1::2]).reshape(grid.n_points, rows, cols)
+        return cls(
+            base_grid=grid, alias_order_=alias_order_, blocks=blocks,
+            block_cols=data["block_cols"], fs=fs,
+        )
 
     def outer_integral(self) -> np.ndarray:
         """Band integral of blocks(f) @ blocks(f)^H, a rows x rows matrix."""

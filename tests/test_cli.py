@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from taskadc.cli import main
-from taskadc.design import FilterDesign
+from taskadc.design import AdcConfig, FilterDesign
+from taskadc.scenarios import ScenarioSpec, build_scenario
+from taskadc.search import baseline_design
 
 
 @pytest.fixture()
@@ -91,6 +93,34 @@ class TestDesignCommand:
         ])
         assert code == 2
 
+    def test_scenario_directory_exits_2(self, tmp_path):
+        code = main([
+            "design", "--scenario", str(tmp_path), "--out", str(tmp_path / "o"),
+            "--k", "1", "--bits", "1", "--fs", "1.0",
+        ])
+        assert code == 2
+
+    def test_out_is_a_file_exits_2(self, scalar_scenario, tmp_path):
+        code = main([
+            "design", "--scenario", str(scalar_scenario), "--out", str(scalar_scenario),
+            "--k", "1", "--bits", "1", "--fs", "1.0", "--grid-points", "16",
+        ])
+        assert code == 2
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["design", "--k", "2", "--bits", "3", "--fs", "1e8"], "--seed"),
+    (["rate-search", "--budgets", "4e8", "--arch", "analog"], "--k"),
+    (["rate-search", "--budgets", "4e8", "--arch", "analog"], "--bits"),
+    (["rate-search", "--budgets", "4e8", "--arch", "analog"], "--fs"),
+    (["rate-search", "--budgets", "4e8", "--arch", "analog"], "--seed"),
+])
+def test_unread_flags_are_rejected(matched_scenario, tmp_path, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
+                     "--grid-points", "64", flag, "2"])
+    assert exc.value.code == 2
+
 
 class TestSweepCommand:
     def test_k_sweep_monotone(self, matched_scenario, tmp_path):
@@ -136,6 +166,23 @@ class TestSweepCommand:
             float(r.split(",")[3]) / float(r.split(",")[2]) for r in rows[1:]
         ]
         assert excess[-1] < excess[0]
+
+    def test_baselines_run_at_their_own_converter_count(self, matched_scenario, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--scenario", str(matched_scenario), "--out", str(out),
+            "--var", "b", "--from", "1", "--to", "2", "--steps", "2", "--k", "3",
+            "--arch", "task,analog,digital", "--grid-points", "64",
+        ])
+        assert code == 0
+        model = build_scenario(ScenarioSpec.from_file(matched_scenario), n_points=64)
+        k_of = {"task_based": 3, "analog_recovery": 2, "digital_recovery": 4}
+        rows = (out / "sweep_b.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 6
+        for row in rows:
+            value, arch, nmse = row.split(",")
+            cfg = AdcConfig(k_of[arch], model.f_nyq, int(value))
+            assert float(nmse) == baseline_design(model, cfg, arch, 64).nmse
 
     def test_empty_range_exits_2(self, matched_scenario, tmp_path):
         code = main([

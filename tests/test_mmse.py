@@ -74,7 +74,7 @@ class TestTaskEnergy:
         n_trials = 3000
         samples = np.empty((n_trials, 2))
         for t in range(n_trials):
-            block = synthesize_process(model.input_psd, 200.0, 4, rng)
+            block = synthesize_process(model.input_psd, 200.0, rng)
             n = block.n_samples
             freqs = np.fft.rfftfreq(n, d=1.0 / block.rate)
             gamma = model.task_filter.sample(freqs)

@@ -126,6 +126,26 @@ class TestTimeAveragedNmse:
         with pytest.raises(ValueError):
             time_averaged_nmse(model, AdcConfig(1, 1.0, 2), 4)
 
+    @pytest.mark.filterwarnings("error")  # an empty t0 grid warns, then loops forever
+    def test_search_rejects_empty_t0_grid(self, rng):
+        model = random_flat_model(rng, n=1, m=2, n_points=32)
+        spec = SearchSpec(rate_budget=2.0, k_range=(1,), b_range=(2,), n_t0=0, n_points=32)
+        with pytest.raises(ValueError, match="n_t0"):
+            rate_search(model, spec)
+
+    @pytest.mark.parametrize(
+        "arch, k", [("task_based", 2), ("analog_recovery", 2), ("digital_recovery", 3)]
+    )
+    def test_equals_search_table(self, rng, arch, k):
+        model = random_flat_model(rng, n=2, m=3, n_points=32)
+        # alias order 10: a 16-point mean alone misreads the harmonic at 16*fs
+        spec = SearchSpec(rate_budget=k * 3 * 0.05, k_range=(k,), b_range=(3,),
+                          architecture=arch, n_points=32)
+        row = rate_search(model, spec).table[0]
+        cfg = AdcConfig(k, row["fs_hz"], 3)
+        assert alias_order(cfg.fs, model.band_edge) == 10
+        assert time_averaged_nmse(model, cfg, 16, arch, 32) == row["nmse"]
+
 
 class TestRateSearch:
     def test_generous_budget_maxes_resolution(self, matched_model):

@@ -27,7 +27,7 @@ class TestSynthesizeProcess:
         psd = flat_psd(1.0)
         samples = []
         for _ in range(400):
-            block = synthesize_process(psd, 80.0, 4, rng)
+            block = synthesize_process(psd, 80.0, rng)
             samples.append(block.samples[0, ::7])
         stacked = np.concatenate(samples)
         var = stacked.var()
@@ -35,7 +35,7 @@ class TestSynthesizeProcess:
         assert abs(var - 1.0) < 3 * se / 10
 
     def test_zero_psd(self, rng):
-        block = synthesize_process(flat_psd(0.0), 80.0, 4, rng)
+        block = synthesize_process(flat_psd(0.0), 80.0, rng)
         np.testing.assert_allclose(block.samples, 0.0)
 
     def test_cross_channel_correlation(self, rng):
@@ -45,7 +45,7 @@ class TestSynthesizeProcess:
         psd = constant_spectrum(grid, level)
         xs, ys = [], []
         for _ in range(200):
-            block = synthesize_process(psd, 80.0, 4, rng)
+            block = synthesize_process(psd, 80.0, rng)
             xs.append(block.samples[0])
             ys.append(block.samples[1])
         x = np.concatenate(xs)
@@ -55,14 +55,14 @@ class TestSynthesizeProcess:
 
     def test_too_short_block(self, rng):
         with pytest.raises(ValueError):
-            synthesize_process(flat_psd(1.0), 10.0, 4, rng)
+            synthesize_process(flat_psd(1.0), 10.0, rng)
 
 
 class TestRunAcquisition:
     def test_transparent_chain(self, rng):
         # identity filter with a huge dynamic range: z reproduces Ts * x(n Ts)
         psd = flat_psd(1.0)
-        block = synthesize_process(psd, 80.0, 4, rng)
+        block = synthesize_process(psd, 80.0, rng)
         cfg = AdcConfig(1, 1.0, bits=2, eta=2.0)
         grid = make_frequency_grid(-2.0, 2.0, 16)  # identity over the sim band
         ident = constant_spectrum(grid, np.eye(1), kind="filter")
@@ -74,7 +74,7 @@ class TestRunAcquisition:
 
     def test_degenerate_zero_range(self, rng):
         psd = flat_psd(1.0)
-        block = synthesize_process(psd, 80.0, 4, rng)
+        block = synthesize_process(psd, 80.0, rng)
         cfg = AdcConfig(1, 1.0, bits=2, eta=2.0)
         grid = make_frequency_grid(-2.0, 2.0, 16)
         ident = constant_spectrum(grid, np.eye(1), kind="filter")
@@ -107,7 +107,7 @@ class TestRunAcquisition:
         assert report.overload_rate <= 0.05
 
     def test_incompatible_rate_rejected(self, rng):
-        block = synthesize_process(flat_psd(1.0), 80.0, 4, rng)
+        block = synthesize_process(flat_psd(1.0), 80.0, rng)
         cfg = AdcConfig(1, 0.7, bits=2, eta=2.0)
         grid = make_frequency_grid(-2.0, 2.0, 16)
         ident = constant_spectrum(grid, np.eye(1), kind="filter")

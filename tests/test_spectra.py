@@ -4,6 +4,7 @@ import pytest
 from taskadc.mmse import task_energy, whitened_task_stack
 from taskadc.spectra import (
     SpectralMatrixFunction,
+    StackedSpectrum,
     constant_spectrum,
     integrate_matrix,
     make_frequency_grid,
@@ -201,3 +202,19 @@ class TestInvariants:
         np.testing.assert_allclose(back.values, f.values, atol=0)
         assert back.kind == f.kind
         assert back.grid.n_points == 16
+
+    def test_stacked_json_round_trip_checks_length(self, rng):
+        f = SpectralMatrixFunction(
+            grid=make_frequency_grid(-2.0, 2.0, 16),
+            values=rng.standard_normal((16, 2, 3)) + 1j * rng.standard_normal((16, 2, 3)),
+            kind="filter",
+        )
+        stack = stack_aliases(f, 1.5, n_points=8)
+        data = stack.to_dict()
+        back = StackedSpectrum.from_dict(data, stack.alias_order_, stack.fs)
+        assert stack.alias_order_ == 1
+        assert np.array_equal(back.blocks, stack.blocks)
+        with pytest.raises(ValueError, match="values length"):
+            StackedSpectrum.from_dict(
+                dict(data, values=data["values"][:-2]), stack.alias_order_, stack.fs
+            )
