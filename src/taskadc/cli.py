@@ -178,6 +178,8 @@ def cmd_sweep(args) -> int:
     archs = _architectures(args.arch)
     if args.var == "K" and set(archs) != {"task_based"}:
         raise ValueError("a K sweep is only supported for the task-based architecture")
+    if args.var == "t0" and (args.simulate or set(archs) != {"task_based"}):
+        raise ValueError("a t0 sweep supports only --arch task, without --simulate")
     header = ["value", "arch", "theory_nmse"]
     if args.simulate:
         header += ["empirical_nmse", "std_error"]

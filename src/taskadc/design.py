@@ -26,6 +26,8 @@ from .spectra import (
     DEFAULT_GRID_POINTS,
     SpectralMatrixFunction,
     StackedSpectrum,
+    _rows_from_dict,
+    _rows_to_dict,
     alias_order,
     psd_sqrt,
     row_runs,
@@ -34,6 +36,7 @@ from .spectra import (
 
 RANK_TOL = 1e-10  # singular values below tol*largest do not count toward rank
 ACTIVE_TOL = 1e-12  # modes below tol*largest are dropped before water-filling
+DESIGN_JSON_VERSION = 2  # 1: every grid row stored, no sigma_h/sigma_task/quant_noise_var
 
 
 class DesignError(RuntimeError):
@@ -98,7 +101,10 @@ class FilterDesign:
     quant_noise_var: float | None = None
 
     def to_dict(self) -> dict:
+        """design.json, version 2: every grid-sampled field stored as its runs
+        of identical rows (``spectra._rows_to_dict``)."""
         return {
+            "version": DESIGN_JSON_VERSION,
             "k_adcs": self.cfg.k_adcs,
             "fs_hz": self.cfg.fs,
             "bits": self.cfg.bits,
@@ -108,36 +114,53 @@ class FilterDesign:
             "nmse": self.nmse,
             "task_energy": self.task_energy,
             "dynamic_range": self.dynamic_range,
+            "quant_noise_var": self.quant_noise_var,
             "alias_order": self.h_bar.alias_order_,
             "h_bar": self.h_bar.to_dict(),
+            "sigma_h": _rows_to_dict(self.sigma_h),
+            "sigma_task": None if self.sigma_task is None else _rows_to_dict(self.sigma_task),
             "g_freq": None if self.g_freq is None else self.g_freq.to_dict(),
             "h": None if self.h is None else self.h.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FilterDesign":
+        """Inverse of ``to_dict``, exact for version 2.  A version-1 file has
+        runs of one row, no ``sigma_task`` or ``quant_noise_var`` (both load
+        as None) and no ``sigma_h`` (loads as zeros)."""
+        if data.get("version", 1) > DESIGN_JSON_VERSION:
+            raise ValueError(f"design.json version {data['version']} is newer than this reader")
         cfg = AdcConfig(
             k_adcs=data["k_adcs"], fs=data["fs_hz"], bits=data["bits"], eta=data["eta"]
         )
         h_bar = StackedSpectrum.from_dict(data["h_bar"], data["alias_order"], cfg.fs)
+        n, k_eff = h_bar.base_grid.n_points, min(cfg.k_adcs, h_bar.stacked_cols)
+        if "sigma_h" in data:
+            sigma_h = _rows_from_dict(data["sigma_h"], n, (k_eff,), float)
+        else:
+            sigma_h = np.zeros((n, k_eff))
+        sigma_task = data.get("sigma_task")
+        if sigma_task is not None:
+            sigma_task = _rows_from_dict(sigma_task, n, (-1,), float)
         g_freq = (
             None
             if data.get("g_freq") is None
             else SpectralMatrixFunction.from_dict(data["g_freq"])
         )
         h = None if data.get("h") is None else SpectralMatrixFunction.from_dict(data["h"])
-        sigma_h = np.zeros((h_bar.base_grid.n_points, min(cfg.k_adcs, h_bar.stacked_cols)))
         return cls(
             cfg=cfg,
             h_bar=h_bar,
             sigma_h=sigma_h,
             water_level=data["water_level"],
             task_energy=data["task_energy"],
+            sigma_task=sigma_task,
             g_freq=g_freq,
             h=h,
             mse_theory=data["mse"],
             nmse=data["nmse"],
             dynamic_range=data["dynamic_range"],
+            quant_noise_var=data.get("quant_noise_var"),
         )
 
 

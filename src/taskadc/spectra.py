@@ -138,17 +138,13 @@ class SpectralMatrixFunction:
             "grid": _grid_to_dict(self.grid),
             "shape": list(self.shape),
             "kind": self.kind,
-            "values": interleave_re_im(self.values),
+            **_rows_to_dict(self.values),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpectralMatrixFunction":
         grid = _grid_from_dict(data["grid"])
-        rows, cols = data["shape"]
-        flat = np.asarray(data["values"], dtype=float)
-        if flat.size != 2 * grid.n_points * rows * cols:
-            raise ValueError("values length does not match grid and shape")
-        values = (flat[0::2] + 1j * flat[1::2]).reshape(grid.n_points, rows, cols)
+        values = _rows_from_dict(data, grid.n_points, tuple(data["shape"]))
         return cls(grid=grid, values=values, kind=data["kind"])
 
 
@@ -161,13 +157,42 @@ def _grid_from_dict(data: dict) -> FrequencyGrid:
 
 
 def interleave_re_im(values: np.ndarray) -> list:
-    """Flat [re, im, re, im, ...] list of a complex array in C order (JSON layout)."""
-    re = values.real.ravel()
-    im = values.imag.ravel()
-    out = np.empty(2 * re.size)
-    out[0::2] = re
-    out[1::2] = im
-    return out.tolist()
+    """Flat list of an array in C order, complex entries as [re, im] pairs
+    (the JSON layout); a real array flattens as it is."""
+    return np.ascontiguousarray(values).view(float).ravel().tolist()
+
+
+def _rows_to_dict(values: np.ndarray) -> dict:
+    """A sampled array stored as its runs of identical rows: the first row of
+    each run (``run_starts``) and those rows' values, flattened."""
+    starts, _ = row_runs(values)
+    return {
+        "run_starts": starts.tolist(),
+        "values": interleave_re_im(take_rows(values, starts)),
+    }
+
+
+def _rows_from_dict(
+    data: dict, n_points: int, shape: tuple, dtype: type = complex
+) -> np.ndarray:
+    """Inverse of ``_rows_to_dict``, bit for bit: ``n_points`` rows of
+    ``shape``.  A missing ``run_starts`` (version 1) means one run per row;
+    one -1 in ``shape`` is inferred from the values length."""
+    starts = np.asarray(data.get("run_starts", range(n_points)), dtype=int)
+    if starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or (
+        np.any(np.diff(starts) <= 0) or starts[-1] >= n_points
+    ):
+        raise ValueError("run_starts must rise strictly from 0 within the grid")
+    flat = np.asarray(data["values"], dtype=float)
+    per_row = math.prod(d for d in shape if d != -1) * np.dtype(dtype).itemsize // 8
+    count, rest = divmod(flat.size, starts.size * per_row)
+    if rest or count == 0 or (-1 not in shape and count != 1):
+        raise ValueError("values length does not match the grid, runs and shape")
+    shape = tuple(count if d == -1 else d for d in shape)
+    rows = flat.view(dtype).reshape((starts.size,) + shape)
+    new_run = np.zeros(n_points, dtype=bool)
+    new_run[starts] = True
+    return take_rows(rows, np.cumsum(new_run) - 1)
 
 
 def row_runs(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,24 +346,22 @@ class StackedSpectrum:
         return self.blocks.reshape(n, r, 2 * self.alias_order_ + 1, self.block_cols)
 
     def to_dict(self) -> dict:
-        """Grid, block width and interleaved values; the alias order and fs
-        are kept by the owner of the stack (``FilterDesign.to_dict``)."""
+        """Grid, row count, block width and the blocks' runs; the alias order
+        and fs are kept by the owner of the stack (``FilterDesign.to_dict``)."""
         return {
             "grid": _grid_to_dict(self.base_grid),
+            "rows": self.rows,
             "block_cols": self.block_cols,
-            "values": interleave_re_im(self.blocks),
+            **_rows_to_dict(self.blocks),
         }
 
     @classmethod
     def from_dict(cls, data: dict, alias_order_: int, fs: float) -> "StackedSpectrum":
-        """Inverse of ``to_dict``; the row count follows from the values length."""
+        """Inverse of ``to_dict``; without ``rows`` (version 1) the row count
+        follows from the values length."""
         grid = _grid_from_dict(data["grid"])
         cols = (2 * alias_order_ + 1) * data["block_cols"]
-        flat = np.asarray(data["values"], dtype=float)
-        rows, rest = divmod(flat.size, 2 * grid.n_points * cols)
-        if rest or rows == 0:
-            raise ValueError("values length does not match grid and alias layout")
-        blocks = (flat[0::2] + 1j * flat[1::2]).reshape(grid.n_points, rows, cols)
+        blocks = _rows_from_dict(data, grid.n_points, (data.get("rows", -1), cols))
         return cls(
             base_grid=grid, alias_order_=alias_order_, blocks=blocks,
             block_cols=data["block_cols"], fs=fs,

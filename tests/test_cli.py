@@ -184,6 +184,19 @@ class TestSweepCommand:
             cfg = AdcConfig(k_of[arch], model.f_nyq, int(value))
             assert float(nmse) == baseline_design(model, cfg, arch, 64).nmse
 
+    @pytest.mark.parametrize(
+        "extra", [["--simulate", "--trials", "200"], ["--arch", "analog"], ["--arch", "task,digital"]]
+    )
+    def test_t0_sweep_rejects_simulate_and_baselines(self, matched_scenario, tmp_path, extra):
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--scenario", str(matched_scenario), "--out", str(out),
+            "--var", "t0", "--from", "0", "--to", "1e-9", "--steps", "3",
+            "--k", "2", "--bits", "3", "--grid-points", "64", *extra,
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_empty_range_exits_2(self, matched_scenario, tmp_path):
         code = main([
             "sweep", "--scenario", str(matched_scenario),

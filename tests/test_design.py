@@ -1,10 +1,14 @@
+import json
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from taskadc.design import (
     RANK_TOL,
     AdcConfig,
+    FilterDesign,
     analog_recovery_is_optimal,
     design_analog_filter,
     design_digital_filter,
@@ -20,11 +24,17 @@ from taskadc.design import (
 from taskadc.mmse import TaskModel, task_energy, whitened_task_stack
 from taskadc.quantizer import effective_loading
 from taskadc.scenarios import isotropic_scenario
-from taskadc.search import designed_shift_kernel, mse_at_shifts, shift_mse_kernel
+from taskadc.search import (
+    baseline_design,
+    designed_shift_kernel,
+    mse_at_shifts,
+    shift_mse_kernel,
+)
 from taskadc.spectra import (
     SpectralMatrixFunction,
     StackedSpectrum,
     constant_spectrum,
+    interleave_re_im,
     make_frequency_grid,
     row_runs,
 )
@@ -423,6 +433,122 @@ class TestRankAndIsotropy:
             analog_recovery_is_optimal(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def _same_bits(a, b) -> bool:
+    """Exact equality of design fields, down to the sign of zero."""
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, StackedSpectrum):
+        return (a.alias_order_, a.block_cols, a.fs) == (b.alias_order_, b.block_cols, b.fs) and (
+            _same_bits(a.base_grid.points, b.base_grid.points) and _same_bits(a.blocks, b.blocks)
+        )
+    if isinstance(a, SpectralMatrixFunction):
+        return a.kind == b.kind and _same_bits(a.grid.points, b.grid.points) and (
+            _same_bits(a.values, b.values)
+        )
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+def _json_round_trip(design: FilterDesign) -> FilterDesign:
+    return FilterDesign.from_dict(json.loads(json.dumps(design.to_dict())))
+
+
+def _varying_model(rng, n_pts: int) -> TaskModel:
+    """Smooth, non-flat spectra: every grid row differs from its neighbours."""
+    grid = make_frequency_grid(-0.5, 0.5, n_pts)
+    a = rng.standard_normal((3, 3))
+    tilt = 1.0 + grid.points[:, None, None] ** 2
+    input_psd = (a @ a.T + 3.0 * np.eye(3)) * tilt
+    cross = rng.standard_normal((2, 3)) * (1.0 + 0.5 * grid.points[:, None, None])
+    return TaskModel(
+        task_filter=SpectralMatrixFunction(
+            grid=grid, values=cross @ np.linalg.inv(input_psd), kind="filter"
+        ),
+        input_psd=SpectralMatrixFunction(grid=grid, values=input_psd, kind="psd"),
+        cross_psd=SpectralMatrixFunction(grid=grid, values=cross, kind="cross_psd"),
+    )
+
+
+class TestDesignJson:
+    @pytest.mark.parametrize(
+        "arch, k, fs",
+        [
+            ("task_based", 4, 400e6),  # unaliased
+            ("task_based", 4, 100e6),  # alias order 2
+            ("analog_recovery", 4, 100e6),
+            ("digital_recovery", 16, 400e6),
+        ],
+    )
+    def test_round_trip_is_exact(self, matched_model, arch, k, fs):
+        design = baseline_design(matched_model, AdcConfig(k, fs, 4), arch, 512)
+        back = _json_round_trip(design)
+        for f in fields(design):
+            assert _same_bits(getattr(design, f.name), getattr(back, f.name)), f.name
+        if arch == "task_based":
+            assert theoretical_mse_waterfilled(back).nmse == design.nmse
+        else:
+            assert back.water_level is None and back.sigma_task is None
+
+    def test_flat_design_stores_one_run(self, matched_model):
+        data = design_filters(matched_model, AdcConfig(4, 400e6, 4), 512).to_dict()
+        assert data["version"] == 2
+        assert data["h_bar"]["rows"] == 4
+        for key in ("sigma_h", "sigma_task", "g_freq", "h"):
+            assert data[key]["run_starts"] == [0]
+        assert data["h_bar"]["run_starts"] == [0]
+
+    def test_varying_psd_round_trip(self, rng):
+        n_pts = 32
+        design = design_filters(_varying_model(rng, n_pts), AdcConfig(2, 1.0, 4), n_pts)
+        assert row_runs(design.h_bar.blocks)[0].size == n_pts  # one run per row
+        back = _json_round_trip(design)
+        for f in fields(design):
+            assert _same_bits(getattr(design, f.name), getattr(back, f.name)), f.name
+
+    def test_missing_h_bar_row_is_an_error(self, rng):
+        model = random_flat_model(rng, n=2, m=3, n_points=32)
+        design = design_filters(model, AdcConfig(2, 0.7, 3), 32)
+        data = design.to_dict()
+        h_bar = data["h_bar"]
+        one_row = 2 * len(h_bar["run_starts"]) * design.h_bar.stacked_cols
+        data["h_bar"] = dict(h_bar, values=h_bar["values"][:-one_row])
+        with pytest.raises(ValueError, match="values length"):
+            FilterDesign.from_dict(data)
+
+    def test_version_1_file_loads(self, rng):
+        model = random_flat_model(rng, n=2, m=3, n_points=32)
+        design = design_filters(model, AdcConfig(2, 1.0, 3), 32)
+
+        def dense(f):  # the version-1 spectrum layout: every grid row
+            return {"grid": {"f_lo": f.grid.f_lo, "f_hi": f.grid.f_hi, "n": f.grid.n_points},
+                    "shape": list(f.shape), "kind": f.kind,
+                    "values": interleave_re_im(f.values)}
+
+        grid = design.h_bar.base_grid
+        v1 = {
+            "k_adcs": 2, "fs_hz": 1.0, "bits": 3, "eta": design.cfg.eta,
+            "water_level": design.water_level, "mse": design.mse_theory,
+            "nmse": design.nmse, "task_energy": design.task_energy,
+            "dynamic_range": design.dynamic_range, "alias_order": 0,
+            "h_bar": {"grid": {"f_lo": grid.f_lo, "f_hi": grid.f_hi, "n": grid.n_points},
+                      "block_cols": design.h_bar.block_cols,
+                      "values": interleave_re_im(design.h_bar.blocks)},
+            "g_freq": dense(design.g_freq),
+            "h": dense(design.h),
+        }
+        back = FilterDesign.from_dict(json.loads(json.dumps(v1)))
+        for name in ("h_bar", "g_freq", "h", "nmse", "cfg"):
+            assert _same_bits(getattr(design, name), getattr(back, name)), name
+        assert back.sigma_task is None and back.quant_noise_var is None
+
+    def test_newer_version_is_rejected(self, rng):
+        model = random_flat_model(rng, n=1, m=2, n_points=16)
+        data = design_filters(model, AdcConfig(1, 1.0, 2), 16).to_dict()
+        with pytest.raises(ValueError, match="version"):
+            FilterDesign.from_dict(dict(data, version=3))
+
+
 class TestNyquistUnstacking:
     def test_full_rank_recovery(self, rng):
         # h @ C_x^{1/2} must reproduce the stacked response (full-rank PSD)
@@ -545,3 +671,12 @@ class TestDesignProperties:
             model, AdcConfig(cfg.k_adcs, cfg.fs, cfg.bits + 1), 32
         ).nmse
         assert 0.0 <= finer <= coarse + 1e-12 and coarse <= 1.0 + 1e-12
+
+    @PROPERTY
+    @given(flat_configs())
+    def test_nmse_monotone_in_converters(self, case):
+        model, cfg = case
+        assume(cfg.k_adcs < model.input_psd.shape[0])  # K + 1 converters fit M inputs
+        fewer = design_filters(model, cfg, 32).nmse
+        more = design_filters(model, replace(cfg, k_adcs=cfg.k_adcs + 1), 32).nmse
+        assert more <= fewer + 1e-12

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,19 @@ class TestInvariants:
         np.testing.assert_allclose(back.values, f.values, atol=0)
         assert back.kind == f.kind
         assert back.grid.n_points == 16
+
+    def test_json_stores_runs_bit_for_bit(self, rng):
+        level = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        level[0, 0] = 0.0
+        values = np.repeat(level[None], 16, axis=0)
+        values[6:, 0, 0] = complex(-0.0, 0.0)  # equal to 0.0, but other bits
+        f = SpectralMatrixFunction(
+            grid=make_frequency_grid(-1.0, 1.0, 16), values=values, kind="filter"
+        )
+        data = f.to_dict()
+        assert data["run_starts"] == [0, 6]
+        back = SpectralMatrixFunction.from_dict(json.loads(json.dumps(data)))
+        assert back.values.tobytes() == f.values.tobytes()
 
     def test_stacked_json_round_trip_checks_length(self, rng):
         f = SpectralMatrixFunction(
