@@ -179,20 +179,16 @@ def _rows_from_dict(
     ``shape``.  A missing ``run_starts`` (version 1) means one run per row;
     one -1 in ``shape`` is inferred from the values length."""
     starts = np.asarray(data.get("run_starts", range(n_points)), dtype=int)
-    if starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or (
-        np.any(np.diff(starts) <= 0) or starts[-1] >= n_points
-    ):
+    widths = np.diff(starts, append=n_points)
+    if starts.size == 0 or starts[0] != 0 or np.any(widths <= 0):
         raise ValueError("run_starts must rise strictly from 0 within the grid")
     flat = np.asarray(data["values"], dtype=float)
-    per_row = math.prod(d for d in shape if d != -1) * np.dtype(dtype).itemsize // 8
+    per_row = math.prod(d for d in shape if d != -1) * (2 if dtype is complex else 1)
     count, rest = divmod(flat.size, starts.size * per_row)
     if rest or count == 0 or (-1 not in shape and count != 1):
         raise ValueError("values length does not match the grid, runs and shape")
     shape = tuple(count if d == -1 else d for d in shape)
-    rows = flat.view(dtype).reshape((starts.size,) + shape)
-    new_run = np.zeros(n_points, dtype=bool)
-    new_run[starts] = True
-    return take_rows(rows, np.cumsum(new_run) - 1)
+    return np.repeat(flat.view(dtype).reshape((starts.size,) + shape), widths, axis=0)
 
 
 def row_runs(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

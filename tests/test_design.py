@@ -494,9 +494,8 @@ class TestDesignJson:
         data = design_filters(matched_model, AdcConfig(4, 400e6, 4), 512).to_dict()
         assert data["version"] == 2
         assert data["h_bar"]["rows"] == 4
-        for key in ("sigma_h", "sigma_task", "g_freq", "h"):
+        for key in ("h_bar", "sigma_h", "sigma_task", "g_freq", "h"):
             assert data[key]["run_starts"] == [0]
-        assert data["h_bar"]["run_starts"] == [0]
 
     def test_varying_psd_round_trip(self, rng):
         n_pts = 32
@@ -519,24 +518,15 @@ class TestDesignJson:
     def test_version_1_file_loads(self, rng):
         model = random_flat_model(rng, n=2, m=3, n_points=32)
         design = design_filters(model, AdcConfig(2, 1.0, 3), 32)
-
-        def dense(f):  # the version-1 spectrum layout: every grid row
-            return {"grid": {"f_lo": f.grid.f_lo, "f_hi": f.grid.f_hi, "n": f.grid.n_points},
-                    "shape": list(f.shape), "kind": f.kind,
-                    "values": interleave_re_im(f.values)}
-
-        grid = design.h_bar.base_grid
-        v1 = {
-            "k_adcs": 2, "fs_hz": 1.0, "bits": 3, "eta": design.cfg.eta,
-            "water_level": design.water_level, "mse": design.mse_theory,
-            "nmse": design.nmse, "task_energy": design.task_energy,
-            "dynamic_range": design.dynamic_range, "alias_order": 0,
-            "h_bar": {"grid": {"f_lo": grid.f_lo, "f_hi": grid.f_hi, "n": grid.n_points},
-                      "block_cols": design.h_bar.block_cols,
-                      "values": interleave_re_im(design.h_bar.blocks)},
-            "g_freq": dense(design.g_freq),
-            "h": dense(design.h),
-        }
+        v1 = design.to_dict()  # rewritten to the version-1 layout: every grid row
+        for key in ("version", "sigma_h", "sigma_task", "quant_noise_var"):
+            del v1[key]
+        del v1["h_bar"]["rows"]
+        for key, values in (
+            ("h_bar", design.h_bar.blocks), ("g_freq", design.g_freq.values), ("h", design.h.values)
+        ):
+            del v1[key]["run_starts"]
+            v1[key]["values"] = interleave_re_im(values)
         back = FilterDesign.from_dict(json.loads(json.dumps(v1)))
         for name in ("h_bar", "g_freq", "h", "nmse", "cfg"):
             assert _same_bits(getattr(design, name), getattr(back, name)), name
