@@ -106,8 +106,11 @@ def cmd_design(args) -> int:
     _write_json(design_path, design.to_dict())
 
     active = (design.sigma_h > 0).sum(axis=1)
+    # a grid of fewer than 10 points splits into some empty parts
     deciles = [
-        int(round(float(np.mean(part)))) for part in np.array_split(active, 10)
+        int(round(float(np.mean(part))))
+        for part in np.array_split(active, 10)
+        if part.size
     ]
     summary = [
         f"k_adcs: {cfg.k_adcs}",

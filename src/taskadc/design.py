@@ -29,8 +29,8 @@ from .spectra import (
     _rows_from_dict,
     _rows_to_dict,
     alias_order,
+    joint_runs,
     psd_sqrt,
-    row_runs,
     take_rows,
 )
 
@@ -64,9 +64,7 @@ class AdcConfig:
             raise ValueError("fs must be positive")
         if self.eta is None:
             object.__setattr__(self, "eta", eta_schedule(self.bits))
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        effective_loading(self.eta, self.bits)  # raises when infeasible
+        effective_loading(self.eta, self.bits)  # raises unless eta is finite, positive, feasible
 
     @property
     def ts(self) -> float:
@@ -282,15 +280,14 @@ def _gauge_fixed(vh: np.ndarray) -> np.ndarray:
     return vh * np.conj(phase)[..., None]
 
 
-def _singular_values(blocks: np.ndarray) -> np.ndarray:
+def _singular_values(stack: StackedSpectrum) -> np.ndarray:
     """Singular values of every grid row, one SVD per run of identical rows."""
-    starts, index = row_runs(blocks)
-    return take_rows(np.linalg.svd(take_rows(blocks, starts), compute_uv=False), index)
+    return take_rows(np.linalg.svd(stack.run_blocks, compute_uv=False), stack.run_index)
 
 
 def max_rank_bound(task_stack: StackedSpectrum) -> int:
     """Largest numerical rank of the stacked task response over the grid."""
-    s = _singular_values(task_stack.blocks)
+    s = np.linalg.svd(task_stack.run_blocks, compute_uv=False)
     top = s[:, :1]
     ranks = np.sum(s > RANK_TOL * np.maximum(top, 1e-300), axis=1)
     return int(ranks.max(initial=0))
@@ -327,7 +324,7 @@ def quantizer_noise(h_bar: StackedSpectrum, cfg: AdcConfig) -> tuple[float, floa
 class _Modes(NamedTuple):
     s: np.ndarray  # task singular values on the dense grid
     vh: np.ndarray  # right vectors per run, LAPACK's phase; the design fixes it
-    starts: np.ndarray  # row_runs of the task stack
+    starts: np.ndarray  # the task stack's runs
     index: np.ndarray
     gain: np.ndarray  # (zeta*s - 1)^+ per grid point and converter slot
     sigma_h: np.ndarray  # designed singular values sqrt(gain) / 2^b
@@ -337,8 +334,8 @@ class _Modes(NamedTuple):
 def _waterfilled_modes(task_stack: StackedSpectrum, cfg: AdcConfig) -> _Modes:
     """SVD once per run of identical rows; the water level and the per-mode
     gains on the dense grid over the K largest singular values."""
-    starts, index = row_runs(task_stack.blocks)
-    _, s_runs, vh = np.linalg.svd(take_rows(task_stack.blocks, starts), full_matrices=False)
+    index = task_stack.run_index
+    _, s_runs, vh = np.linalg.svd(task_stack.run_blocks, full_matrices=False)
     s = take_rows(s_runs, index)
     k_eff = min(cfg.k_adcs, task_stack.stacked_cols)
     r = min(s.shape[1], k_eff)
@@ -346,7 +343,9 @@ def _waterfilled_modes(task_stack: StackedSpectrum, cfg: AdcConfig) -> _Modes:
     waterfill_input[:, :r] = s[:, :r]
     zeta = solve_waterfill_level(waterfill_input, task_stack.base_grid.weights, cfg)
     gain = np.maximum(zeta * waterfill_input - 1.0, 0.0)
-    return _Modes(s, vh, starts, index, gain, np.sqrt(gain) / 2.0**cfg.bits, zeta)
+    return _Modes(
+        s, vh, task_stack.run_starts, index, gain, np.sqrt(gain) / 2.0**cfg.bits, zeta
+    )
 
 
 def _waterfilled_residual(
@@ -374,8 +373,8 @@ def design_analog_filter(task_stack: StackedSpectrum, cfg: AdcConfig) -> FilterD
         raise ValueError(f"k_adcs={k} exceeds the input count M={task_stack.block_cols}")
     modes = _waterfilled_modes(task_stack, cfg)
     # the equalizer and the filter rows run once per run of identical rows;
-    # everything FilterDesign stores stays on the dense grid.  Rows beyond
-    # the task rank stay zero.
+    # h_bar keeps those runs, the arrays FilterDesign stores are dense.  Rows
+    # beyond the task rank stay zero.
     r = min(modes.s.shape[1], modes.sigma_h.shape[1])
     sigma_runs = take_rows(modes.sigma_h, modes.starts)
     core = sigma_runs[:, :r, None] * _gauge_fixed(modes.vh[:, :r, :])
@@ -384,9 +383,10 @@ def design_analog_filter(task_stack: StackedSpectrum, cfg: AdcConfig) -> FilterD
     h_bar = StackedSpectrum(
         base_grid=task_stack.base_grid,
         alias_order_=task_stack.alias_order_,
-        blocks=take_rows(u_h[:, :, :r] @ core, modes.index),
+        blocks=u_h[:, :, :r] @ core,
         block_cols=task_stack.block_cols,
         fs=task_stack.fs,
+        run_starts=modes.starts,
     )
     return FilterDesign(
         cfg=cfg,
@@ -448,9 +448,9 @@ def _mmse_solve(
     if h_bar.stacked_cols != task_stack.stacked_cols:
         raise ValueError("analog filter and task stacks must share the alias layout")
     noise_var, gamma = quantizer_noise(h_bar, cfg)
-    starts, index = row_runs(h_bar.blocks, task_stack.blocks)
-    h = take_rows(h_bar.blocks, starts)
-    s_cross = take_rows(task_stack.blocks, starts) @ h.conj().swapaxes(-1, -2)
+    starts, index = joint_runs(h_bar, task_stack)
+    h = h_bar.rows_at(starts)
+    s_cross = task_stack.rows_at(starts) @ h.conj().swapaxes(-1, -2)
     x = _solve_output(h, s_cross, cfg.ts, noise_var)
     return _MmseSolve(s_cross, x, index, noise_var, gamma)
 

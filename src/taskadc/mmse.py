@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .spectra import (
     DEFAULT_GRID_POINTS,
     SpectralMatrixFunction,
+    SpectrumRuns,
     StackedSpectrum,
-    multiply_spectra,
-    psd_sqrt,
+    _check_shared_grid,
+    _psd_sqrt_runs,
     row_runs,
     stack_aliases,
     take_rows,
@@ -62,9 +64,20 @@ class TaskModel:
     def f_nyq(self) -> float:
         return 2.0 * self.band_edge
 
-    def whitened_task(self) -> SpectralMatrixFunction:
-        """Pointwise task_filter @ input_psd^(1/2), the whitened task response."""
-        return multiply_spectra(self.task_filter, psd_sqrt(self.input_psd))
+    @cached_property
+    def _input_root(self) -> SpectrumRuns:
+        """input_psd^(1/2) as runs, computed once per model."""
+        return _psd_sqrt_runs(self.input_psd)
+
+    @cached_property
+    def _whitened(self) -> SpectrumRuns:
+        """The whitened task response task_filter @ input_psd^(1/2) as runs,
+        computed once per model: one product per run of rows on which both
+        the task filter and the input PSD are constant."""
+        _check_shared_grid(self.task_filter.grid, self.input_psd.grid)
+        starts, _ = row_runs(self.task_filter.values, self.input_psd.values)
+        values = take_rows(self.task_filter.values, starts) @ self._input_root.rows_at(starts)
+        return SpectrumRuns(self.task_filter.grid, starts, values)
 
     def to_dict(self) -> dict:
         return {
@@ -111,7 +124,7 @@ def whitened_task_stack(
     model: TaskModel, fs: float, n_points: int = DEFAULT_GRID_POINTS
 ) -> StackedSpectrum:
     """Alias-stacked whitened task response on the baseband [-fs/2, fs/2]."""
-    return stack_aliases(model.whitened_task(), fs, model.band_edge, n_points)
+    return stack_aliases(model._whitened, fs, model.band_edge, n_points)
 
 
 def task_energy(task_stack: StackedSpectrum) -> float:

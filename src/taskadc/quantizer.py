@@ -19,8 +19,8 @@ def effective_loading(eta: float, bits: int) -> float:
     the un-dithered input; it diverges when the dither power alone would fill
     the dynamic range.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not np.isfinite(eta) or eta <= 0:
+        raise ValueError("eta must be positive and finite")
     if bits < 1:
         raise ValueError("bits must be at least 1")
     denom = 1.0 - 2.0 * eta * eta / (3.0 * 4.0**bits)

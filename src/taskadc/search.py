@@ -34,8 +34,7 @@ from .mmse import TaskModel, task_energy, whitened_task_stack
 from .spectra import (
     StackedSpectrum,
     constant_spectrum,
-    psd_sqrt,
-    row_runs,
+    joint_runs,
     stack_aliases,
     take_rows,
 )
@@ -85,7 +84,7 @@ def _arch_chain(model: TaskModel, cfg: AdcConfig, arch: str, n_points: int | Non
     if h is not None:
         # the task filter whitened is the task stack itself
         return task_stack, task_stack
-    h_bar = stack_aliases(psd_sqrt(model.input_psd), cfg.fs, model.band_edge, n_points)
+    h_bar = stack_aliases(model._input_root, cfg.fs, model.band_edge, n_points)
     return task_stack, h_bar
 
 
@@ -101,11 +100,11 @@ def shift_mse_kernel(h_bar: StackedSpectrum, task_stack: StackedSpectrum, cfg: A
     n_blocks = 2 * task_stack.alias_order_ + 1
     # cross terms and solves once per run of identical rows; the weighted
     # sum over frequency stays dense so its summation order is unchanged
-    starts, index = row_runs(task_stack.blocks, h_bar.blocks)
-    gv = take_rows(task_stack.block_view(), starts)
-    hv = take_rows(h_bar.block_view(), starts)
-    cross = np.einsum("jnpm,jkpm->jpnk", gv, hv.conj())  # (runs, P, N, K)
-    sol = _solve_output(take_rows(h_bar.blocks, starts), cross, cfg.ts, noise_var)
+    starts, index = joint_runs(task_stack, h_bar)
+    h = h_bar.rows_at(starts)
+    gv = task_stack.block_view(task_stack.rows_at(starts))
+    cross = np.einsum("jnpm,jkpm->jpnk", gv, h_bar.block_view(h).conj())  # (runs, P, N, K)
+    sol = _solve_output(h, cross, cfg.ts, noise_var)
     w = task_stack.base_grid.weights
     dense = starts.size == w.size
     kernel = np.zeros((n_blocks, n_blocks), dtype=complex)
@@ -394,7 +393,7 @@ def baseline_design(
     return FilterDesign(
         cfg=cfg,
         h_bar=h_bar,
-        sigma_h=_singular_values(h_bar.blocks),
+        sigma_h=_singular_values(h_bar),
         water_level=None,
         task_energy=task_energy(task_stack),
         g_freq=solve.filter(h_bar.base_grid),

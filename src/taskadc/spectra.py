@@ -5,12 +5,22 @@ grid.  Each grid point represents the cell of width ``spacing`` centred on it,
 so sampling at an arbitrary frequency is a cell lookup (piecewise-constant),
 which is exact for the flat-in-band spectra used throughout and keeps every
 downstream quadrature a plain weighted sum.
+
+Flat-in-band spectra repeat one matrix over long runs of grid rows, so a
+spectrum can also be held as its runs (``SpectrumRuns``: the first row of
+each run and one value per run), and an alias stack (``StackedSpectrum``) is
+always stored that way: ``stack_aliases`` builds one stacked row per run of
+identical rows, never the dense grid.  ``StackedSpectrum.blocks`` expands the
+dense rows on first use, for the consumers whose results depend on the
+batch they are computed in or that need every grid row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,10 +129,7 @@ class SpectralMatrixFunction:
     def sample(self, freqs: np.ndarray) -> np.ndarray:
         """Cell lookup at arbitrary frequencies; zero matrices outside the band."""
         freqs = np.asarray(freqs, dtype=float)
-        grid = self.grid
-        idx = np.floor((freqs - grid.f_lo) / grid.spacing).astype(int)
-        idx = np.clip(idx, 0, grid.n_points - 1)
-        inside = (freqs >= grid.f_lo) & (freqs <= grid.f_hi)
+        idx, inside = _cell_lookup(self.grid, freqs)
         out = np.zeros(freqs.shape + self.shape, dtype=complex)
         out[inside] = self.values[idx[inside]]
         return out
@@ -148,6 +155,31 @@ class SpectralMatrixFunction:
         return cls(grid=grid, values=values, kind=data["kind"])
 
 
+def _cell_lookup(grid: FrequencyGrid, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cell index clipped to the grid, inside the band) of each frequency."""
+    idx = np.floor((freqs - grid.f_lo) / grid.spacing).astype(int)
+    idx = np.clip(idx, 0, grid.n_points - 1)
+    inside = (freqs >= grid.f_lo) & (freqs <= grid.f_hi)
+    return idx, inside
+
+
+class SpectrumRuns(NamedTuple):
+    """A sampled matrix function held as its runs of identical grid rows."""
+
+    grid: FrequencyGrid
+    starts: np.ndarray  # first grid row of each run
+    rows: np.ndarray  # (runs, rows, cols): the value on each run
+
+    @classmethod
+    def of(cls, f: SpectralMatrixFunction) -> "SpectrumRuns":
+        starts, _ = row_runs(f.values)
+        return cls(f.grid, starts, take_rows(f.values, starts))
+
+    def rows_at(self, starts: np.ndarray) -> np.ndarray:
+        """The values at the first grid rows ``starts`` of finer runs."""
+        return _rows_at(self.starts, self.rows, starts)
+
+
 def _grid_to_dict(grid: FrequencyGrid) -> dict:
     return {"f_lo": grid.f_lo, "f_hi": grid.f_hi, "n": grid.n_points}
 
@@ -166,29 +198,59 @@ def _rows_to_dict(values: np.ndarray) -> dict:
     """A sampled array stored as its runs of identical rows: the first row of
     each run (``run_starts``) and those rows' values, flattened."""
     starts, _ = row_runs(values)
-    return {
-        "run_starts": starts.tolist(),
-        "values": interleave_re_im(take_rows(values, starts)),
-    }
+    return _runs_to_dict(starts, take_rows(values, starts))
 
 
-def _rows_from_dict(
+def _runs_to_dict(starts: np.ndarray, rows: np.ndarray) -> dict:
+    return {"run_starts": starts.tolist(), "values": interleave_re_im(rows)}
+
+
+def _runs_from_dict(
     data: dict, n_points: int, shape: tuple, dtype: type = complex
-) -> np.ndarray:
-    """Inverse of ``_rows_to_dict``, bit for bit: ``n_points`` rows of
-    ``shape``.  A missing ``run_starts`` (version 1) means one run per row;
-    one -1 in ``shape`` is inferred from the values length."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``_runs_to_dict``, bit for bit: (run starts, one row of
+    ``shape`` per run).  A missing ``run_starts`` (version 1) means one run
+    per row; one -1 in ``shape`` is inferred from the values length."""
     starts = np.asarray(data.get("run_starts", range(n_points)), dtype=int)
-    widths = np.diff(starts, append=n_points)
-    if starts.size == 0 or starts[0] != 0 or np.any(widths <= 0):
-        raise ValueError("run_starts must rise strictly from 0 within the grid")
+    _check_run_starts(starts, n_points)
     flat = np.asarray(data["values"], dtype=float)
     per_row = math.prod(d for d in shape if d != -1) * (2 if dtype is complex else 1)
     count, rest = divmod(flat.size, starts.size * per_row)
     if rest or count == 0 or (-1 not in shape and count != 1):
         raise ValueError("values length does not match the grid, runs and shape")
     shape = tuple(count if d == -1 else d for d in shape)
-    return np.repeat(flat.view(dtype).reshape((starts.size,) + shape), widths, axis=0)
+    return starts, flat.view(dtype).reshape((starts.size,) + shape)
+
+
+def _rows_from_dict(
+    data: dict, n_points: int, shape: tuple, dtype: type = complex
+) -> np.ndarray:
+    """Inverse of ``_rows_to_dict``: the ``n_points`` rows, bit for bit."""
+    starts, rows = _runs_from_dict(data, n_points, shape, dtype)
+    return _expand_runs(rows, starts, n_points)
+
+
+def _check_run_starts(starts: np.ndarray, n_points: int) -> None:
+    if starts.size == 0 or starts[0] != 0 or np.any(np.diff(starts, append=n_points) <= 0):
+        raise ValueError("run_starts must rise strictly from 0 within the grid")
+
+
+def _expand_runs(rows: np.ndarray, starts: np.ndarray, n_points: int) -> np.ndarray:
+    """One row per run repeated over its run: the ``n_points`` grid rows."""
+    if starts.size == n_points:
+        return rows
+    return np.repeat(rows, np.diff(starts, append=n_points), axis=0)
+
+
+def _rows_at(run_starts: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Rows of the runs at ``run_starts`` taken at ``starts``, the first rows
+    of runs that refine them; a refinement of the same size is the same runs."""
+    return take_rows(rows, np.searchsorted(run_starts, starts, side="right") - 1)
+
+
+def _run_index(starts: np.ndarray, n_points: int) -> np.ndarray:
+    """The run of every grid row, as ``row_runs`` returns it."""
+    return np.repeat(np.arange(starts.size), np.diff(starts, append=n_points))
 
 
 def row_runs(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,14 +318,16 @@ def multiply_spectra(
     left: SpectralMatrixFunction, right: SpectralMatrixFunction
 ) -> SpectralMatrixFunction:
     """Pointwise matrix product of two spectra on the same grid."""
-    if left.grid.n_points != right.grid.n_points or not np.allclose(
-        left.grid.points, right.grid.points
-    ):
-        raise ValueError("spectra must share a grid")
+    _check_shared_grid(left.grid, right.grid)
     if left.shape[1] != right.shape[0]:
         raise ValueError("inner matrix dimensions must agree")
     values = left.values @ right.values
     return SpectralMatrixFunction(grid=left.grid, values=values, kind="filter")
+
+
+def _check_shared_grid(a: FrequencyGrid, b: FrequencyGrid) -> None:
+    if a.n_points != b.n_points or not np.allclose(a.points, b.points):
+        raise ValueError("spectra must share a grid")
 
 
 def integrate_matrix(f: SpectralMatrixFunction) -> np.ndarray:
@@ -274,9 +338,16 @@ def integrate_matrix(f: SpectralMatrixFunction) -> np.ndarray:
 
 def psd_sqrt(c: SpectralMatrixFunction) -> SpectralMatrixFunction:
     """Per-frequency Hermitian PSD square root via eigendecomposition."""
+    root = _psd_sqrt_runs(c)
+    values = _expand_runs(root.rows, root.starts, c.grid.n_points)
+    return SpectralMatrixFunction(grid=c.grid, values=values, kind="psd", validate=False)
+
+
+def _psd_sqrt_runs(c: SpectralMatrixFunction) -> SpectrumRuns:
+    """``psd_sqrt`` as runs: one eigendecomposition per run of identical rows."""
     if c.kind != "psd":
         raise ValueError("psd_sqrt needs kind='psd'")
-    starts, index = row_runs(c.values)
+    starts, _ = row_runs(c.values)
     eigvals, eigvecs = np.linalg.eigh(take_rows(c.values, starts))
     top = np.maximum(eigvals[:, -1], 0.0)
     if np.any(eigvals < -PSD_EIG_TOL * top[:, None] - 1e-300):
@@ -284,9 +355,7 @@ def psd_sqrt(c: SpectralMatrixFunction) -> SpectralMatrixFunction:
     clipped = np.clip(eigvals, 0.0, None)
     roots = np.sqrt(clipped)
     values = (eigvecs * roots[:, None, :]) @ eigvecs.conj().swapaxes(-1, -2)
-    return SpectralMatrixFunction(
-        grid=c.grid, values=take_rows(values, index), kind="psd", validate=False
-    )
+    return SpectrumRuns(c.grid, starts, values)
 
 
 def alias_order(fs: float, f_max: float) -> int:
@@ -298,48 +367,100 @@ def alias_order(fs: float, f_max: float) -> int:
     return max(0, math.ceil(f_max / fs - 0.5 - 1e-9))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StackedSpectrum:
     """Horizontal concatenation of alias blocks on the baseband grid.
 
-    blocks[j] = [B(f_j + ups*fs), ..., B(f_j), ..., B(f_j - ups*fs)] where the
-    k-th block (k = -ups..+ups, left to right) samples the source at f_j - k*fs.
-    With no aliasing the grid may cover only the source band, since every
-    integrand built from the stack vanishes outside it.
+    Grid row j is [B(f_j + ups*fs), ..., B(f_j), ..., B(f_j - ups*fs)] where
+    the k-th block (k = -ups..+ups, left to right) samples the source at
+    f_j - k*fs.  With no aliasing the grid may cover only the source band,
+    since every integrand built from the stack vanishes outside it.
+
+    The stack is stored as its runs of bit-identical grid rows: the first row
+    of each run (``run_starts``, always ``row_runs(blocks)[0]``) and one row
+    per run (``run_blocks``).  The constructor takes either every grid row as
+    ``blocks`` or, with ``run_starts``, one row per run; neighbouring runs
+    with identical rows are merged.  ``blocks`` is the dense
+    (n_points, rows, stacked_cols) array, expanded on first use.
     """
 
     base_grid: FrequencyGrid
     alias_order_: int
-    blocks: np.ndarray
+    run_starts: np.ndarray = field(repr=False)
+    run_blocks: np.ndarray = field(repr=False)
     block_cols: int
-    fs: float | None = None
+    fs: float
 
-    def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=complex)
-        n_blocks = 2 * self.alias_order_ + 1
-        if blocks.ndim != 3 or blocks.shape[0] != self.base_grid.n_points:
-            raise ValueError("blocks must have shape (n_points, rows, stacked_cols)")
-        if blocks.shape[2] != n_blocks * self.block_cols:
+    def __init__(
+        self,
+        base_grid: FrequencyGrid,
+        alias_order_: int,
+        blocks: np.ndarray,
+        block_cols: int,
+        fs: float | None = None,
+        run_starts: np.ndarray | None = None,
+    ):
+        n = base_grid.n_points
+        blocks = np.asarray(blocks, dtype=complex)
+        dense = None
+        if run_starts is None:
+            if blocks.ndim != 3 or blocks.shape[0] != n:
+                raise ValueError("blocks must have shape (n_points, rows, stacked_cols)")
+            dense, run_starts = blocks, np.arange(n)
+        run_starts = np.asarray(run_starts, dtype=int)
+        _check_run_starts(run_starts, n)
+        if blocks.ndim != 3 or blocks.shape[0] != run_starts.size:
+            raise ValueError("blocks must have one row per run: (runs, rows, stacked_cols)")
+        if blocks.shape[2] != (2 * alias_order_ + 1) * block_cols:
             raise ValueError("stacked column count must equal (2*ups+1) * block_cols")
-        blocks.flags.writeable = False
-        object.__setattr__(self, "blocks", blocks)
-        if self.fs is None:
-            object.__setattr__(self, "fs", self.base_grid.f_hi - self.base_grid.f_lo)
-        elif self.fs < self.base_grid.f_hi - self.base_grid.f_lo - 1e-9 * self.fs:
+        if fs is None:
+            fs = base_grid.f_hi - base_grid.f_lo
+        elif fs < base_grid.f_hi - base_grid.f_lo - 1e-9 * fs:
             raise ValueError("base grid cannot exceed the baseband width fs")
+        keep, _ = row_runs(blocks)
+        run_starts, blocks = take_rows(run_starts, keep), take_rows(blocks, keep)
+        for a in (run_starts, blocks, dense):
+            if a is not None:
+                a.flags.writeable = False
+        for name, value in (
+            ("base_grid", base_grid), ("alias_order_", alias_order_),
+            ("run_starts", run_starts), ("run_blocks", blocks),
+            ("block_cols", block_cols), ("fs", fs), ("_dense", dense),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """Every grid row, (n_points, rows, stacked_cols); expanded on first use."""
+        if self._dense is None:
+            dense = _expand_runs(self.run_blocks, self.run_starts, self.base_grid.n_points)
+            dense.flags.writeable = False
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
+
+    @property
+    def run_index(self) -> np.ndarray:
+        """The run of every grid row."""
+        return _run_index(self.run_starts, self.base_grid.n_points)
 
     @property
     def rows(self) -> int:
-        return self.blocks.shape[1]
+        return self.run_blocks.shape[1]
 
     @property
     def stacked_cols(self) -> int:
-        return self.blocks.shape[2]
+        return self.run_blocks.shape[2]
 
-    def block_view(self) -> np.ndarray:
-        """View with the alias axis split out: (n_points, rows, 2*ups+1, cols)."""
-        n, r, _ = self.blocks.shape
-        return self.blocks.reshape(n, r, 2 * self.alias_order_ + 1, self.block_cols)
+    def block_view(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Stacked rows (default: every grid row) with the alias axis split
+        out: (n, rows, 2*ups+1, cols)."""
+        rows = self.blocks if rows is None else rows
+        return rows.reshape(rows.shape[:2] + (2 * self.alias_order_ + 1, self.block_cols))
+
+    def rows_at(self, starts: np.ndarray) -> np.ndarray:
+        """The rows at the first grid rows ``starts`` of runs that refine
+        this stack's runs, such as ``joint_runs``."""
+        return _rows_at(self.run_starts, self.run_blocks, starts)
 
     def to_dict(self) -> dict:
         """Grid, row count, block width and the blocks' runs; the alias order
@@ -348,7 +469,7 @@ class StackedSpectrum:
             "grid": _grid_to_dict(self.base_grid),
             "rows": self.rows,
             "block_cols": self.block_cols,
-            **_rows_to_dict(self.blocks),
+            **_runs_to_dict(self.run_starts, self.run_blocks),
         }
 
     @classmethod
@@ -357,22 +478,32 @@ class StackedSpectrum:
         follows from the values length."""
         grid = _grid_from_dict(data["grid"])
         cols = (2 * alias_order_ + 1) * data["block_cols"]
-        blocks = _rows_from_dict(data, grid.n_points, (data.get("rows", -1), cols))
+        starts, rows = _runs_from_dict(data, grid.n_points, (data.get("rows", -1), cols))
         return cls(
-            base_grid=grid, alias_order_=alias_order_, blocks=blocks,
-            block_cols=data["block_cols"], fs=fs,
+            base_grid=grid, alias_order_=alias_order_, blocks=rows,
+            block_cols=data["block_cols"], fs=fs, run_starts=starts,
         )
 
     def outer_integral(self) -> np.ndarray:
         """Band integral of blocks(f) @ blocks(f)^H, a rows x rows matrix."""
-        starts, index = row_runs(self.blocks)
-        b = take_rows(self.blocks, starts)
-        prod = take_rows(b @ b.conj().swapaxes(-1, -2), index)
+        b = self.run_blocks
+        prod = take_rows(b @ b.conj().swapaxes(-1, -2), self.run_index)
         return np.einsum("i,ijk->jk", self.base_grid.weights, prod)
 
 
+def joint_runs(*stacks: StackedSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, index) of the runs on which every stack is constant: the
+    union of their run boundaries, which is ``row_runs`` of their dense rows
+    taken together."""
+    n = stacks[0].base_grid.n_points
+    if any(s.base_grid.n_points != n for s in stacks):
+        raise ValueError("stacks must share the baseband grid")
+    starts = reduce(np.union1d, (s.run_starts for s in stacks))
+    return starts, _run_index(starts, n)
+
+
 def stack_aliases(
-    f: SpectralMatrixFunction,
+    f: SpectralMatrixFunction | SpectrumRuns,
     fs: float,
     f_max: float | None = None,
     n_points: int = DEFAULT_GRID_POINTS,
@@ -380,20 +511,30 @@ def stack_aliases(
     """Fold a spectrum onto the baseband [-fs/2, fs/2] as concatenated alias blocks.
 
     Out-of-band shifts sample to zero matrices.  f_max defaults to the source
-    band edge.
+    band edge.  Every (base point, shift) pair is looked up in the source as
+    ``sample`` does; base points whose lookups fall in the same source runs
+    share one stacked row, which is built once.
     """
+    src = f if isinstance(f, SpectrumRuns) else SpectrumRuns.of(f)
+    grid = src.grid
     if f_max is None:
-        f_max = max(abs(f.grid.f_lo), abs(f.grid.f_hi))
+        f_max = max(abs(grid.f_lo), abs(grid.f_hi))
     ups = alias_order(fs, f_max)
     # no folding: the stack is supported on the source band only, so gridding
     # past the band edge would just sample zeros
     half = fs / 2.0 if ups > 0 else min(fs / 2.0, f_max)
     base = make_frequency_grid(-half, half, n_points)
-    rows, cols = f.shape
-    n_blocks = 2 * ups + 1
-    blocks = np.empty((n_points, rows, n_blocks * cols), dtype=complex)
-    for i, k in enumerate(range(-ups, ups + 1)):
-        blocks[:, :, i * cols : (i + 1) * cols] = f.sample(base.points - k * fs)
+    shifts = np.arange(-ups, ups + 1)
+    idx, inside = _cell_lookup(grid, base.points[:, None] - shifts * fs)
+    # source run of every (base point, shift); the extra run -1 is zero
+    ids = np.where(inside, _run_index(src.starts, grid.n_points)[idx], -1)
+    new_run = np.ones(n_points, dtype=bool)
+    new_run[1:] = (ids[1:] != ids[:-1]).any(axis=1)
+    starts = np.flatnonzero(new_run)
+    padded = np.concatenate([src.rows, np.zeros((1,) + src.rows.shape[1:], dtype=complex)])
+    rows, cols = src.rows.shape[1:]
+    blocks = padded[ids[starts]].transpose(0, 2, 1, 3)  # (runs, rows, shift, cols)
     return StackedSpectrum(
-        base_grid=base, alias_order_=ups, blocks=blocks, block_cols=cols, fs=fs
+        base_grid=base, alias_order_=ups, blocks=blocks.reshape(starts.size, rows, -1),
+        block_cols=cols, fs=fs, run_starts=starts,
     )

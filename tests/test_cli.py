@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,28 @@ class TestDesignCommand:
             "--k", "9", "--bits", "3", "--fs", "1e8",  # K > M
         ])
         assert code == 2
+
+    def test_nan_eta_exits_2(self, matched_scenario, tmp_path, capsys):
+        code = main([
+            "design", "--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
+            "--k", "2", "--bits", "4", "--fs", "1e8", "--eta", "nan", "--grid-points", "16",
+        ])
+        assert code == 2
+        assert "eta must be positive and finite" in capsys.readouterr().err
+
+    def test_grid_of_fewer_than_ten_points(self, matched_scenario, tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "design", "--scenario", str(matched_scenario), "--out", str(out),
+                "--k", "2", "--bits", "4", "--fs", "1e8", "--grid-points", "3",
+            ])
+        assert code == 0
+        summary = (out / "summary.txt").read_text()
+        assert "active modes per frequency decile: [1, 1, 1]\n" in summary
+        design = FilterDesign.from_dict(json.loads((out / "design.json").read_text()))
+        assert f"nmse: {design.nmse!r}\n" in summary
 
     def test_missing_scenario_exits_2(self, tmp_path):
         code = main([

@@ -60,6 +60,11 @@ class TestAdcConfig:
         with pytest.raises(ValueError):
             AdcConfig(k_adcs=1, fs=1.0, bits=1, eta=3.0)
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0])
+    def test_eta_must_be_positive_and_finite(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            AdcConfig(k_adcs=1, fs=1.0, bits=4, eta=eta)
+
     @pytest.mark.parametrize("kw", [dict(k_adcs=0), dict(bits=0), dict(fs=-1.0)])
     def test_invalid_fields(self, kw):
         base = dict(k_adcs=1, fs=1.0, bits=1)

@@ -26,6 +26,11 @@ class TestEffectiveLoading:
         with pytest.raises(ValueError):
             effective_loading(3.0, 1)  # dither alone exceeds the range
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_or_non_positive(self, eta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            effective_loading(eta, 4)
+
     def test_schedule(self):
         assert eta_schedule(1) == 2.0
         assert eta_schedule(4) == 2.75

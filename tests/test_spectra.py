@@ -2,13 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from taskadc.mmse import task_energy, whitened_task_stack
+from taskadc.design import AdcConfig, design_filters
+from taskadc.mmse import TaskModel, task_energy, whitened_task_stack
 from taskadc.spectra import (
     SpectralMatrixFunction,
+    SpectrumRuns,
     StackedSpectrum,
+    alias_order,
     constant_spectrum,
     integrate_matrix,
+    joint_runs,
     make_frequency_grid,
     multiply_spectra,
     psd_sqrt,
@@ -16,7 +21,7 @@ from taskadc.spectra import (
     stack_aliases,
 )
 
-from conftest import unit_scalar_model
+from conftest import random_flat_model, unit_scalar_model
 
 
 class TestFrequencyGrid:
@@ -233,3 +238,160 @@ class TestInvariants:
             StackedSpectrum.from_dict(
                 dict(data, values=data["values"][:-2]), stack.alias_order_, stack.fs
             )
+
+
+def dense_stack_reference(f, fs, f_max=None, n_points=64):
+    """The per-shift sampling loop that ``stack_aliases`` replaced: every
+    grid row of every alias block sampled on its own."""
+    if f_max is None:
+        f_max = max(abs(f.grid.f_lo), abs(f.grid.f_hi))
+    ups = alias_order(fs, f_max)
+    half = fs / 2.0 if ups > 0 else min(fs / 2.0, f_max)
+    base = make_frequency_grid(-half, half, n_points)
+    rows, cols = f.shape
+    blocks = np.empty((n_points, rows, (2 * ups + 1) * cols), dtype=complex)
+    for i, k in enumerate(range(-ups, ups + 1)):
+        blocks[:, :, i * cols : (i + 1) * cols] = f.sample(base.points - k * fs)
+    return base, ups, blocks
+
+
+def _flat_source(rng):
+    a = rng.standard_normal((2, 3))
+    return constant_spectrum(make_frequency_grid(-1.0, 1.0, 40), a, kind="filter")
+
+
+def _smooth_source(rng):
+    grid = make_frequency_grid(-1.0, 1.0, 40)
+    a = rng.standard_normal((2, 3))
+    values = np.cos(np.pi * grid.points)[:, None, None] * a
+    return SpectralMatrixFunction(grid=grid, values=values, kind="filter")
+
+
+def _complex_source(rng):
+    # non-Hermitian, f and -f unrelated, and stepped so some rows repeat
+    grid = make_frequency_grid(-1.0, 1.5, 50)
+    steps = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    steps[2, 0, 1] = complex(-0.0, 0.0)
+    return SpectralMatrixFunction(grid=grid, values=np.repeat(steps, 10, axis=0), kind="filter")
+
+
+def _zero_edged_source(rng):
+    # exact zeros next to the band edges: a lookup moving from them to out of
+    # band starts a new source run but not a new stacked row
+    values = np.zeros((40, 2, 3), dtype=complex)
+    values[8:-8] = rng.standard_normal((2, 3))
+    return SpectralMatrixFunction(
+        grid=make_frequency_grid(-1.0, 1.0, 40), values=values, kind="filter"
+    )
+
+
+SOURCES = {
+    "flat": _flat_source,
+    "smooth": _smooth_source,
+    "complex": _complex_source,
+    "zero_edged": _zero_edged_source,
+}
+RATES = [
+    (2.0, None, 64),  # Nyquist: alias order 0, the grid covers the band only
+    (3.0, None, 48),  # above Nyquist
+    (0.7, None, 64),  # aliased, alias order 1
+    (0.3, None, 37),  # alias order 3, odd grid
+    (2.0 / 3.0, 1.0, 30),  # f_max = (ups + 1/2) fs, the alias-order boundary
+    (1.0, None, 5),  # a base point at 0: the shifts by -fs and +fs land on the band edges
+    (0.5, 3.0, 40),  # f_max past the source band: the outer shifts are all out of band
+    (0.5, 0.4, 16),  # f_max inside the source band
+]
+
+
+class TestRunNativeStack:
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("fs, f_max, n_points", RATES)
+    def test_matches_dense_reference_bitwise(self, source, fs, f_max, n_points):
+        f = SOURCES[source](np.random.default_rng(7))
+        stack = stack_aliases(f, fs, f_max, n_points)
+        base, ups, blocks = dense_stack_reference(f, fs, f_max, n_points)
+        assert stack.alias_order_ == ups
+        assert stack.base_grid.points.tobytes() == base.points.tobytes()
+        assert stack.blocks.tobytes() == blocks.tobytes()
+        np.testing.assert_array_equal(stack.run_starts, row_runs(blocks)[0])
+        # the run form of the source folds to the same stack
+        again = stack_aliases(SpectrumRuns.of(f), fs, f_max, n_points)
+        np.testing.assert_array_equal(again.run_starts, stack.run_starts)
+        assert again.run_blocks.tobytes() == stack.run_blocks.tobytes()
+
+    def test_flat_source_stores_few_rows(self, matched_model):
+        stack = whitened_task_stack(matched_model, 25e6, 2168)
+        assert stack.alias_order_ == 8
+        assert stack.run_blocks.shape[0] == stack.run_starts.size == 2
+        whitened = multiply_spectra(matched_model.task_filter, psd_sqrt(matched_model.input_psd))
+        _, _, blocks = dense_stack_reference(whitened, 25e6, matched_model.band_edge, 2168)
+        assert stack.blocks.tobytes() == blocks.tobytes()
+
+    def test_dense_and_run_constructors_agree(self, rng):
+        grid = make_frequency_grid(-0.5, 0.5, 12)
+        rows = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+        rows[2] = rows[1]  # neighbouring runs with identical rows merge
+        starts = np.array([0, 3, 5, 9])
+        runs = StackedSpectrum(grid, 1, rows, 1, fs=1.0, run_starts=starts)
+        np.testing.assert_array_equal(runs.run_starts, [0, 3, 9])
+        dense = StackedSpectrum(grid, 1, runs.blocks, 1, fs=1.0)
+        np.testing.assert_array_equal(dense.run_starts, runs.run_starts)
+        assert dense.run_blocks.tobytes() == runs.run_blocks.tobytes()
+        np.testing.assert_array_equal(runs.run_index, row_runs(runs.blocks)[1])
+        np.testing.assert_allclose(dense.outer_integral(), runs.outer_integral(), rtol=0)
+        with pytest.raises(ValueError, match="run_starts"):
+            StackedSpectrum(grid, 1, rows, 1, fs=1.0, run_starts=[0, 3, 3, 9])
+        with pytest.raises(ValueError, match="one row per run"):
+            StackedSpectrum(grid, 1, rows[:3], 1, fs=1.0, run_starts=starts)
+
+    def test_joint_runs_match_dense_row_runs(self, rng):
+        f = SOURCES["complex"](rng)
+        a = stack_aliases(f, 0.7, n_points=40)
+        b = stack_aliases(_flat_source(rng), 0.7, 1.5, n_points=40)
+        starts, index = joint_runs(a, b)
+        ref_starts, ref_index = row_runs(a.blocks, b.blocks)
+        np.testing.assert_array_equal(starts, ref_starts)
+        np.testing.assert_array_equal(index, ref_index)
+        assert a.rows_at(starts).tobytes() == a.blocks[starts].tobytes()
+
+    def test_piecewise_model_whitened_stack(self, rng):
+        # the input PSD and the task filter change at different grid rows
+        n_pts, n, m = 96, 2, 3
+        grid = make_frequency_grid(-0.5, 0.5, n_pts)
+        a = rng.standard_normal((3, m, m)) + 1j * rng.standard_normal((3, m, m))
+        psd = (a @ a.conj().swapaxes(-1, -2) + m * np.eye(m))[np.arange(n_pts) // 32]
+        task = rng.standard_normal((2, n, m))[(np.arange(n_pts) >= 48).astype(int)]
+        model = TaskModel(
+            task_filter=SpectralMatrixFunction(grid=grid, values=task, kind="filter"),
+            input_psd=SpectralMatrixFunction(grid=grid, values=psd, kind="psd"),
+            cross_psd=SpectralMatrixFunction(grid=grid, values=task @ psd, kind="cross_psd"),
+        )
+        whitened = multiply_spectra(model.task_filter, psd_sqrt(model.input_psd))
+        for fs in (1.0, 0.6, 0.25):
+            stack = whitened_task_stack(model, fs, 40)
+            _, _, blocks = dense_stack_reference(whitened, fs, model.band_edge, 40)
+            assert stack.blocks.tobytes() == blocks.tobytes()
+            np.testing.assert_array_equal(stack.run_starts, row_runs(blocks)[0])
+
+    @pytest.mark.parametrize("fs", [400e6, 100e6, 25e6])
+    def test_designed_h_bar_keeps_maximal_runs(self, matched_model, fs):
+        design = design_filters(matched_model, AdcConfig(4, fs, 4))
+        h_bar = design.h_bar
+        np.testing.assert_array_equal(h_bar.run_starts, row_runs(h_bar.blocks)[0])
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        extra=st.integers(0, 2),
+        fs=st.sampled_from([0.2, 0.3, 0.45, 0.5, 0.7, 1.0, 1.25]),
+        n_points=st.integers(2, 40),
+    )
+    def test_random_flat_model_whitened_stack(self, seed, n, extra, fs, n_points):
+        model = random_flat_model(np.random.default_rng(seed), n=n, m=n + extra, n_points=16)
+        stack = whitened_task_stack(model, fs, n_points)
+        whitened = multiply_spectra(model.task_filter, psd_sqrt(model.input_psd))
+        base, ups, blocks = dense_stack_reference(whitened, fs, model.band_edge, n_points)
+        assert stack.alias_order_ == ups
+        assert stack.blocks.tobytes() == blocks.tobytes()
+        np.testing.assert_array_equal(stack.run_starts, row_runs(blocks)[0])
