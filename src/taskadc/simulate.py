@@ -20,7 +20,7 @@ import numpy as np
 from .design import AdcConfig, FilterDesign
 from .mmse import TaskModel
 from .quantizer import QuantizerSpec, quantize_midrise, sample_dither
-from .spectra import SpectralMatrixFunction, psd_sqrt
+from .spectra import SpectralMatrixFunction, SpectrumRuns, psd_sqrt
 
 RNG_NAME = "philox"  # counter-based; per-trial streams come from spawned seeds
 _OVERSAMPLE = 4  # simulation rate in multiples of the Nyquist rate
@@ -151,7 +151,7 @@ def _plan_block(band_edge: float, fs: float, duration: float | None) -> _BlockPl
     )
 
 
-def _sample_dc_and_bins(spectrum: SpectralMatrixFunction, plan: _BlockPlan):
+def _sample_dc_and_bins(spectrum: SpectralMatrixFunction | SpectrumRuns, plan: _BlockPlan):
     """A spectrum at DC and at the block's positive in-band DFT bins."""
     return spectrum.sample(np.zeros(1))[0], spectrum.sample(plan.pos_freqs)
 
@@ -297,7 +297,7 @@ def estimate_mse(run: SimulationRun, trial_dump=None) -> SimulationReport:
         bits=cfg.bits, dynamic_range=design.dynamic_range, dithered=run.dithered
     )
 
-    roots_dc, roots_pos = _sample_dc_and_bins(psd_sqrt(model.input_psd), plan)
+    roots_dc, roots_pos = _sample_dc_and_bins(model._input_root, plan)
     gamma_dc, gamma_pos = _sample_dc_and_bins(model.task_filter, plan)
 
     sim_freqs = np.fft.rfftfreq(plan.n_samples, d=1.0 / plan.sim_rate)

@@ -128,11 +128,7 @@ class SpectralMatrixFunction:
 
     def sample(self, freqs: np.ndarray) -> np.ndarray:
         """Cell lookup at arbitrary frequencies; zero matrices outside the band."""
-        freqs = np.asarray(freqs, dtype=float)
-        idx, inside = _cell_lookup(self.grid, freqs)
-        out = np.zeros(freqs.shape + self.shape, dtype=complex)
-        out[inside] = self.values[idx[inside]]
-        return out
+        return _sample_rows(self.grid, self.values, freqs)
 
     def conjugate_symmetry_error(self) -> float:
         """Max deviation of value(-f) from conj(value(f)), for real signals."""
@@ -163,6 +159,17 @@ def _cell_lookup(grid: FrequencyGrid, freqs: np.ndarray) -> tuple[np.ndarray, np
     return idx, inside
 
 
+def _sample_rows(grid: FrequencyGrid, rows: np.ndarray, freqs, cell_row=None) -> np.ndarray:
+    """``rows`` looked up at arbitrary frequencies, zero matrices outside the
+    band; ``cell_row`` maps each grid cell to its row (default: one row per cell)."""
+    freqs = np.asarray(freqs, dtype=float)
+    idx, inside = _cell_lookup(grid, freqs)
+    idx = idx[inside]
+    out = np.zeros(freqs.shape + rows.shape[1:], dtype=complex)
+    out[inside] = rows[idx if cell_row is None else cell_row[idx]]
+    return out
+
+
 class SpectrumRuns(NamedTuple):
     """A sampled matrix function held as its runs of identical grid rows."""
 
@@ -178,6 +185,11 @@ class SpectrumRuns(NamedTuple):
     def rows_at(self, starts: np.ndarray) -> np.ndarray:
         """The values at the first grid rows ``starts`` of finer runs."""
         return _rows_at(self.starts, self.rows, starts)
+
+    def sample(self, freqs: np.ndarray) -> np.ndarray:
+        """``SpectralMatrixFunction.sample`` of the spectrum these runs hold."""
+        cell_row = _run_index(self.starts, self.grid.n_points)
+        return _sample_rows(self.grid, self.rows, freqs, cell_row)
 
 
 def _grid_to_dict(grid: FrequencyGrid) -> dict:

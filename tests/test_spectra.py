@@ -319,6 +319,15 @@ class TestRunNativeStack:
         np.testing.assert_array_equal(again.run_starts, stack.run_starts)
         assert again.run_blocks.tobytes() == stack.run_blocks.tobytes()
 
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_runs_sample_like_the_dense_spectrum(self, source):
+        f = SOURCES[source](np.random.default_rng(3))
+        freqs = np.concatenate([
+            np.linspace(-2.0, 2.0, 101),
+            [f.grid.f_lo, f.grid.f_hi, np.nextafter(f.grid.f_hi, 9.0)],
+        ])
+        assert SpectrumRuns.of(f).sample(freqs).tobytes() == f.sample(freqs).tobytes()
+
     def test_flat_source_stores_few_rows(self, matched_model):
         stack = whitened_task_stack(matched_model, 25e6, 2168)
         assert stack.alias_order_ == 8
