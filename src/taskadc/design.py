@@ -417,14 +417,16 @@ class _MmseSolve(NamedTuple):
 
     s_cross: np.ndarray  # task-to-samples cross-spectrum, (runs, N, K)
     x: np.ndarray  # c_out^-1 s_cross^H, (runs, K, N)
+    starts: np.ndarray  # first grid point of every run
     index: np.ndarray  # run of every grid point
     noise_var: float
     dynamic_range: float
 
     def filter(self, grid) -> SpectralMatrixFunction:
-        """The recovery filter g = x^H on the dense grid."""
-        values = take_rows(self.x.conj().swapaxes(-1, -2), self.index)
-        return SpectralMatrixFunction(grid=grid, values=values, kind="filter")
+        """The recovery filter g = x^H."""
+        return SpectralMatrixFunction(
+            grid=grid, values=self.x.conj().swapaxes(-1, -2), kind="filter", run_starts=self.starts
+        )
 
     def report(self, task_stack: StackedSpectrum, ts: float) -> MseReport:
         """Task energy minus the recovered energy Ts * integral of tr(s_cross x)."""
@@ -452,7 +454,7 @@ def _mmse_solve(
     h = h_bar.rows_at(starts)
     s_cross = task_stack.rows_at(starts) @ h.conj().swapaxes(-1, -2)
     x = _solve_output(h, s_cross, cfg.ts, noise_var)
-    return _MmseSolve(s_cross, x, index, noise_var, gamma)
+    return _MmseSolve(s_cross, x, starts, index, noise_var, gamma)
 
 
 def design_digital_filter(

@@ -10,10 +10,10 @@ import numpy as np
 from .spectra import (
     DEFAULT_GRID_POINTS,
     SpectralMatrixFunction,
-    SpectrumRuns,
     StackedSpectrum,
     _check_shared_grid,
-    _psd_sqrt_runs,
+    multiply_spectra,
+    psd_sqrt,
     row_runs,
     stack_aliases,
     take_rows,
@@ -42,8 +42,11 @@ class TaskModel:
             raise ValueError("input_psd must be M x M")
         if self.cross_psd.shape != (n, m):
             raise ValueError("cross_psd must be N x M")
-        resid = self.task_filter.values @ self.input_psd.values - self.cross_psd.values
-        scale = max(float(np.abs(self.cross_psd.values).max()), 1e-300)
+        _check_shared_grid(self.task_filter.grid, self.cross_psd.grid)
+        product = multiply_spectra(self.task_filter, self.input_psd)
+        starts = np.union1d(product.run_starts, self.cross_psd.run_starts)
+        resid = product.rows_at(starts) - self.cross_psd.rows_at(starts)
+        scale = max(float(np.abs(self.cross_psd.run_values).max()), 1e-300)
         if float(np.abs(resid).max()) > 1e-8 * scale:
             raise ValueError("task_filter is inconsistent: filter @ input_psd != cross_psd")
 
@@ -65,19 +68,15 @@ class TaskModel:
         return 2.0 * self.band_edge
 
     @cached_property
-    def _input_root(self) -> SpectrumRuns:
-        """input_psd^(1/2) as runs, computed once per model."""
-        return _psd_sqrt_runs(self.input_psd)
+    def _input_root(self) -> SpectralMatrixFunction:
+        """input_psd^(1/2), computed once per model."""
+        return psd_sqrt(self.input_psd)
 
     @cached_property
-    def _whitened(self) -> SpectrumRuns:
-        """The whitened task response task_filter @ input_psd^(1/2) as runs,
-        computed once per model: one product per run of rows on which both
-        the task filter and the input PSD are constant."""
-        _check_shared_grid(self.task_filter.grid, self.input_psd.grid)
-        starts, _ = row_runs(self.task_filter.values, self.input_psd.values)
-        values = take_rows(self.task_filter.values, starts) @ self._input_root.rows_at(starts)
-        return SpectrumRuns(self.task_filter.grid, starts, values)
+    def _whitened(self) -> SpectralMatrixFunction:
+        """The whitened task response task_filter @ input_psd^(1/2), computed
+        once per model."""
+        return multiply_spectra(self.task_filter, self._input_root)
 
     def to_dict(self) -> dict:
         return {
@@ -114,10 +113,10 @@ def analog_mmse_filter(
 def _times_pinv(grid, left: np.ndarray, psd: np.ndarray) -> SpectralMatrixFunction:
     """The filter left @ pinv(psd) per grid row, one pseudo-inverse per run of
     identical rows; singular values below PINV_CUTOFF*largest count as zero."""
-    starts, index = row_runs(left, psd)
+    starts, _ = row_runs(left, psd)
     inv = np.linalg.pinv(take_rows(psd, starts), rcond=PINV_CUTOFF, hermitian=True)
     values = take_rows(left, starts) @ inv
-    return SpectralMatrixFunction(grid=grid, values=take_rows(values, index), kind="filter")
+    return SpectralMatrixFunction(grid=grid, values=values, kind="filter", run_starts=starts)
 
 
 def whitened_task_stack(

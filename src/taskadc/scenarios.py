@@ -34,6 +34,8 @@ class ScenarioSpec:
     channel_seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.f_nyq, self.snr_db, self.sigma_phi))):
+            raise ValueError("f_nyq, snr_db and sigma_phi must be finite")
         if self.n_streams < 1 or self.m_antennas < 1:
             raise ValueError("stream and antenna counts must be at least 1")
         if self.f_nyq <= 0:
@@ -49,24 +51,42 @@ class ScenarioSpec:
     @classmethod
     def from_config(cls, config: dict) -> "ScenarioSpec":
         """Build from the JSON config layout (sigma_phi given in degrees)."""
+        if not isinstance(config, dict):
+            raise ValueError("scenario must be a JSON object")
         channel = config.get("channel", {})
+        if not isinstance(channel, dict):
+            raise ValueError("channel must be a JSON object")
         matrix = None
-        if "file" in channel and channel["file"]:
+        if channel.get("file"):
             matrix = np.loadtxt(channel["file"], ndmin=2)
         return cls(
-            n_streams=int(config["N"]),
-            m_antennas=int(config["M"]),
-            f_nyq=float(config["f_nyq_hz"]),
-            snr_db=float(config["snr_db"]),
-            sigma_phi=math.radians(float(config.get("sigma_phi_deg", 1.0))),
+            n_streams=_number(config["N"], "N", whole=True),
+            m_antennas=_number(config["M"], "M", whole=True),
+            f_nyq=_number(config["f_nyq_hz"], "f_nyq_hz"),
+            snr_db=_number(config["snr_db"], "snr_db"),
+            sigma_phi=math.radians(_number(config.get("sigma_phi_deg", 1.0), "sigma_phi_deg")),
             channel_matrix=matrix,
-            channel_seed=int(channel.get("seed", 0)),
+            channel_seed=_number(channel.get("seed", 0), "channel seed", whole=True),
         )
 
     @classmethod
     def from_file(cls, path) -> "ScenarioSpec":
         with open(path) as fh:
             return cls.from_config(json.load(fh))
+
+
+def _number(value, name: str, whole: bool = False):
+    """A scenario entry as a float, or as an int when ``whole``; a value that
+    float() rejects, or a fractional count, is a ValueError."""
+    if whole and isinstance(value, int):
+        return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, not {value!r}") from None
+    if whole and not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, not {value!r}")
+    return int(number) if whole else number
 
 
 def spatial_correlation(m: int, sigma_phi: float) -> np.ndarray:

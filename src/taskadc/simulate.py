@@ -20,7 +20,7 @@ import numpy as np
 from .design import AdcConfig, FilterDesign
 from .mmse import TaskModel
 from .quantizer import QuantizerSpec, quantize_midrise, sample_dither
-from .spectra import SpectralMatrixFunction, SpectrumRuns, psd_sqrt
+from .spectra import SpectralMatrixFunction, psd_sqrt
 
 RNG_NAME = "philox"  # counter-based; per-trial streams come from spawned seeds
 _OVERSAMPLE = 4  # simulation rate in multiples of the Nyquist rate
@@ -151,7 +151,7 @@ def _plan_block(band_edge: float, fs: float, duration: float | None) -> _BlockPl
     )
 
 
-def _sample_dc_and_bins(spectrum: SpectralMatrixFunction | SpectrumRuns, plan: _BlockPlan):
+def _sample_dc_and_bins(spectrum: SpectralMatrixFunction, plan: _BlockPlan):
     """A spectrum at DC and at the block's positive in-band DFT bins."""
     return spectrum.sample(np.zeros(1))[0], spectrum.sample(plan.pos_freqs)
 
@@ -279,13 +279,12 @@ def _recover(g_half: np.ndarray, phases: np.ndarray, z: np.ndarray) -> np.ndarra
     return (np.einsum("pnk,...kp->...n", g_half, z_half) / z.shape[-1]).real
 
 
-def estimate_mse(run: SimulationRun, trial_dump=None) -> SimulationReport:
+def estimate_mse(run: SimulationRun) -> SimulationReport:
     """Trial-averaged squared recovery error against the analog MMSE estimate.
 
     Ground truth and acquisition share the same spectral increments (common
     random numbers), and every trial draws from its own spawned stream so the
-    result does not depend on chunking.  trial_dump, when given, is a CSV path
-    receiving per-trial squared errors and overload counts.
+    result does not depend on chunking.
     """
     model, design, cfg = run.model, run.design, run.cfg
     if design.h is None or design.g_freq is None:
@@ -316,7 +315,7 @@ def estimate_mse(run: SimulationRun, trial_dump=None) -> SimulationReport:
     chunk = max(1, min(run.n_trials, 2**21 // plan.n_samples))
 
     sq_errors = np.empty(run.n_trials)
-    trial_overloads = np.empty(run.n_trials, dtype=int)
+    overload_total = 0
     sample_total = 0
     orth_sum = None
     orth_sq = None
@@ -345,7 +344,7 @@ def estimate_mse(run: SimulationRun, trial_dump=None) -> SimulationReport:
         z, overloads = _acquire(blocks, h_half, cfg, qspec, dither, plan.decim)
         err = truth - _recover(g_half, out_phases, z)
         sq_errors[lo:hi] = np.sum(err * err, axis=1)
-        trial_overloads[lo:hi] = overloads.sum(axis=(1, 2))
+        overload_total += int(overloads.sum())
         sample_total += overloads.size
         outer = np.einsum("tn,tk->tnk", err, z[:, :, plan.center])
         if orth_sum is None:
@@ -361,28 +360,14 @@ def estimate_mse(run: SimulationRun, trial_dump=None) -> SimulationReport:
     orth_mean = orth_sum / run.n_trials
     entry_var = orth_sq / run.n_trials - orth_mean**2
     pooled_se = float(np.sqrt(max(entry_var.sum(), 0.0) / run.n_trials))
-    report = SimulationReport(
+    return SimulationReport(
         empirical_mse=mse,
         empirical_nmse=mse / energy,
         std_error=se / energy,
-        overload_rate=float(trial_overloads.sum() / sample_total),
+        overload_rate=overload_total / sample_total,
         orthogonality_residual=float(np.linalg.norm(orth_mean)),
         orthogonality_pooled_se=pooled_se,
         theory_nmse=design.nmse if design.nmse is not None else float("nan"),
         n_trials=run.n_trials,
         seed=run.seed,
     )
-    if trial_dump is not None:
-        dump_trial_errors(trial_dump, sq_errors, trial_overloads)
-    return report
-
-
-def dump_trial_errors(path, sq_errors: np.ndarray, overloads: np.ndarray) -> None:
-    """Write per-trial squared errors and overload counts as CSV."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "sq_error", "overloads"])
-        for i, (e, o) in enumerate(zip(sq_errors, overloads)):
-            writer.writerow([i, repr(float(e)), int(o)])

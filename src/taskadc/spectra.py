@@ -6,21 +6,22 @@ so sampling at an arbitrary frequency is a cell lookup (piecewise-constant),
 which is exact for the flat-in-band spectra used throughout and keeps every
 downstream quadrature a plain weighted sum.
 
-Flat-in-band spectra repeat one matrix over long runs of grid rows, so a
-spectrum can also be held as its runs (``SpectrumRuns``: the first row of
-each run and one value per run), and an alias stack (``StackedSpectrum``) is
-always stored that way: ``stack_aliases`` builds one stacked row per run of
-identical rows, never the dense grid.  ``StackedSpectrum.blocks`` expands the
-dense rows on first use, for the consumers whose results depend on the
-batch they are computed in or that need every grid row.
+Flat-in-band spectra repeat one matrix over long runs of grid rows, so every
+spectrum is stored as its runs: the first row of each run (``run_starts``,
+always ``row_runs`` of the dense rows) and one value per run.  A spectrum
+(``SpectralMatrixFunction``) and an alias stack (``StackedSpectrum``) are
+both held that way, and per-frequency work (eigendecompositions, products,
+alias stacking, cell lookups) runs once per run.  The dense grid
+(``values``, ``blocks``) is expanded on first use, for the consumers whose
+results depend on the batch they are computed in or that need every grid
+row in order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import NamedTuple
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -98,37 +99,64 @@ def make_frequency_grid(f_lo: float, f_hi: float, n_points: int) -> FrequencyGri
     return FrequencyGrid(points=points, weights=weights, f_lo=f_lo, f_hi=f_hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpectralMatrixFunction:
     """A matrix of fixed shape sampled at every grid point.
 
-    ``values`` has shape (n_points, rows, cols), complex.  ``kind`` tags the
+    Stored as its runs of bit-identical grid rows: the first row of each run
+    (``run_starts``, always ``row_runs(values)[0]``) and one matrix per run
+    (``run_values``).  The constructor takes either every grid row as
+    ``values`` or, with ``run_starts``, one row per run; neighbouring runs
+    with identical rows are merged.  ``values`` is the dense complex
+    (n_points, rows, cols) array, expanded on first use.  ``kind`` tags the
     contract: 'psd' values must be Hermitian PSD at every frequency.
     """
 
     grid: FrequencyGrid
-    values: np.ndarray
+    run_starts: np.ndarray = field(repr=False)
+    run_values: np.ndarray = field(repr=False)
     kind: str
-    validate: bool = field(default=True, repr=False, compare=False)
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 3 or values.shape[0] != self.grid.n_points:
-            raise ValueError("values must have shape (n_points, rows, cols)")
-        if self.kind not in _KINDS:
+    def __init__(
+        self,
+        grid: FrequencyGrid,
+        values: np.ndarray,
+        kind: str,
+        run_starts: np.ndarray | None = None,
+    ):
+        if kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        if self.validate and self.kind == "psd":
+        values = _store_runs(self, "values", values, run_starts, grid.n_points)
+        if kind == "psd":
             _check_psd(values)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "kind", kind)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Every grid row, (n_points, rows, cols); expanded on first use."""
+        return _expand_runs(self.run_values, self.run_starts, self.grid.n_points)
+
+    @property
+    def run_index(self) -> np.ndarray:
+        """The run of every grid row."""
+        return _run_index(self.run_starts, self.grid.n_points)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.values.shape[1], self.values.shape[2]
+        return self.run_values.shape[1], self.run_values.shape[2]
+
+    def rows_at(self, starts: np.ndarray) -> np.ndarray:
+        """The values at the first grid rows ``starts`` of finer runs."""
+        return _rows_at(self.run_starts, self.run_values, starts)
 
     def sample(self, freqs: np.ndarray) -> np.ndarray:
         """Cell lookup at arbitrary frequencies; zero matrices outside the band."""
-        return _sample_rows(self.grid, self.values, freqs)
+        freqs = np.asarray(freqs, dtype=float)
+        idx, inside = _cell_lookup(self.grid, freqs)
+        out = np.zeros(freqs.shape + self.shape, dtype=complex)
+        out[inside] = self.run_values[self.run_index[idx[inside]]]
+        return out
 
     def conjugate_symmetry_error(self) -> float:
         """Max deviation of value(-f) from conj(value(f)), for real signals."""
@@ -141,14 +169,39 @@ class SpectralMatrixFunction:
             "grid": _grid_to_dict(self.grid),
             "shape": list(self.shape),
             "kind": self.kind,
-            **_rows_to_dict(self.values),
+            **_runs_to_dict(self.run_starts, self.run_values),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpectralMatrixFunction":
         grid = _grid_from_dict(data["grid"])
-        values = _rows_from_dict(data, grid.n_points, tuple(data["shape"]))
-        return cls(grid=grid, values=values, kind=data["kind"])
+        starts, values = _runs_from_dict(data, grid.n_points, tuple(data["shape"]))
+        return cls(grid=grid, values=values, kind=data["kind"], run_starts=starts)
+
+
+def _store_runs(
+    spectrum, name: str, rows: np.ndarray, run_starts: np.ndarray | None, n_points: int
+) -> np.ndarray:
+    """Set ``run_starts`` and ``run_<name>`` of a spectrum given as every
+    grid row (``run_starts`` None; also kept as ``<name>``) or as one row per
+    run, merging neighbouring runs of identical rows; returns the run rows."""
+    rows = np.asarray(rows, dtype=complex)
+    if run_starts is None:
+        if rows.ndim != 3 or rows.shape[0] != n_points:
+            raise ValueError(f"{name} must have shape (n_points, rows, cols)")
+        rows.flags.writeable = False
+        object.__setattr__(spectrum, name, rows)
+        run_starts = np.arange(n_points)
+    run_starts = np.asarray(run_starts, dtype=int)
+    _check_run_starts(run_starts, n_points)
+    if rows.ndim != 3 or rows.shape[0] != run_starts.size:
+        raise ValueError(f"{name} must have one row per run: (runs, rows, cols)")
+    keep, _ = row_runs(rows)
+    run_starts, rows = take_rows(run_starts, keep), take_rows(rows, keep)
+    run_starts.flags.writeable = rows.flags.writeable = False
+    object.__setattr__(spectrum, "run_starts", run_starts)
+    object.__setattr__(spectrum, f"run_{name}", rows)
+    return rows
 
 
 def _cell_lookup(grid: FrequencyGrid, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,39 +210,6 @@ def _cell_lookup(grid: FrequencyGrid, freqs: np.ndarray) -> tuple[np.ndarray, np
     idx = np.clip(idx, 0, grid.n_points - 1)
     inside = (freqs >= grid.f_lo) & (freqs <= grid.f_hi)
     return idx, inside
-
-
-def _sample_rows(grid: FrequencyGrid, rows: np.ndarray, freqs, cell_row=None) -> np.ndarray:
-    """``rows`` looked up at arbitrary frequencies, zero matrices outside the
-    band; ``cell_row`` maps each grid cell to its row (default: one row per cell)."""
-    freqs = np.asarray(freqs, dtype=float)
-    idx, inside = _cell_lookup(grid, freqs)
-    idx = idx[inside]
-    out = np.zeros(freqs.shape + rows.shape[1:], dtype=complex)
-    out[inside] = rows[idx if cell_row is None else cell_row[idx]]
-    return out
-
-
-class SpectrumRuns(NamedTuple):
-    """A sampled matrix function held as its runs of identical grid rows."""
-
-    grid: FrequencyGrid
-    starts: np.ndarray  # first grid row of each run
-    rows: np.ndarray  # (runs, rows, cols): the value on each run
-
-    @classmethod
-    def of(cls, f: SpectralMatrixFunction) -> "SpectrumRuns":
-        starts, _ = row_runs(f.values)
-        return cls(f.grid, starts, take_rows(f.values, starts))
-
-    def rows_at(self, starts: np.ndarray) -> np.ndarray:
-        """The values at the first grid rows ``starts`` of finer runs."""
-        return _rows_at(self.starts, self.rows, starts)
-
-    def sample(self, freqs: np.ndarray) -> np.ndarray:
-        """``SpectralMatrixFunction.sample`` of the spectrum these runs hold."""
-        cell_row = _run_index(self.starts, self.grid.n_points)
-        return _sample_rows(self.grid, self.rows, freqs, cell_row)
 
 
 def _grid_to_dict(grid: FrequencyGrid) -> dict:
@@ -248,10 +268,13 @@ def _check_run_starts(starts: np.ndarray, n_points: int) -> None:
 
 
 def _expand_runs(rows: np.ndarray, starts: np.ndarray, n_points: int) -> np.ndarray:
-    """One row per run repeated over its run: the ``n_points`` grid rows."""
+    """One row per run repeated over its run: the ``n_points`` grid rows,
+    read-only when ``rows`` are."""
     if starts.size == n_points:
         return rows
-    return np.repeat(rows, np.diff(starts, append=n_points), axis=0)
+    dense = np.repeat(rows, np.diff(starts, append=n_points), axis=0)
+    dense.flags.writeable = rows.flags.writeable
+    return dense
 
 
 def _rows_at(run_starts: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -301,8 +324,6 @@ def take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _check_psd(values: np.ndarray) -> None:
-    starts, _ = row_runs(values)
-    values = take_rows(values, starts)
     herm_err = np.abs(values - values.conj().swapaxes(-1, -2)).max()
     scale = max(np.abs(values).max(), 1.0)
     if herm_err > 1e-9 * scale:
@@ -318,23 +339,24 @@ def _check_psd(values: np.ndarray) -> None:
 def constant_spectrum(
     grid: FrequencyGrid, matrix: np.ndarray, kind: str = "psd"
 ) -> SpectralMatrixFunction:
-    """Spectrum equal to one matrix at every grid point (flat in band)."""
-    matrix = np.asarray(matrix, dtype=complex)
+    """Spectrum equal to one matrix at every grid point (flat in band): one run."""
+    matrix = np.array(matrix, dtype=complex)
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    values = np.broadcast_to(matrix, (grid.n_points,) + matrix.shape).copy()
-    return SpectralMatrixFunction(grid=grid, values=values, kind=kind)
+    return SpectralMatrixFunction(grid=grid, values=matrix[None], kind=kind, run_starts=[0])
 
 
 def multiply_spectra(
     left: SpectralMatrixFunction, right: SpectralMatrixFunction
 ) -> SpectralMatrixFunction:
-    """Pointwise matrix product of two spectra on the same grid."""
+    """Pointwise matrix product of two spectra on the same grid, one product
+    per run of rows on which both are constant."""
     _check_shared_grid(left.grid, right.grid)
     if left.shape[1] != right.shape[0]:
         raise ValueError("inner matrix dimensions must agree")
-    values = left.values @ right.values
-    return SpectralMatrixFunction(grid=left.grid, values=values, kind="filter")
+    starts = np.union1d(left.run_starts, right.run_starts)
+    values = left.rows_at(starts) @ right.rows_at(starts)
+    return SpectralMatrixFunction(grid=left.grid, values=values, kind="filter", run_starts=starts)
 
 
 def _check_shared_grid(a: FrequencyGrid, b: FrequencyGrid) -> None:
@@ -349,25 +371,14 @@ def integrate_matrix(f: SpectralMatrixFunction) -> np.ndarray:
 
 
 def psd_sqrt(c: SpectralMatrixFunction) -> SpectralMatrixFunction:
-    """Per-frequency Hermitian PSD square root via eigendecomposition."""
-    root = _psd_sqrt_runs(c)
-    values = _expand_runs(root.rows, root.starts, c.grid.n_points)
-    return SpectralMatrixFunction(grid=c.grid, values=values, kind="psd", validate=False)
-
-
-def _psd_sqrt_runs(c: SpectralMatrixFunction) -> SpectrumRuns:
-    """``psd_sqrt`` as runs: one eigendecomposition per run of identical rows."""
+    """Per-frequency Hermitian PSD square root: one eigendecomposition per run."""
     if c.kind != "psd":
         raise ValueError("psd_sqrt needs kind='psd'")
-    starts, _ = row_runs(c.values)
-    eigvals, eigvecs = np.linalg.eigh(take_rows(c.values, starts))
-    top = np.maximum(eigvals[:, -1], 0.0)
-    if np.any(eigvals < -PSD_EIG_TOL * top[:, None] - 1e-300):
-        raise ValueError("matrix is not PSD within tolerance")
-    clipped = np.clip(eigvals, 0.0, None)
-    roots = np.sqrt(clipped)
+    # c passed the PSD check when it was built: negative eigenvalues are round-off
+    eigvals, eigvecs = np.linalg.eigh(c.run_values)
+    roots = np.sqrt(np.clip(eigvals, 0.0, None))
     values = (eigvecs * roots[:, None, :]) @ eigvecs.conj().swapaxes(-1, -2)
-    return SpectrumRuns(c.grid, starts, values)
+    return SpectralMatrixFunction(grid=c.grid, values=values, kind="psd", run_starts=c.run_starts)
 
 
 def alias_order(fs: float, f_max: float) -> int:
@@ -412,43 +423,23 @@ class StackedSpectrum:
         fs: float | None = None,
         run_starts: np.ndarray | None = None,
     ):
-        n = base_grid.n_points
-        blocks = np.asarray(blocks, dtype=complex)
-        dense = None
-        if run_starts is None:
-            if blocks.ndim != 3 or blocks.shape[0] != n:
-                raise ValueError("blocks must have shape (n_points, rows, stacked_cols)")
-            dense, run_starts = blocks, np.arange(n)
-        run_starts = np.asarray(run_starts, dtype=int)
-        _check_run_starts(run_starts, n)
-        if blocks.ndim != 3 or blocks.shape[0] != run_starts.size:
-            raise ValueError("blocks must have one row per run: (runs, rows, stacked_cols)")
+        blocks = _store_runs(self, "blocks", blocks, run_starts, base_grid.n_points)
         if blocks.shape[2] != (2 * alias_order_ + 1) * block_cols:
             raise ValueError("stacked column count must equal (2*ups+1) * block_cols")
         if fs is None:
             fs = base_grid.f_hi - base_grid.f_lo
         elif fs < base_grid.f_hi - base_grid.f_lo - 1e-9 * fs:
             raise ValueError("base grid cannot exceed the baseband width fs")
-        keep, _ = row_runs(blocks)
-        run_starts, blocks = take_rows(run_starts, keep), take_rows(blocks, keep)
-        for a in (run_starts, blocks, dense):
-            if a is not None:
-                a.flags.writeable = False
         for name, value in (
             ("base_grid", base_grid), ("alias_order_", alias_order_),
-            ("run_starts", run_starts), ("run_blocks", blocks),
-            ("block_cols", block_cols), ("fs", fs), ("_dense", dense),
+            ("block_cols", block_cols), ("fs", fs),
         ):
             object.__setattr__(self, name, value)
 
-    @property
+    @cached_property
     def blocks(self) -> np.ndarray:
         """Every grid row, (n_points, rows, stacked_cols); expanded on first use."""
-        if self._dense is None:
-            dense = _expand_runs(self.run_blocks, self.run_starts, self.base_grid.n_points)
-            dense.flags.writeable = False
-            object.__setattr__(self, "_dense", dense)
-        return self._dense
+        return _expand_runs(self.run_blocks, self.run_starts, self.base_grid.n_points)
 
     @property
     def run_index(self) -> np.ndarray:
@@ -515,7 +506,7 @@ def joint_runs(*stacks: StackedSpectrum) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stack_aliases(
-    f: SpectralMatrixFunction | SpectrumRuns,
+    f: SpectralMatrixFunction,
     fs: float,
     f_max: float | None = None,
     n_points: int = DEFAULT_GRID_POINTS,
@@ -527,8 +518,7 @@ def stack_aliases(
     ``sample`` does; base points whose lookups fall in the same source runs
     share one stacked row, which is built once.
     """
-    src = f if isinstance(f, SpectrumRuns) else SpectrumRuns.of(f)
-    grid = src.grid
+    grid = f.grid
     if f_max is None:
         f_max = max(abs(grid.f_lo), abs(grid.f_hi))
     ups = alias_order(fs, f_max)
@@ -539,12 +529,12 @@ def stack_aliases(
     shifts = np.arange(-ups, ups + 1)
     idx, inside = _cell_lookup(grid, base.points[:, None] - shifts * fs)
     # source run of every (base point, shift); the extra run -1 is zero
-    ids = np.where(inside, _run_index(src.starts, grid.n_points)[idx], -1)
+    ids = np.where(inside, f.run_index[idx], -1)
     new_run = np.ones(n_points, dtype=bool)
     new_run[1:] = (ids[1:] != ids[:-1]).any(axis=1)
     starts = np.flatnonzero(new_run)
-    padded = np.concatenate([src.rows, np.zeros((1,) + src.rows.shape[1:], dtype=complex)])
-    rows, cols = src.rows.shape[1:]
+    padded = np.concatenate([f.run_values, np.zeros((1,) + f.shape, dtype=complex)])
+    rows, cols = f.shape
     blocks = padded[ids[starts]].transpose(0, 2, 1, 3)  # (runs, rows, shift, cols)
     return StackedSpectrum(
         base_grid=base, alias_order_=ups, blocks=blocks.reshape(starts.size, rows, -1),

@@ -109,6 +109,38 @@ class TestDesignCommand:
         design = FilterDesign.from_dict(json.loads((out / "design.json").read_text()))
         assert f"nmse: {design.nmse!r}\n" in summary
 
+    def test_numerical_failure_exits_3(self, matched_scenario, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("taskadc.cli.design_filters", fail)
+        code = main([
+            "design", "--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
+            "--k", "2", "--bits", "4", "--fs", "1e8", "--grid-points", "16",
+        ])
+        assert code == 3
+        assert "numerical error: SVD did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda c: [c], "scenario must be a JSON object"),
+        (lambda c: dict(c, channel="abc"), "channel must be a JSON object"),
+        (lambda c: dict(c, N=[1]), "N must be a number"),
+        (lambda c: dict(c, N=1.7), "N must be a whole number"),
+        (lambda c: dict(c, snr_db=math.nan), "must be finite"),
+        (lambda c: dict(c, sigma_phi_deg=math.nan), "must be finite"),
+    ], ids=["list", "channel_string", "N_list", "N_fraction", "nan_snr", "nan_spread"])
+    def test_malformed_scenario_exits_2(self, matched_scenario, tmp_path, capsys, change,
+                                        message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(change(json.loads(matched_scenario.read_text()))))
+        code = main([
+            "design", "--scenario", str(path), "--out", str(tmp_path / "o"),
+            "--k", "2", "--bits", "4", "--fs", "1e8", "--grid-points", "16",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
     def test_missing_scenario_exits_2(self, tmp_path):
         code = main([
             "design", "--scenario", str(tmp_path / "none.json"),

@@ -214,16 +214,3 @@ class TestEstimateMse:
         design = design_filters(model, cfg, 64)
         with pytest.raises(ValueError):
             SimulationRun("few", model, design, n_trials=50)
-
-    def test_trial_dump(self, tmp_path):
-        model = unit_scalar_model(fs=1.0, n_points=64)
-        cfg = AdcConfig(1, 1.0, bits=2, eta=2.0)
-        design = design_filters(model, cfg, 64)
-        path = tmp_path / "trials.csv"
-        estimate_mse(
-            SimulationRun("dump", model, design, n_trials=150, seed=4),
-            trial_dump=path,
-        )
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "trial,sq_error,overloads"
-        assert len(lines) == 151

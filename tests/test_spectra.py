@@ -8,11 +8,11 @@ from taskadc.design import AdcConfig, design_filters
 from taskadc.mmse import TaskModel, task_energy, whitened_task_stack
 from taskadc.spectra import (
     SpectralMatrixFunction,
-    SpectrumRuns,
     StackedSpectrum,
     alias_order,
     constant_spectrum,
     integrate_matrix,
+    interleave_re_im,
     joint_runs,
     make_frequency_grid,
     multiply_spectra,
@@ -94,6 +94,20 @@ class TestPsdSqrt:
         with pytest.raises(ValueError):
             psd_sqrt(f.__class__(grid=grid, values=values, kind="psd"))
 
+    def test_rank_deficient_root_passes_psd_check(self, rng):
+        # rank one on every row: the root's zero eigenvalues come out as
+        # round-off of either sign, which the PSD check must accept
+        n = 16
+        v = rng.standard_normal((n, 3, 1)) + 1j * rng.standard_normal((n, 3, 1))
+        values = v @ v.conj().swapaxes(-1, -2)
+        f = SpectralMatrixFunction(
+            grid=make_frequency_grid(-0.5, 0.5, n), values=values, kind="psd"
+        )
+        root = psd_sqrt(f)
+        assert root.kind == "psd"
+        rebuilt = root.values @ root.values.conj().swapaxes(-1, -2)
+        np.testing.assert_allclose(rebuilt, values, atol=1e-12 * np.abs(values).max())
+
 
 class TestRowRuns:
     def test_round_trip(self, rng):
@@ -113,6 +127,8 @@ class TestRowRuns:
         starts, index = row_runs(f.values)
         np.testing.assert_array_equal(starts, [0])
         np.testing.assert_array_equal(index, np.zeros(64))
+        np.testing.assert_array_equal(f.run_starts, [0])
+        assert f.run_values.shape == (1, 3, 3)
 
     def test_varying_psd_matches_dense_eigh(self, rng):
         n = 32
@@ -127,6 +143,7 @@ class TestRowRuns:
         roots = np.sqrt(np.clip(vals, 0.0, None))
         dense = (vecs * roots[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
         assert np.array_equal(psd_sqrt(f).values, dense)
+        assert psd_sqrt(f).run_starts.size == n  # one run, and one eigh, per cell
 
     def test_matched_scenario_runs(self, matched_model):
         nyquist = whitened_task_stack(matched_model, matched_model.f_nyq, 512)
@@ -223,6 +240,15 @@ class TestInvariants:
         back = SpectralMatrixFunction.from_dict(json.loads(json.dumps(data)))
         assert back.values.tobytes() == f.values.tobytes()
 
+    def test_flat_version_1_dict_loads_as_one_run(self, rng):
+        level = rng.standard_normal((2, 2))
+        f = constant_spectrum(make_frequency_grid(-1.0, 1.0, 16), level, kind="filter")
+        data = dict(f.to_dict(), values=interleave_re_im(f.values))
+        del data["run_starts"]  # version 1: every grid row stored
+        back = SpectralMatrixFunction.from_dict(data)
+        np.testing.assert_array_equal(back.run_starts, [0])
+        assert back.run_values.tobytes() == f.run_values.tobytes()
+
     def test_stacked_json_round_trip_checks_length(self, rng):
         f = SpectralMatrixFunction(
             grid=make_frequency_grid(-2.0, 2.0, 16),
@@ -255,6 +281,24 @@ def dense_stack_reference(f, fs, f_max=None, n_points=64):
     return base, ups, blocks
 
 
+def dense_sample_reference(f, freqs):
+    """A cell lookup in the dense grid rows: what ``sample`` must return."""
+    grid = f.grid
+    idx = np.clip(np.floor((freqs - grid.f_lo) / grid.spacing).astype(int), 0, grid.n_points - 1)
+    inside = (freqs >= grid.f_lo) & (freqs <= grid.f_hi)
+    return np.where(inside[:, None, None], f.values[idx], 0)
+
+
+def both_forms(f):
+    """The spectrum f built from every grid row and from its runs."""
+    return (
+        SpectralMatrixFunction(grid=f.grid, values=f.values, kind=f.kind),
+        SpectralMatrixFunction(
+            grid=f.grid, values=f.run_values, kind=f.kind, run_starts=f.run_starts
+        ),
+    )
+
+
 def _flat_source(rng):
     a = rng.standard_normal((2, 3))
     return constant_spectrum(make_frequency_grid(-1.0, 1.0, 40), a, kind="filter")
@@ -285,12 +329,28 @@ def _zero_edged_source(rng):
     )
 
 
+def _signed_zero_source(rng):
+    # rows that differ only in the sign of a zero entry are different runs
+    level = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    level[0, 0] = 0.0
+    values = np.repeat(level[None], 40, axis=0)
+    values[15:, 0, 0] = complex(-0.0, 0.0)
+    values[30:, 0, 0] = complex(0.0, -0.0)
+    return SpectralMatrixFunction(
+        grid=make_frequency_grid(-1.0, 1.0, 40), values=values, kind="filter"
+    )
+
+
 SOURCES = {
     "flat": _flat_source,
     "smooth": _smooth_source,
     "complex": _complex_source,
     "zero_edged": _zero_edged_source,
+    "signed_zero": _signed_zero_source,
 }
+SAMPLE_FREQS = np.concatenate([
+    np.linspace(-2.0, 2.0, 101), [-1.0, 1.0, 1.5, np.nextafter(1.0, 9.0), np.nextafter(1.5, 9.0)]
+])
 RATES = [
     (2.0, None, 64),  # Nyquist: alias order 0, the grid covers the band only
     (3.0, None, 48),  # above Nyquist
@@ -314,19 +374,31 @@ class TestRunNativeStack:
         assert stack.base_grid.points.tobytes() == base.points.tobytes()
         assert stack.blocks.tobytes() == blocks.tobytes()
         np.testing.assert_array_equal(stack.run_starts, row_runs(blocks)[0])
-        # the run form of the source folds to the same stack
-        again = stack_aliases(SpectrumRuns.of(f), fs, f_max, n_points)
-        np.testing.assert_array_equal(again.run_starts, stack.run_starts)
-        assert again.run_blocks.tobytes() == stack.run_blocks.tobytes()
+        # the source built from its grid rows or from its runs folds alike
+        for form in both_forms(f):
+            again = stack_aliases(form, fs, f_max, n_points)
+            np.testing.assert_array_equal(again.run_starts, stack.run_starts)
+            assert again.run_blocks.tobytes() == stack.run_blocks.tobytes()
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_runs_sample_like_the_dense_spectrum(self, source):
         f = SOURCES[source](np.random.default_rng(3))
-        freqs = np.concatenate([
-            np.linspace(-2.0, 2.0, 101),
-            [f.grid.f_lo, f.grid.f_hi, np.nextafter(f.grid.f_hi, 9.0)],
-        ])
-        assert SpectrumRuns.of(f).sample(freqs).tobytes() == f.sample(freqs).tobytes()
+        reference = dense_sample_reference(f, SAMPLE_FREQS).tobytes()
+        for form in both_forms(f):
+            assert form.sample(SAMPLE_FREQS).tobytes() == reference
+
+    @pytest.mark.parametrize("source", ["flat", "smooth", "signed_zero"])
+    def test_spectrum_stores_maximal_runs(self, source):
+        f = SOURCES[source](np.random.default_rng(5))
+        dense = np.array(f.values)
+        reference = dense_sample_reference(f, SAMPLE_FREQS).tobytes()
+        for form in both_forms(f):
+            np.testing.assert_array_equal(form.run_starts, row_runs(dense)[0])
+            assert form.values.tobytes() == dense.tobytes()
+            assert form.sample(SAMPLE_FREQS).tobytes() == reference
+        # cos(pi f) repeats only on the two cells next to f = 0
+        runs = {"flat": 1, "smooth": 39, "signed_zero": 3}[source]
+        assert f.run_starts.size == runs
 
     def test_flat_source_stores_few_rows(self, matched_model):
         stack = whitened_task_stack(matched_model, 25e6, 2168)
