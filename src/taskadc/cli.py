@@ -336,7 +336,8 @@ def main(argv=None) -> int:
     except (DesignError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, KeyError) as exc:
+    # a scenario too large to hold (numpy refuses the allocation up front)
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -8,6 +8,14 @@ task against the analog MMSE estimate computed from the same increments.
 
 Every block lives on one simulation grid at ``_OVERSAMPLE`` times the
 Nyquist rate; a sampling rate must divide it so decimation is integer.
+
+The acquisition chain runs on half spectra. ``estimate_mse`` never builds the
+M-channel time block: each trial only draws its normals from its own stream,
+the increments of a chunk of trials are shaped by one batched product per
+bin, the analog filter acts on the in-band bins 0..m only, and a single
+K-channel inverse FFT (zero-padded to the block length) returns to the time
+domain for decimation, dither and quantization. ``run_acquisition`` feeds the
+rfft of a synthesized block into the same chain.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .spectra import SpectralMatrixFunction, psd_sqrt
 
 RNG_NAME = "philox"  # counter-based; per-trial streams come from spawned seeds
 _OVERSAMPLE = 4  # simulation rate in multiples of the Nyquist rate
+_CHUNK_SAMPLES = 2**21  # block samples per chunk of trials in estimate_mse
 
 
 @dataclass(frozen=True)
@@ -156,25 +165,28 @@ def _sample_dc_and_bins(spectrum: SpectralMatrixFunction, plan: _BlockPlan):
     return spectrum.sample(np.zeros(1))[0], spectrum.sample(plan.pos_freqs)
 
 
-def _draw_increments(plan: _BlockPlan, roots_dc, roots_pos, rng):
-    """Spectral increments for one trial: (xi_dc real (M,), xi_pos (m, M))."""
-    m_ch = roots_dc.shape[0]
+def _draw_normals(rng, dc_noise, bin_noise) -> None:
+    """Fill one trial's normal draws in stream order: DC (M,), then bins (m, M, 2)."""
+    rng.standard_normal(out=dc_noise)
+    rng.standard_normal(out=bin_noise)
+
+
+def _shape_increments(plan: _BlockPlan, roots_dc, roots_pos, dc_noise, bin_noise):
+    """Spectral increments (m+1, M, T) at rfft bins 0..m of a batch of T trials.
+
+    dc_noise (T, M) and bin_noise (T, m, M, 2) are the trials' normal draws;
+    one product shapes the DC increments (real) and one batched product per
+    bin shapes the circular complex ones.
+    """
     scale = np.sqrt(plan.df)
-    xi_dc = (roots_dc.real @ rng.standard_normal(m_ch)) * scale
-    noise = rng.standard_normal((plan.n_pos_bins, m_ch, 2))
-    circ = (noise[..., 0] + 1j * noise[..., 1]) / np.sqrt(2.0)
-    xi_pos = np.einsum("qmc,qc->qm", roots_pos, circ) * scale
-    return xi_dc, xi_pos
-
-
-def _increments_to_block(plan: _BlockPlan, xi_dc, xi_pos) -> np.ndarray:
-    """Real time block (..., M, L) from the positive-half spectral increments."""
-    lead = xi_pos.shape[:-2]
-    m_ch = xi_pos.shape[-1]
-    half = np.zeros(lead + (m_ch, plan.n_samples // 2 + 1), dtype=complex)
-    half[..., 0] = xi_dc
-    half[..., 1 : plan.n_pos_bins + 1] = np.moveaxis(xi_pos, -1, -2)
-    return np.fft.irfft(half, n=plan.n_samples, axis=-1) * plan.n_samples
+    xi = np.empty((plan.n_pos_bins + 1,) + dc_noise.shape[::-1], dtype=complex)
+    xi[0] = (dc_noise @ roots_dc.real.T).T * scale
+    # (re, im) normal pairs read as complex in place; the 1/sqrt(2) that makes
+    # them unit-variance circular rides on the scale
+    circ = bin_noise.view(complex)[..., 0]
+    np.matmul(roots_pos, circ.transpose(1, 2, 0), out=xi[1:])
+    xi[1:] *= scale / np.sqrt(2.0)
+    return xi
 
 
 def synthesize_process(
@@ -191,22 +203,24 @@ def synthesize_process(
     f_nyq = 2.0 * band_edge
     plan = _plan_block(band_edge, f_nyq, duration)
     roots_dc, roots_pos = _sample_dc_and_bins(psd_sqrt(c_x), plan)
-    xi_dc, xi_pos = _draw_increments(plan, roots_dc, roots_pos, rng)
-    return Block(samples=_increments_to_block(plan, xi_dc, xi_pos), rate=plan.sim_rate)
+    m_ch = roots_dc.shape[0]
+    dc_noise, bin_noise = np.empty((1, m_ch)), np.empty((1, plan.n_pos_bins, m_ch, 2))
+    _draw_normals(rng, dc_noise[0], bin_noise[0])
+    xi = _shape_increments(plan, roots_dc, roots_pos, dc_noise, bin_noise)
+    samples = np.fft.irfft(xi[..., 0].T, n=plan.n_samples) * plan.n_samples
+    return Block(samples=samples, rate=plan.sim_rate)
 
 
-def _acquire(samples, h_half, cfg: AdcConfig, spec: QuantizerSpec, dither, decim):
+def _acquire(x_half, h_half, n, cfg: AdcConfig, spec: QuantizerSpec, dither, decim):
     """Filter, decimate with the Ts gain, dither, and quantize a block batch.
 
-    h_half holds the analog response at the non-negative DFT bins (rfft
-    layout); all signals are real so half spectra suffice.
+    x_half (P, M, T) holds T real n-sample blocks at their first P rfft bins,
+    zero above, and h_half (P, K, M) the analog response there; z and the
+    overload mask come back as (T, K, n/decim).
     """
-    n = samples.shape[-1]
-    x_half = np.fft.rfft(samples, axis=-1)
-    y_half = np.einsum("pkm,...mp->...kp", h_half, x_half)
+    y_half = np.matmul(h_half, x_half).transpose(2, 1, 0)
     y = np.fft.irfft(y_half, n=n, axis=-1)
-    sampled = cfg.ts * y[..., ::decim]
-    noisy = sampled + dither
+    noisy = cfg.ts * y[..., ::decim] + dither
     z = quantize_midrise(noisy, spec)
     overloads = np.abs(noisy) >= spec.dynamic_range
     return z, overloads
@@ -231,15 +245,17 @@ def run_acquisition(
     if block.n_samples % decim != 0:
         raise ValueError("block length is not a multiple of the decimation factor")
     freqs = np.fft.rfftfreq(block.n_samples, d=1.0 / block.rate)
-    h_half = h.sample(freqs)
-    n_out = block.n_samples // decim
-    out_shape = block.samples.shape[:-2] + (h.shape[0], n_out)
+    lead, (m_ch, n) = block.samples.shape[:-2], block.samples.shape[-2:]
+    x_half = np.fft.rfft(block.samples.reshape(-1, m_ch, n), axis=-1)
+    out_shape = (x_half.shape[0], h.shape[0], n // decim)
     if spec.dithered and spec.step > 0:
         dither = sample_dither(spec.step, rng, size=out_shape)
     else:
         dither = np.zeros(out_shape)
-    z, overloads = _acquire(block.samples, h_half, cfg, spec, dither, decim)
-    return z, float(np.mean(overloads))
+    z, overloads = _acquire(
+        x_half.transpose(2, 1, 0), h.sample(freqs), n, cfg, spec, dither, decim
+    )
+    return z.reshape(lead + z.shape[1:]), float(np.mean(overloads))
 
 
 def recover_task(
@@ -283,8 +299,12 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
     """Trial-averaged squared recovery error against the analog MMSE estimate.
 
     Ground truth and acquisition share the same spectral increments (common
-    random numbers), and every trial draws from its own spawned stream so the
-    result does not depend on chunking.
+    random numbers). Every trial draws from its own spawned stream, in a fixed
+    order (DC normals, in-band normals, dither), so the result does not depend
+    on chunking. Trials are processed in chunks of ``_CHUNK_SAMPLES`` block
+    samples: the chunk's increments are shaped, filtered on the in-band bins
+    and brought to the time domain in batched products, with no M-channel
+    time block.
     """
     model, design, cfg = run.model, run.design, run.cfg
     if design.h is None or design.g_freq is None:
@@ -298,9 +318,12 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
 
     roots_dc, roots_pos = _sample_dc_and_bins(model._input_root, plan)
     gamma_dc, gamma_pos = _sample_dc_and_bins(model.task_filter, plan)
+    m_ch = roots_dc.shape[0]
 
-    sim_freqs = np.fft.rfftfreq(plan.n_samples, d=1.0 / plan.sim_rate)
-    h_half = design.h.sample(sim_freqs)
+    in_band = plan.n_pos_bins + 1
+    sim_freqs = np.fft.rfftfreq(plan.n_samples, d=1.0 / plan.sim_rate)[:in_band]
+    # the factor L turns spectral increments into rfft bins of the block
+    h_half = design.h.sample(sim_freqs) * plan.n_samples
     g_half, out_phases = _recovery_filter(design.g_freq, cfg.fs, plan.n_out, plan.center)
     # t = 0 reference sits at the center output sample; a design modulated by
     # e^{-j2*pi*f*t0} estimates the analog response at center - t0 (the error
@@ -310,9 +333,13 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
     if abs(run.t0) > 0.4 * duration:
         raise ValueError("t0 falls outside the block interior")
     task_phases = np.exp(2j * np.pi * plan.pos_freqs * (center_time - run.t0))
+    # task response at bins 0..m with the reference delay and the
+    # conjugate-pair weight folded in: truth is one contraction over (bin, M)
+    task_weights = np.concatenate(([1.0], 2.0 * task_phases))
+    gamma_w = np.concatenate((gamma_dc[None], gamma_pos)) * task_weights[:, None, None]
 
     children = np.random.SeedSequence(run.seed).spawn(run.n_trials)
-    chunk = max(1, min(run.n_trials, 2**21 // plan.n_samples))
+    chunk = max(1, min(run.n_trials, _CHUNK_SAMPLES // plan.n_samples))
 
     sq_errors = np.empty(run.n_trials)
     overload_total = 0
@@ -323,25 +350,20 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
     for lo in range(0, run.n_trials, chunk):
         hi = min(lo + chunk, run.n_trials)
         size = hi - lo
-        xi_dc = np.empty((size,) + roots_dc.shape[:1], dtype=complex)
-        xi_pos = np.empty((size,) + roots_pos.shape[:2], dtype=complex)
+        dc_noise = np.empty((size, m_ch))
+        bin_noise = np.empty((size, plan.n_pos_bins, m_ch, 2))
         dither = np.zeros((size, cfg.k_adcs, plan.n_out))
         for t in range(size):
             rng_t = np.random.Generator(np.random.Philox(children[lo + t]))
-            xi_dc[t], xi_pos[t] = _draw_increments(plan, roots_dc, roots_pos, rng_t)
+            _draw_normals(rng_t, dc_noise[t], bin_noise[t])
             if run.dithered and qspec.step > 0:
                 dither[t] = sample_dither(
                     qspec.step, rng_t, size=(cfg.k_adcs, plan.n_out)
                 )
-        blocks = _increments_to_block(plan, xi_dc, xi_pos)
+        xi = _shape_increments(plan, roots_dc, roots_pos, dc_noise, bin_noise)
 
-        truth = (
-            np.einsum("nm,tm->tn", gamma_dc, xi_dc)
-            + 2.0
-            * np.einsum("qnm,tqm,q->tn", gamma_pos, xi_pos, task_phases)
-        ).real
-
-        z, overloads = _acquire(blocks, h_half, cfg, qspec, dither, plan.decim)
+        truth = np.tensordot(gamma_w, xi, axes=([0, 2], [0, 1])).real.T
+        z, overloads = _acquire(xi, h_half, plan.n_samples, cfg, qspec, dither, plan.decim)
         err = truth - _recover(g_half, out_phases, z)
         sq_errors[lo:hi] = np.sum(err * err, axis=1)
         overload_total += int(overloads.sum())

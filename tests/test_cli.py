@@ -141,6 +141,17 @@ class TestDesignCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
 
+    def test_unallocatable_scenario_exits_2(self, matched_scenario, tmp_path, capsys):
+        # numpy refuses the terabyte-sized correlation matrix before touching memory
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(json.loads(matched_scenario.read_text()), N=2000000)))
+        code = main([
+            "design", "--scenario", str(path), "--out", str(tmp_path / "o"),
+            "--k", "2", "--bits", "4", "--fs", "1e8", "--grid-points", "16",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_missing_scenario_exits_2(self, tmp_path):
         code = main([
             "design", "--scenario", str(tmp_path / "none.json"),

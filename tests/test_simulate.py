@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import taskadc.simulate as sim
 from taskadc.design import AdcConfig, design_filters
-from taskadc.quantizer import QuantizerSpec
+from taskadc.quantizer import QuantizerSpec, quantize_midrise, sample_dither
 from taskadc.search import shifted_task_design
 from taskadc.simulate import (
     SimulationRun,
@@ -19,6 +20,65 @@ from conftest import unit_scalar_model
 def flat_psd(level, m=1, band=1.0, n_points=64):
     grid = make_frequency_grid(-band / 2, band / 2, n_points)
     return constant_spectrum(grid, level * np.eye(m))
+
+
+def time_domain_reference(run):
+    """The per-trial time-domain loop that ``estimate_mse`` replaced: every
+    trial synthesizes its M-channel block at the simulation rate, and the
+    analog filter acts on all rfft bins of that block."""
+    model, design, cfg = run.model, run.design, run.cfg
+    plan = sim._plan_block(model.band_edge, cfg.fs, None)
+    spec = QuantizerSpec(
+        bits=cfg.bits, dynamic_range=design.dynamic_range, dithered=run.dithered
+    )
+    roots_dc, roots_pos = sim._sample_dc_and_bins(model._input_root, plan)
+    gamma_dc, gamma_pos = sim._sample_dc_and_bins(model.task_filter, plan)
+    h_half = design.h.sample(np.fft.rfftfreq(plan.n_samples, d=1.0 / plan.sim_rate))
+    g_half, out_phases = sim._recovery_filter(design.g_freq, cfg.fs, plan.n_out, plan.center)
+    center_time = plan.center * plan.decim / plan.sim_rate
+    task_phases = np.exp(2j * np.pi * plan.pos_freqs * (center_time - run.t0))
+    scale = np.sqrt(plan.df)
+    m_ch = roots_dc.shape[0]
+    sq_errors, outers, overloads = [], [], []
+    for child in np.random.SeedSequence(run.seed).spawn(run.n_trials):
+        rng = np.random.Generator(np.random.Philox(child))
+        xi_dc = (roots_dc.real @ rng.standard_normal(m_ch)) * scale
+        noise = rng.standard_normal((plan.n_pos_bins, m_ch, 2))
+        circ = (noise[..., 0] + 1j * noise[..., 1]) / np.sqrt(2.0)
+        xi_pos = np.einsum("qmc,qc->qm", roots_pos, circ) * scale
+        half = np.zeros((m_ch, plan.n_samples // 2 + 1), dtype=complex)
+        half[:, 0] = xi_dc
+        half[:, 1 : plan.n_pos_bins + 1] = xi_pos.T
+        block = np.fft.irfft(half, n=plan.n_samples) * plan.n_samples
+        dither = 0.0
+        if run.dithered and spec.step > 0:
+            dither = sample_dither(spec.step, rng, size=(cfg.k_adcs, plan.n_out))
+        y_half = np.einsum("pkm,mp->kp", h_half, np.fft.rfft(block))
+        y = np.fft.irfft(y_half, n=plan.n_samples)
+        noisy = cfg.ts * y[:, :: plan.decim] + dither
+        z = quantize_midrise(noisy, spec)
+        truth = (
+            gamma_dc @ xi_dc
+            + 2.0 * np.einsum("qnm,qm,q->n", gamma_pos, xi_pos, task_phases)
+        ).real
+        err = truth - sim._recover(g_half, out_phases, z)
+        sq_errors.append(err @ err)
+        outers.append(np.outer(err, z[:, plan.center]))
+        overloads.append(np.abs(noisy) >= spec.dynamic_range)
+    sq_errors = np.array(sq_errors)
+    energy = design.task_energy
+    return {
+        "empirical_nmse": sq_errors.mean() / energy,
+        "std_error": sq_errors.std(ddof=1) / np.sqrt(run.n_trials) / energy,
+        "orthogonality_residual": np.linalg.norm(np.mean(outers, axis=0)),
+        "overload_rate": np.mean(overloads),
+    }
+
+
+def assert_reports_close(got, want, rtol):
+    for name in ("empirical_nmse", "std_error", "orthogonality_residual"):
+        np.testing.assert_allclose(getattr(got, name), want[name], rtol=rtol, atol=0)
+    assert got.overload_rate == want["overload_rate"]
 
 
 class TestSynthesizeProcess:
@@ -214,3 +274,35 @@ class TestEstimateMse:
         design = design_filters(model, cfg, 64)
         with pytest.raises(ValueError):
             SimulationRun("few", model, design, n_trials=50)
+
+
+class TestFrequencyDomainChain:
+    @pytest.mark.parametrize("dithered", [True, False], ids=["dither", "no_dither"])
+    @pytest.mark.parametrize("rate", [1, 2, 4], ids=["fs_nyq", "fs_2nyq", "fs_4nyq"])
+    def test_matches_time_domain_reference(self, matched_model, rate, dithered):
+        cfg = AdcConfig(2, rate * matched_model.f_nyq, bits=3)
+        design = design_filters(matched_model, cfg, 64)
+        run = SimulationRun("ref", matched_model, design, n_trials=120, seed=rate,
+                            dithered=dithered)
+        report = estimate_mse(run)
+        assert report.overload_rate > 0  # the counts compared are not all zero
+        assert_reports_close(report, time_domain_reference(run), 1e-11)
+
+    def test_shifted_design_matches_time_domain_reference(self, matched_model):
+        cfg = AdcConfig(2, matched_model.f_nyq, bits=3)
+        base = design_filters(matched_model, cfg, 64)
+        shifted = shifted_task_design(matched_model, 1e-9, cfg, base=base)
+        run = SimulationRun("ref", matched_model, shifted, n_trials=120, seed=7, t0=1e-9)
+        assert_reports_close(estimate_mse(run), time_domain_reference(run), 1e-11)
+
+    def test_report_does_not_depend_on_chunking(self, matched_model, monkeypatch):
+        cfg = AdcConfig(2, matched_model.f_nyq, bits=3)
+        design = design_filters(matched_model, cfg, 64)
+        run = SimulationRun("chunks", matched_model, design, n_trials=120, seed=4)
+        n_samples = sim._plan_block(matched_model.band_edge, cfg.fs, None).n_samples
+        reports = []
+        for trials_per_chunk in (1, 7, run.n_trials):
+            monkeypatch.setattr(sim, "_CHUNK_SAMPLES", trials_per_chunk * n_samples)
+            reports.append(estimate_mse(run))
+        for report in reports[:2]:
+            assert_reports_close(report, reports[2].to_dict(), 1e-13)
