@@ -72,7 +72,9 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _write_manifest(out_dir: str, command: str, config: dict, outputs: list[str]) -> None:
-    canon = json.dumps(config, sort_keys=True)
+    # where the outputs go is not an input: the same run into two directories
+    # hashes the same
+    canon = json.dumps({k: v for k, v in config.items() if k != "out"}, sort_keys=True)
     manifest = {
         "command": command,
         "config": config,

@@ -10,12 +10,16 @@ Every block lives on one simulation grid at ``_OVERSAMPLE`` times the
 Nyquist rate; a sampling rate must divide it so decimation is integer.
 
 The acquisition chain runs on half spectra. ``estimate_mse`` never builds the
-M-channel time block: each trial only draws its normals from its own stream,
-the increments of a chunk of trials are shaped by one batched product per
-bin, the analog filter acts on the in-band bins 0..m only, and a single
-K-channel inverse FFT (zero-padded to the block length) returns to the time
-domain for decimation, dither and quantization. ``run_acquisition`` feeds the
-rfft of a synthesized block into the same chain.
+M-channel time block: each trial only draws its normals from its own stream.
+One stacked (K+N)xM matrix per in-band bin 0..m composes the PSD root with
+the analog filter and the task response, so one batched product per bin
+turns a chunk's normals into the filtered converter spectra and the analog
+truth together. Decimation folds the filtered bins onto the n_out-point grid
+of the sampled stream, and one n_out-point inverse FFT returns to the time
+domain for dither and quantization. The digital filter's read-out at the
+reference sample is a precomputed FIR: one product with the quantized
+streams. ``run_acquisition`` feeds the rfft of a synthesized block into the
+same chain.
 """
 
 from __future__ import annotations
@@ -211,16 +215,48 @@ def synthesize_process(
     return Block(samples=samples, rate=plan.sim_rate)
 
 
-def _acquire(x_half, h_half, n, cfg: AdcConfig, spec: QuantizerSpec, dither, decim):
-    """Filter, decimate with the Ts gain, dither, and quantize a block batch.
+def _pair_weights(p: int, n: int) -> np.ndarray:
+    """Conjugate-pair weights of the first p rfft bins of a real n-sample
+    signal: 1 at DC and at bin n/2, which are their own mirrors, else 2."""
+    weights = np.full(p, 2.0)
+    weights[0] = 1.0
+    if 2 * (p - 1) == n:
+        weights[-1] = 1.0
+    return weights
 
-    x_half (P, M, T) holds T real n-sample blocks at their first P rfft bins,
-    zero above, and h_half (P, K, M) the analog response there; z and the
-    overload mask come back as (T, K, n/decim).
+
+def _fold(y_half, n, n_out):
+    """Half spectrum (..., n_out//2 + 1) on the n_out-point grid of y[::n // n_out].
+
+    y_half (..., P) holds the first P rfft bins of real n-sample signals, zero
+    above. Decimation adds full-spectrum bin k onto k mod n_out, and the mirror
+    of bin k onto (-k) mod n_out; irfft(fold, n_out) times n_out/n gives the
+    decimated samples. Bins and mirrors that never meet leave a zero-pad, which
+    the irfft does itself.
     """
-    y_half = np.matmul(h_half, x_half).transpose(2, 1, 0)
-    y = np.fft.irfft(y_half, n=n, axis=-1)
-    noisy = cfg.ts * y[..., ::decim] + dither
+    p = y_half.shape[-1]
+    if 2 * (p - 1) < n_out:
+        return y_half
+    # one-sided fold F with every bin standing for its conjugate pair; the
+    # fold of the full spectrum is the Hermitian part of F
+    wraps = -(-p // n_out)
+    f = np.zeros(y_half.shape[:-1] + (wraps * n_out,), dtype=complex)
+    f[..., :p] = y_half * _pair_weights(p, n)
+    f = f.reshape(y_half.shape[:-1] + (wraps, n_out)).sum(axis=-2)
+    mirror = -np.arange(n_out // 2 + 1) % n_out
+    return (f[..., : n_out // 2 + 1] + f[..., mirror].conj()) / 2.0
+
+
+def _acquire(y_half, n, spec: QuantizerSpec, dither):
+    """Decimate, dither, and quantize a batch of filtered block spectra.
+
+    y_half (T, K, P) holds the first P rfft bins of T real K-channel n-sample
+    blocks, zero above, scaled by Ts*n_out/n so that the sampled streams carry
+    the Ts gain; dither (T, K, n_out) sets the decimated length n_out, which
+    divides n. z and the overload mask come back as (T, K, n_out).
+    """
+    n_out = dither.shape[-1]
+    noisy = np.fft.irfft(_fold(y_half, n, n_out), n=n_out) + dither
     z = quantize_midrise(noisy, spec)
     overloads = np.abs(noisy) >= spec.dynamic_range
     return z, overloads
@@ -252,9 +288,9 @@ def run_acquisition(
         dither = sample_dither(spec.step, rng, size=out_shape)
     else:
         dither = np.zeros(out_shape)
-    z, overloads = _acquire(
-        x_half.transpose(2, 1, 0), h.sample(freqs), n, cfg, spec, dither, decim
-    )
+    h_half = h.sample(freqs) * (cfg.ts / decim)
+    y_half = np.einsum("pkm,tmp->tkp", h_half, x_half)
+    z, overloads = _acquire(y_half, n, spec, dither)
     return z.reshape(lead + z.shape[1:]), float(np.mean(overloads))
 
 
@@ -273,26 +309,28 @@ def recover_task(
     """
     if block_duration is not None and abs(t0) > 0.4 * block_duration:
         raise ValueError("t0 falls outside the block interior")
-    g_half, phases = _recovery_filter(g_freq, fs, z.shape[-1], center)
-    return _recover(g_half, phases, z)
+    return _recover(_recovery_filter(g_freq, fs, z.shape[-1], center), z)
 
 
 def _recovery_filter(g_freq: SpectralMatrixFunction, fs: float, n_out: int, center: int):
-    """(g_half, phases): the digital filter at the rfft bins of an n_out-sample
-    stream, and the conjugate-pair weights that read the output at ``center``."""
+    """FIR read-out (K*n_out, N): the digital filter's output at sample ``center``
+    of n_out-sample streams z (..., K, n_out) is ``z.reshape(..., -1) @ fir``.
+
+    The filter acts at the stream's rfft bins, each but DC and n_out/2 standing
+    for its conjugate pair; for real z that sum is one real weight per sample.
+    """
     freqs = np.fft.rfftfreq(n_out, d=1.0 / fs)
-    weights = np.full(freqs.size, 2.0)
-    weights[0] = 1.0
-    if n_out % 2 == 0:
-        weights[-1] = 1.0
-    phases = weights * np.exp(2j * np.pi * np.arange(freqs.size) * center / n_out)
-    return g_freq.sample(freqs), phases
+    phases = _pair_weights(freqs.size, n_out) * np.exp(
+        2j * np.pi * np.arange(freqs.size) * center / n_out
+    )
+    g_half = g_freq.sample(freqs) * phases[:, None, None]
+    taps = np.fft.fft(g_half, n=n_out, axis=0).real / n_out  # (n_out, N, K)
+    return taps.transpose(2, 0, 1).reshape(-1, taps.shape[1])
 
 
-def _recover(g_half: np.ndarray, phases: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Recovered task (..., N) at the centre sample of streams z (..., K, n_out)."""
-    z_half = np.fft.rfft(z, axis=-1) * phases
-    return (np.einsum("pnk,...kp->...n", g_half, z_half) / z.shape[-1]).real
+def _recover(fir: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Recovered task (..., N) at the reference sample of streams z (..., K, n_out)."""
+    return z.reshape(z.shape[:-2] + (-1,)) @ fir
 
 
 def estimate_mse(run: SimulationRun) -> SimulationReport:
@@ -302,9 +340,14 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
     random numbers). Every trial draws from its own spawned stream, in a fixed
     order (DC normals, in-band normals, dither), so the result does not depend
     on chunking. Trials are processed in chunks of ``_CHUNK_SAMPLES`` block
-    samples: the chunk's increments are shaped, filtered on the in-band bins
-    and brought to the time domain in batched products, with no M-channel
-    time block.
+    samples. Each in-band bin has one stacked (K+N)xM matrix: the analog
+    filter over the task response, times the PSD root. One batched product
+    per bin maps the chunk's normals to the filtered converter spectrum and
+    to the truth's share of that bin; no increment array and no M-channel
+    time block is built. The filtered bins lie below n_out/2 (the design is
+    unaliased), so one n_out-point inverse FFT of them gives the sampled
+    streams, and a precomputed FIR reads the recovered task at the
+    reference sample.
     """
     model, design, cfg = run.model, run.design, run.cfg
     if design.h is None or design.g_freq is None:
@@ -318,13 +361,14 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
 
     roots_dc, roots_pos = _sample_dc_and_bins(model._input_root, plan)
     gamma_dc, gamma_pos = _sample_dc_and_bins(model.task_filter, plan)
-    m_ch = roots_dc.shape[0]
+    m_ch, k_adcs = roots_dc.shape[0], cfg.k_adcs
 
     in_band = plan.n_pos_bins + 1
     sim_freqs = np.fft.rfftfreq(plan.n_samples, d=1.0 / plan.sim_rate)[:in_band]
-    # the factor L turns spectral increments into rfft bins of the block
-    h_half = design.h.sample(sim_freqs) * plan.n_samples
-    g_half, out_phases = _recovery_filter(design.g_freq, cfg.fs, plan.n_out, plan.center)
+    # the factor L turns spectral increments into rfft bins of the block, and
+    # n_out/L with the Ts gain decimates them onto the sampled stream's grid
+    h_half = design.h.sample(sim_freqs) * (cfg.ts * plan.n_out)
+    fir = _recovery_filter(design.g_freq, cfg.fs, plan.n_out, plan.center)
     # t = 0 reference sits at the center output sample; a design modulated by
     # e^{-j2*pi*f*t0} estimates the analog response at center - t0 (the error
     # statistics are even in the shift)
@@ -334,9 +378,16 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
         raise ValueError("t0 falls outside the block interior")
     task_phases = np.exp(2j * np.pi * plan.pos_freqs * (center_time - run.t0))
     # task response at bins 0..m with the reference delay and the
-    # conjugate-pair weight folded in: truth is one contraction over (bin, M)
+    # conjugate-pair weight folded in: truth is the real part of its bin sum
     task_weights = np.concatenate(([1.0], 2.0 * task_phases))
     gamma_w = np.concatenate((gamma_dc[None], gamma_pos)) * task_weights[:, None, None]
+    # [analog filter; task response] times the PSD root per bin; the
+    # increments' sqrt(df), and the 1/sqrt(2) that makes the (re, im) normal
+    # pairs unit-variance circular, ride on it
+    stacked = np.concatenate((h_half, gamma_w), axis=1)
+    scale = np.sqrt(plan.df)
+    comp_dc = stacked[0] @ roots_dc.real * scale
+    comp_pos = np.matmul(stacked[1:], roots_pos) * (scale / np.sqrt(2.0))
 
     children = np.random.SeedSequence(run.seed).spawn(run.n_trials)
     chunk = max(1, min(run.n_trials, _CHUNK_SAMPLES // plan.n_samples))
@@ -352,19 +403,25 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
         size = hi - lo
         dc_noise = np.empty((size, m_ch))
         bin_noise = np.empty((size, plan.n_pos_bins, m_ch, 2))
-        dither = np.zeros((size, cfg.k_adcs, plan.n_out))
+        dither = np.zeros((size, k_adcs, plan.n_out))
         for t in range(size):
             rng_t = np.random.Generator(np.random.Philox(children[lo + t]))
             _draw_normals(rng_t, dc_noise[t], bin_noise[t])
             if run.dithered and qspec.step > 0:
                 dither[t] = sample_dither(
-                    qspec.step, rng_t, size=(cfg.k_adcs, plan.n_out)
+                    qspec.step, rng_t, size=(k_adcs, plan.n_out)
                 )
-        xi = _shape_increments(plan, roots_dc, roots_pos, dc_noise, bin_noise)
+        # bins 0..m of the chunk: K filtered converter rows, then N task rows
+        out = np.empty((in_band, stacked.shape[1], size), dtype=complex)
+        out[0] = comp_dc @ dc_noise.T
+        circ = bin_noise.view(complex)[..., 0]
+        np.matmul(comp_pos, circ.transpose(1, 2, 0), out=out[1:])
 
-        truth = np.tensordot(gamma_w, xi, axes=([0, 2], [0, 1])).real.T
-        z, overloads = _acquire(xi, h_half, plan.n_samples, cfg, qspec, dither, plan.decim)
-        err = truth - _recover(g_half, out_phases, z)
+        truth = out[:, k_adcs:].sum(axis=0).real.T
+        z, overloads = _acquire(
+            out[:, :k_adcs].transpose(2, 1, 0), plan.n_samples, qspec, dither
+        )
+        err = truth - _recover(fir, z)
         sq_errors[lo:hi] = np.sum(err * err, axis=1)
         overload_total += int(overloads.sum())
         sample_total += overloads.size

@@ -233,6 +233,22 @@ class TestSweepCommand:
         ]
         assert excess[-1] < excess[0]
 
+    def test_manifest_hash_ignores_the_output_directory(self, scalar_scenario, tmp_path):
+        manifests = {}
+        for name, bits in (("a", "1"), ("b", "1"), ("c", "2")):
+            out = tmp_path / name
+            code = main([
+                "sweep", "--scenario", str(scalar_scenario), "--out", str(out),
+                "--var", "eta", "--from", "1.4", "--to", "2.4", "--steps", "2",
+                "--k", "1", "--bits", bits, "--fs", "1.0", "--grid-points", "64",
+                "--simulate", "--trials", "100", "--seed", "1",
+            ])
+            assert code == 0
+            manifests[name] = json.loads((out / "manifest.json").read_text())
+        assert manifests["a"]["config"]["out"] == str(tmp_path / "a")
+        assert manifests["a"]["config_sha256"] == manifests["b"]["config_sha256"]
+        assert manifests["a"]["config_sha256"] != manifests["c"]["config_sha256"]
+
     def test_baselines_run_at_their_own_converter_count(self, matched_scenario, tmp_path):
         out = tmp_path / "out"
         code = main([

@@ -6,13 +6,14 @@ from taskadc.design import AdcConfig, design_filters
 from taskadc.quantizer import QuantizerSpec, quantize_midrise, sample_dither
 from taskadc.search import shifted_task_design
 from taskadc.simulate import (
+    Block,
     SimulationRun,
     estimate_mse,
     recover_task,
     run_acquisition,
     synthesize_process,
 )
-from taskadc.spectra import constant_spectrum, make_frequency_grid
+from taskadc.spectra import SpectralMatrixFunction, constant_spectrum, make_frequency_grid
 
 from conftest import unit_scalar_model
 
@@ -20,6 +21,22 @@ from conftest import unit_scalar_model
 def flat_psd(level, m=1, band=1.0, n_points=64):
     grid = make_frequency_grid(-band / 2, band / 2, n_points)
     return constant_spectrum(grid, level * np.eye(m))
+
+
+def read_out_phases(n_out, center):
+    """Conjugate-pair weights times the phase that reads rfft bins at ``center``."""
+    weights = np.full(n_out // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n_out % 2 == 0:
+        weights[-1] = 1.0
+    return weights * np.exp(2j * np.pi * np.arange(weights.size) * center / n_out)
+
+
+def rfft_read_out(g_half, phases, z):
+    """The digital filter g_half (bins, N, K) applied over the rfft of streams
+    z (..., K, n_out) and read at the sample that ``phases`` selects."""
+    z_half = np.fft.rfft(z, axis=-1) * phases
+    return (np.einsum("pnk,...kp->...n", g_half, z_half) / z.shape[-1]).real
 
 
 def time_domain_reference(run):
@@ -34,7 +51,9 @@ def time_domain_reference(run):
     roots_dc, roots_pos = sim._sample_dc_and_bins(model._input_root, plan)
     gamma_dc, gamma_pos = sim._sample_dc_and_bins(model.task_filter, plan)
     h_half = design.h.sample(np.fft.rfftfreq(plan.n_samples, d=1.0 / plan.sim_rate))
-    g_half, out_phases = sim._recovery_filter(design.g_freq, cfg.fs, plan.n_out, plan.center)
+    out_freqs = np.fft.rfftfreq(plan.n_out, d=1.0 / cfg.fs)
+    g_half = design.g_freq.sample(out_freqs)
+    out_phases = read_out_phases(plan.n_out, plan.center)
     center_time = plan.center * plan.decim / plan.sim_rate
     task_phases = np.exp(2j * np.pi * plan.pos_freqs * (center_time - run.t0))
     scale = np.sqrt(plan.df)
@@ -61,7 +80,7 @@ def time_domain_reference(run):
             gamma_dc @ xi_dc
             + 2.0 * np.einsum("qnm,qm,q->n", gamma_pos, xi_pos, task_phases)
         ).real
-        err = truth - sim._recover(g_half, out_phases, z)
+        err = truth - rfft_read_out(g_half, out_phases, z)
         sq_errors.append(err @ err)
         outers.append(np.outer(err, z[:, plan.center]))
         overloads.append(np.abs(noisy) >= spec.dynamic_range)
@@ -132,6 +151,19 @@ class TestRunAcquisition:
         np.testing.assert_allclose(z[0], expected, atol=1e-9)
         assert rate == 0.0
 
+    @pytest.mark.parametrize("decim", [1, 2, 3, 4])
+    def test_fold_of_unbandlimited_block(self, rng, decim):
+        # white samples fill every rfft bin, the n/2 bin included, so decimation
+        # folds bins onto each other; n_out is 60, 30, 20 and 15
+        block = Block(samples=rng.standard_normal((1, 60)), rate=4.0)
+        cfg = AdcConfig(1, block.rate / decim, bits=2, eta=2.0)
+        grid = make_frequency_grid(-2.0, 2.0, 16)  # identity over the whole band
+        ident = constant_spectrum(grid, np.eye(1), kind="filter")
+        spec = QuantizerSpec(bits=60, dynamic_range=1e3, dithered=False)
+        z, _ = run_acquisition(block, ident, cfg, spec, rng)
+        expected = cfg.ts * block.samples[:, ::decim]
+        np.testing.assert_allclose(z, expected, rtol=0, atol=1e-12)
+
     def test_degenerate_zero_range(self, rng):
         psd = flat_psd(1.0)
         block = synthesize_process(psd, 80.0, rng)
@@ -182,6 +214,18 @@ class TestRecoverTask:
         grid = make_frequency_grid(-0.5, 0.5, 16)
         zero = constant_spectrum(grid, np.zeros((1, 1)), kind="filter")
         np.testing.assert_allclose(recover_task(z, zero, 1.0, 32), 0.0)
+
+    @pytest.mark.parametrize("n_out", [63, 64])
+    def test_fir_read_out_matches_rfft_weighted_sum(self, rng, n_out):
+        # a filter that differs in every cell, read at a sample off the centre;
+        # an even n_out has the n_out/2 bin, whose conjugate-pair weight is 1
+        grid = make_frequency_grid(-0.5, 0.5, 40)
+        values = rng.standard_normal((40, 2, 3)) + 1j * rng.standard_normal((40, 2, 3))
+        g_freq = SpectralMatrixFunction(grid, values, kind="filter")
+        z = rng.standard_normal((5, 3, n_out))
+        g_half = g_freq.sample(np.fft.rfftfreq(n_out))
+        want = rfft_read_out(g_half, read_out_phases(n_out, 20), z)
+        np.testing.assert_allclose(recover_task(z, g_freq, 1.0, 20), want, rtol=1e-12)
 
     def test_fine_quantization_recovers_task(self):
         # Nyquist sampling, 16 bits, and a loading that rules out overload:
