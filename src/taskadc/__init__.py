@@ -36,15 +36,7 @@ from .search import (
     shifted_task_design,
     time_averaged_nmse,
 )
-from .simulate import (
-    Block,
-    SimulationReport,
-    SimulationRun,
-    estimate_mse,
-    recover_task,
-    run_acquisition,
-    synthesize_process,
-)
+from .simulate import SimulationReport, SimulationRun, estimate_mse
 from .spectra import (
     FrequencyGrid,
     SpectralMatrixFunction,

@@ -279,6 +279,17 @@ def cmd_rate_search(args) -> int:
     return 0
 
 
+def _on_off(text: str) -> bool:
+    value = text.lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise argparse.ArgumentTypeError(
+        f"expected 1/true/yes/on or 0/false/no/off, got {text!r}"
+    )
+
+
 def _config_dict(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
@@ -315,9 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--arch", default="task", help="comma list: task,analog,digital")
     p_sweep.add_argument("--simulate", action="store_true")
     p_sweep.add_argument("--trials", type=int, default=10_000)
-    p_sweep.add_argument(
-        "--dither", default=True, type=lambda s: s.lower() not in ("0", "false", "no")
-    )
+    p_sweep.add_argument("--dither", default=True, type=_on_off)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rate = sub.add_parser("rate-search", help="grid search under bit-rate budgets")

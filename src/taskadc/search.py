@@ -235,8 +235,8 @@ class SearchSpec:
     n_points: int | None = None
 
     def __post_init__(self):
-        if self.rate_budget <= 0:
-            raise ValueError("rate budget must be positive")
+        if not 0 < self.rate_budget < np.inf:
+            raise ValueError("rate budget must be positive and finite")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
         if len(self.b_range) == 0:

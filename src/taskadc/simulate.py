@@ -18,8 +18,7 @@ truth together. Decimation folds the filtered bins onto the n_out-point grid
 of the sampled stream, and one n_out-point inverse FFT returns to the time
 domain for dither and quantization. The digital filter's read-out at the
 reference sample is a precomputed FIR: one product with the quantized
-streams. ``run_acquisition`` feeds the rfft of a synthesized block into the
-same chain.
+streams.
 """
 
 from __future__ import annotations
@@ -32,23 +31,11 @@ import numpy as np
 from .design import AdcConfig, FilterDesign
 from .mmse import TaskModel
 from .quantizer import QuantizerSpec, quantize_midrise, sample_dither
-from .spectra import SpectralMatrixFunction, psd_sqrt
+from .spectra import SpectralMatrixFunction
 
 RNG_NAME = "philox"  # counter-based; per-trial streams come from spawned seeds
 _OVERSAMPLE = 4  # simulation rate in multiples of the Nyquist rate
 _CHUNK_SAMPLES = 2**21  # block samples per chunk of trials in estimate_mse
-
-
-@dataclass(frozen=True)
-class Block:
-    """A synthesized multichannel time block at the simulation rate."""
-
-    samples: np.ndarray  # (..., M, L) real
-    rate: float
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -130,7 +117,7 @@ class _BlockPlan:
         return np.arange(1, self.n_pos_bins + 1) * self.df
 
 
-def _plan_block(band_edge: float, fs: float, duration: float | None) -> _BlockPlan:
+def _plan_block(band_edge: float, fs: float) -> _BlockPlan:
     f_nyq = 2.0 * band_edge
     sim_rate = _OVERSAMPLE * f_nyq
     ratio = sim_rate / fs
@@ -139,10 +126,7 @@ def _plan_block(band_edge: float, fs: float, duration: float | None) -> _BlockPl
         raise ValueError(
             "fs must divide the simulation rate so decimation is integer"
         )
-    if duration is None:
-        m = 256  # 513 DFT bins across the band
-    else:
-        m = int(round(band_edge * duration - 0.5))
+    m = 256  # 513 DFT bins across the band
     n_samples = (2 * m + 1) * _OVERSAMPLE
     if n_samples % decim != 0:
         # sub-Nyquist rates cannot keep the band edge mid-bin; pad to a
@@ -150,8 +134,6 @@ def _plan_block(band_edge: float, fs: float, duration: float | None) -> _BlockPl
         n_out = max(65, int(np.ceil(n_samples / decim)))
         n_samples = n_out * decim
         m = int(np.floor(band_edge * n_samples / sim_rate - 0.5))
-    if 2 * m + 1 < 64:
-        raise ValueError("block too short: fewer than 64 DFT bins across the band")
     n_out = n_samples // decim
     center = (n_out - 1) // 2
     return _BlockPlan(
@@ -167,52 +149,6 @@ def _plan_block(band_edge: float, fs: float, duration: float | None) -> _BlockPl
 def _sample_dc_and_bins(spectrum: SpectralMatrixFunction, plan: _BlockPlan):
     """A spectrum at DC and at the block's positive in-band DFT bins."""
     return spectrum.sample(np.zeros(1))[0], spectrum.sample(plan.pos_freqs)
-
-
-def _draw_normals(rng, dc_noise, bin_noise) -> None:
-    """Fill one trial's normal draws in stream order: DC (M,), then bins (m, M, 2)."""
-    rng.standard_normal(out=dc_noise)
-    rng.standard_normal(out=bin_noise)
-
-
-def _shape_increments(plan: _BlockPlan, roots_dc, roots_pos, dc_noise, bin_noise):
-    """Spectral increments (m+1, M, T) at rfft bins 0..m of a batch of T trials.
-
-    dc_noise (T, M) and bin_noise (T, m, M, 2) are the trials' normal draws;
-    one product shapes the DC increments (real) and one batched product per
-    bin shapes the circular complex ones.
-    """
-    scale = np.sqrt(plan.df)
-    xi = np.empty((plan.n_pos_bins + 1,) + dc_noise.shape[::-1], dtype=complex)
-    xi[0] = (dc_noise @ roots_dc.real.T).T * scale
-    # (re, im) normal pairs read as complex in place; the 1/sqrt(2) that makes
-    # them unit-variance circular rides on the scale
-    circ = bin_noise.view(complex)[..., 0]
-    np.matmul(roots_pos, circ.transpose(1, 2, 0), out=xi[1:])
-    xi[1:] *= scale / np.sqrt(2.0)
-    return xi
-
-
-def synthesize_process(
-    c_x: SpectralMatrixFunction, duration: float, rng: np.random.Generator
-) -> Block:
-    """One bandlimited Gaussian block whose PSD matches c_x, on the simulation grid.
-
-    Independent complex Gaussian spectral increments shaped by the PSD square
-    root on the block DFT grid, Hermitian-symmetrized and inverse-transformed.
-    """
-    if c_x.kind != "psd":
-        raise ValueError("synthesis needs a PSD")
-    band_edge = max(abs(c_x.grid.f_lo), abs(c_x.grid.f_hi))
-    f_nyq = 2.0 * band_edge
-    plan = _plan_block(band_edge, f_nyq, duration)
-    roots_dc, roots_pos = _sample_dc_and_bins(psd_sqrt(c_x), plan)
-    m_ch = roots_dc.shape[0]
-    dc_noise, bin_noise = np.empty((1, m_ch)), np.empty((1, plan.n_pos_bins, m_ch, 2))
-    _draw_normals(rng, dc_noise[0], bin_noise[0])
-    xi = _shape_increments(plan, roots_dc, roots_pos, dc_noise, bin_noise)
-    samples = np.fft.irfft(xi[..., 0].T, n=plan.n_samples) * plan.n_samples
-    return Block(samples=samples, rate=plan.sim_rate)
 
 
 def _pair_weights(p: int, n: int) -> np.ndarray:
@@ -262,56 +198,6 @@ def _acquire(y_half, n, spec: QuantizerSpec, dither):
     return z, overloads
 
 
-def run_acquisition(
-    block: Block,
-    h: SpectralMatrixFunction,
-    cfg: AdcConfig,
-    spec: QuantizerSpec,
-    rng: np.random.Generator,
-):
-    """Acquisition chain on one block: returns (z streams, overload rate).
-
-    z has shape (..., K, L/decim); dither is drawn from rng when the spec
-    asks for it.
-    """
-    ratio = block.rate / cfg.fs
-    decim = int(round(ratio))
-    if abs(ratio - decim) > 1e-9 or decim < 1:
-        raise ValueError("fs must divide the block rate for integer decimation")
-    if block.n_samples % decim != 0:
-        raise ValueError("block length is not a multiple of the decimation factor")
-    freqs = np.fft.rfftfreq(block.n_samples, d=1.0 / block.rate)
-    lead, (m_ch, n) = block.samples.shape[:-2], block.samples.shape[-2:]
-    x_half = np.fft.rfft(block.samples.reshape(-1, m_ch, n), axis=-1)
-    out_shape = (x_half.shape[0], h.shape[0], n // decim)
-    if spec.dithered and spec.step > 0:
-        dither = sample_dither(spec.step, rng, size=out_shape)
-    else:
-        dither = np.zeros(out_shape)
-    h_half = h.sample(freqs) * (cfg.ts / decim)
-    y_half = np.einsum("pkm,tmp->tkp", h_half, x_half)
-    z, overloads = _acquire(y_half, n, spec, dither)
-    return z.reshape(lead + z.shape[1:]), float(np.mean(overloads))
-
-
-def recover_task(
-    z: np.ndarray,
-    g_freq: SpectralMatrixFunction,
-    fs: float,
-    center: int,
-    t0: float = 0.0,
-    block_duration: float | None = None,
-) -> np.ndarray:
-    """Apply the digital filter over the block DFT and read the t=0 estimate.
-
-    A non-zero t0 is carried by the modulated design inside g_freq; here it
-    only guards that the shifted instant stays inside the block.
-    """
-    if block_duration is not None and abs(t0) > 0.4 * block_duration:
-        raise ValueError("t0 falls outside the block interior")
-    return _recover(_recovery_filter(g_freq, fs, z.shape[-1], center), z)
-
-
 def _recovery_filter(g_freq: SpectralMatrixFunction, fs: float, n_out: int, center: int):
     """FIR read-out (K*n_out, N): the digital filter's output at sample ``center``
     of n_out-sample streams z (..., K, n_out) is ``z.reshape(..., -1) @ fir``.
@@ -328,11 +214,6 @@ def _recovery_filter(g_freq: SpectralMatrixFunction, fs: float, n_out: int, cent
     return taps.transpose(2, 0, 1).reshape(-1, taps.shape[1])
 
 
-def _recover(fir: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Recovered task (..., N) at the reference sample of streams z (..., K, n_out)."""
-    return z.reshape(z.shape[:-2] + (-1,)) @ fir
-
-
 def estimate_mse(run: SimulationRun) -> SimulationReport:
     """Trial-averaged squared recovery error against the analog MMSE estimate.
 
@@ -344,9 +225,11 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
     filter over the task response, times the PSD root. One batched product
     per bin maps the chunk's normals to the filtered converter spectrum and
     to the truth's share of that bin; no increment array and no M-channel
-    time block is built. The filtered bins lie below n_out/2 (the design is
-    unaliased), so one n_out-point inverse FFT of them gives the sampled
-    streams, and a precomputed FIR reads the recovered task at the
+    time block is built. ``_fold`` puts the filtered bins on the n_out-point
+    grid of the sampled streams: at or above the Nyquist rate they lie below
+    n_out/2 and are only zero-padded; below it, as for the baseline designs,
+    they wrap onto each other. One n_out-point inverse FFT then gives the
+    sampled streams, and a precomputed FIR reads the recovered task at the
     reference sample.
     """
     model, design, cfg = run.model, run.design, run.cfg
@@ -354,7 +237,7 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
         raise ValueError("simulation needs a design with unstacked h and g_freq")
     if design.dynamic_range is None or design.task_energy is None:
         raise ValueError("simulation needs a fully assembled design")
-    plan = _plan_block(model.band_edge, cfg.fs, None)
+    plan = _plan_block(model.band_edge, cfg.fs)
     qspec = QuantizerSpec(
         bits=cfg.bits, dynamic_range=design.dynamic_range, dithered=run.dithered
     )
@@ -406,7 +289,8 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
         dither = np.zeros((size, k_adcs, plan.n_out))
         for t in range(size):
             rng_t = np.random.Generator(np.random.Philox(children[lo + t]))
-            _draw_normals(rng_t, dc_noise[t], bin_noise[t])
+            rng_t.standard_normal(out=dc_noise[t])
+            rng_t.standard_normal(out=bin_noise[t])
             if run.dithered and qspec.step > 0:
                 dither[t] = sample_dither(
                     qspec.step, rng_t, size=(k_adcs, plan.n_out)
@@ -421,7 +305,7 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
         z, overloads = _acquire(
             out[:, :k_adcs].transpose(2, 1, 0), plan.n_samples, qspec, dither
         )
-        err = truth - _recover(fir, z)
+        err = truth - z.reshape(size, -1) @ fir
         sq_errors[lo:hi] = np.sum(err * err, axis=1)
         overload_total += int(overloads.sum())
         sample_total += overloads.size

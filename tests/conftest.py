@@ -34,6 +34,28 @@ def random_flat_model(rng: np.random.Generator, n: int, m: int, n_points: int = 
     )
 
 
+def synthesize_block(roots_dc, roots_pos, plan, rng):
+    """One trial's spectral increments and M-channel time block on a block plan.
+
+    roots_dc (M, M) and roots_pos (m, M, M) are an input-PSD root at DC and at
+    the plan's positive in-band bins. The draws follow ``estimate_mse``'s stream
+    order: M normals for DC, then an (re, im) pair per channel and bin. Returns
+    the increments at DC (M,) and at the bins (m, M), and the real block (M, L)
+    at the simulation rate.
+    """
+    m_ch = roots_dc.shape[0]
+    scale = np.sqrt(plan.df)
+    xi_dc = (roots_dc.real @ rng.standard_normal(m_ch)) * scale
+    noise = rng.standard_normal((plan.n_pos_bins, m_ch, 2))
+    circ = (noise[..., 0] + 1j * noise[..., 1]) / np.sqrt(2.0)
+    xi_pos = np.einsum("qmc,qc->qm", roots_pos, circ) * scale
+    half = np.zeros((m_ch, plan.n_samples // 2 + 1), dtype=complex)
+    half[:, 0] = xi_dc
+    half[:, 1 : plan.n_pos_bins + 1] = xi_pos.T
+    block = np.fft.irfft(half, n=plan.n_samples) * plan.n_samples
+    return xi_dc, xi_pos, block
+
+
 @pytest.fixture(scope="session")
 def scalar_model():
     return unit_scalar_model()

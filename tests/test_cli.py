@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from taskadc.cli import main
+from taskadc.cli import build_parser, main
 from taskadc.design import AdcConfig, FilterDesign
 from taskadc.scenarios import ScenarioSpec, build_scenario
 from taskadc.search import baseline_design
@@ -233,6 +233,18 @@ class TestSweepCommand:
         ]
         assert excess[-1] < excess[0]
 
+    def test_dither_takes_on_off_words(self, scalar_scenario, tmp_path):
+        sweep = ["sweep", "--scenario", str(scalar_scenario), "--out", str(tmp_path),
+                 "--var", "b", "--from", "1", "--to", "2", "--steps", "2", "--dither"]
+        parser = build_parser()
+        for text, dithered in (("1", True), ("TRUE", True), ("yes", True), ("on", True),
+                               ("0", False), ("False", False), ("no", False),
+                               ("Off", False)):
+            assert parser.parse_args(sweep + [text]).dither is dithered
+        with pytest.raises(SystemExit) as exc:
+            main(sweep + ["maybe"])
+        assert exc.value.code == 2
+
     def test_manifest_hash_ignores_the_output_directory(self, scalar_scenario, tmp_path):
         manifests = {}
         for name, bits in (("a", "1"), ("b", "1"), ("c", "2")):
@@ -309,3 +321,12 @@ class TestRateSearchCommand:
             "--out", str(tmp_path / "o"), "--budgets", "", "--grid-points", "64",
         ])
         assert code == 2
+
+    def test_non_finite_budget_exits_2(self, matched_scenario, tmp_path, capsys):
+        for budget in ("inf", "nan"):
+            code = main([
+                "rate-search", "--scenario", str(matched_scenario),
+                "--out", str(tmp_path / "o"), "--budgets", budget, "--grid-points", "64",
+            ])
+            assert code == 2
+            assert "rate budget must be positive and finite" in capsys.readouterr().err

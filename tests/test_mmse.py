@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import taskadc.simulate as sim
 from taskadc.design import analog_recovery_is_optimal
 from taskadc.mmse import (
     TaskModel,
@@ -10,10 +11,9 @@ from taskadc.mmse import (
     whitened_task_stack,
 )
 from taskadc.scenarios import isotropic_scenario
-from taskadc.simulate import synthesize_process
-from taskadc.spectra import constant_spectrum, make_frequency_grid
+from taskadc.spectra import constant_spectrum, make_frequency_grid, psd_sqrt
 
-from conftest import random_flat_model, unit_scalar_model
+from conftest import random_flat_model, synthesize_block, unit_scalar_model
 
 
 class TestAnalogMmseFilter:
@@ -71,21 +71,22 @@ class TestTaskEnergy:
         # in the time-frequency domain and read the variance at the centre
         model = random_flat_model(rng, n=2, m=3, n_points=128, f_nyq=1.0)
         energy = task_energy(whitened_task_stack(model, 1.0, 128))
+        plan = sim._plan_block(model.band_edge, model.f_nyq)
+        root = psd_sqrt(model.input_psd)
+        roots_dc, roots_pos = root.sample(np.zeros(1))[0], root.sample(plan.pos_freqs)
+        n = plan.n_samples
+        freqs = np.fft.rfftfreq(n, d=1.0 / plan.sim_rate)
+        gamma = model.task_filter.sample(freqs)
+        w = np.full(freqs.size, 2.0)
+        w[0] = 1.0
+        if n % 2 == 0:
+            w[-1] = 1.0
+        phase = w * np.exp(2j * np.pi * np.arange(freqs.size) * (n // 2) / n)
         n_trials = 3000
         samples = np.empty((n_trials, 2))
         for t in range(n_trials):
-            block = synthesize_process(model.input_psd, 200.0, rng)
-            n = block.n_samples
-            freqs = np.fft.rfftfreq(n, d=1.0 / block.rate)
-            gamma = model.task_filter.sample(freqs)
-            spec = np.fft.rfft(block.samples, axis=-1)
-            filtered = np.einsum("pnm,mp->np", gamma, spec)
-            center = n // 2
-            w = np.full(freqs.size, 2.0)
-            w[0] = 1.0
-            if n % 2 == 0:
-                w[-1] = 1.0
-            phase = w * np.exp(2j * np.pi * np.arange(freqs.size) * center / n)
+            _, _, block = synthesize_block(roots_dc, roots_pos, plan, rng)
+            filtered = np.einsum("pnm,mp->np", gamma, np.fft.rfft(block, axis=-1))
             samples[t] = (filtered @ phase).real / n
         var = np.sum(samples**2, axis=1)
         se = var.std(ddof=1) / np.sqrt(n_trials)

@@ -188,6 +188,9 @@ class TestRateSearch:
         model = random_flat_model(rng, n=1, m=2, n_points=32)
         with pytest.raises(ValueError):
             SearchSpec(rate_budget=0.0)
+        for budget in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SearchSpec(rate_budget=budget)
 
 
 class TestBaselineDesign:

@@ -1,26 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import taskadc.simulate as sim
 from taskadc.design import AdcConfig, design_filters
 from taskadc.quantizer import QuantizerSpec, quantize_midrise, sample_dither
-from taskadc.search import shifted_task_design
-from taskadc.simulate import (
-    Block,
-    SimulationRun,
-    estimate_mse,
-    recover_task,
-    run_acquisition,
-    synthesize_process,
-)
+from taskadc.search import baseline_design, shifted_task_design
+from taskadc.simulate import SimulationRun, estimate_mse
 from taskadc.spectra import SpectralMatrixFunction, constant_spectrum, make_frequency_grid
 
-from conftest import unit_scalar_model
-
-
-def flat_psd(level, m=1, band=1.0, n_points=64):
-    grid = make_frequency_grid(-band / 2, band / 2, n_points)
-    return constant_spectrum(grid, level * np.eye(m))
+from conftest import random_flat_model, synthesize_block, unit_scalar_model
 
 
 def read_out_phases(n_out, center):
@@ -44,7 +34,7 @@ def time_domain_reference(run):
     trial synthesizes its M-channel block at the simulation rate, and the
     analog filter acts on all rfft bins of that block."""
     model, design, cfg = run.model, run.design, run.cfg
-    plan = sim._plan_block(model.band_edge, cfg.fs, None)
+    plan = sim._plan_block(model.band_edge, cfg.fs)
     spec = QuantizerSpec(
         bits=cfg.bits, dynamic_range=design.dynamic_range, dithered=run.dithered
     )
@@ -56,19 +46,10 @@ def time_domain_reference(run):
     out_phases = read_out_phases(plan.n_out, plan.center)
     center_time = plan.center * plan.decim / plan.sim_rate
     task_phases = np.exp(2j * np.pi * plan.pos_freqs * (center_time - run.t0))
-    scale = np.sqrt(plan.df)
-    m_ch = roots_dc.shape[0]
     sq_errors, outers, overloads = [], [], []
     for child in np.random.SeedSequence(run.seed).spawn(run.n_trials):
         rng = np.random.Generator(np.random.Philox(child))
-        xi_dc = (roots_dc.real @ rng.standard_normal(m_ch)) * scale
-        noise = rng.standard_normal((plan.n_pos_bins, m_ch, 2))
-        circ = (noise[..., 0] + 1j * noise[..., 1]) / np.sqrt(2.0)
-        xi_pos = np.einsum("qmc,qc->qm", roots_pos, circ) * scale
-        half = np.zeros((m_ch, plan.n_samples // 2 + 1), dtype=complex)
-        half[:, 0] = xi_dc
-        half[:, 1 : plan.n_pos_bins + 1] = xi_pos.T
-        block = np.fft.irfft(half, n=plan.n_samples) * plan.n_samples
+        xi_dc, xi_pos, block = synthesize_block(roots_dc, roots_pos, plan, rng)
         dither = 0.0
         if run.dithered and spec.step > 0:
             dither = sample_dither(spec.step, rng, size=(cfg.k_adcs, plan.n_out))
@@ -100,80 +81,66 @@ def assert_reports_close(got, want, rtol):
     assert got.overload_rate == want["overload_rate"]
 
 
-class TestSynthesizeProcess:
-    def test_flat_scalar_variance(self, rng):
-        # Parseval: unit PSD over a width-1 band gives unit sample variance
-        psd = flat_psd(1.0)
-        samples = []
-        for _ in range(400):
-            block = synthesize_process(psd, 80.0, rng)
-            samples.append(block.samples[0, ::7])
-        stacked = np.concatenate(samples)
-        var = stacked.var()
-        se = np.sqrt(2.0 / 400) * 1.0  # loose scale for correlated samples
-        assert abs(var - 1.0) < 3 * se / 10
+def acquire(x, decim, spec, n_bins=None):
+    """``sim._acquire`` on the first n_bins rfft bins of real blocks x (T, K, n),
+    scaled to unit gain, without dither."""
+    n = x.shape[-1]
+    n_out = n // decim
+    x_half = np.fft.rfft(x, axis=-1)[..., :n_bins] * (n_out / n)
+    return sim._acquire(x_half, n, spec, np.zeros(x.shape[:-1] + (n_out,)))
 
-    def test_zero_psd(self, rng):
-        block = synthesize_process(flat_psd(0.0), 80.0, rng)
-        np.testing.assert_allclose(block.samples, 0.0)
+
+def bandlimited_block(rng, n, n_bins):
+    """A real block (1, 1, n) whose rfft is zero above bin n_bins - 1."""
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[:n_bins] = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+    return np.fft.irfft(half, n=n)[None, None]
+
+
+class TestSynthesizeProcess:
+    """The input synthesis of ``estimate_mse``, seen through the analog truth."""
 
     def test_cross_channel_correlation(self, rng):
-        rho = 0.6
-        level = np.array([[1.0, rho], [rho, 1.0]])
-        grid = make_frequency_grid(-0.5, 0.5, 64)
-        psd = constant_spectrum(grid, level)
-        xs, ys = [], []
-        for _ in range(200):
-            block = synthesize_process(psd, 80.0, rng)
-            xs.append(block.samples[0])
-            ys.append(block.samples[1])
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-        corr = np.mean(x * y) / np.sqrt(np.mean(x * x) * np.mean(y * y))
-        assert abs(corr - rho) < 0.03
-
-    def test_too_short_block(self, rng):
-        with pytest.raises(ValueError):
-            synthesize_process(flat_psd(1.0), 10.0, rng)
+        # a correlated three-channel input and a zero digital filter: the error
+        # is the analog truth, whose mean power is the task energy only if the
+        # increments carry the input PSD's cross terms
+        model = random_flat_model(rng, n=2, m=3, n_points=64)
+        design = design_filters(model, AdcConfig(2, 1.0, bits=3), 64)
+        zero_g = constant_spectrum(design.g_freq.grid, np.zeros((2, 2)), kind="filter")
+        run = SimulationRun("corr", model, replace(design, g_freq=zero_g),
+                            n_trials=2000, seed=2)
+        report = estimate_mse(run)
+        assert abs(report.empirical_nmse - 1.0) < 3 * report.std_error
 
 
 class TestRunAcquisition:
+    """Fold, decimation and quantization of ``estimate_mse`` (``sim._acquire``),
+    fed the rfft of known blocks."""
+
     def test_transparent_chain(self, rng):
-        # identity filter with a huge dynamic range: z reproduces Ts * x(n Ts)
-        psd = flat_psd(1.0)
-        block = synthesize_process(psd, 80.0, rng)
-        cfg = AdcConfig(1, 1.0, bits=2, eta=2.0)
-        grid = make_frequency_grid(-2.0, 2.0, 16)  # identity over the sim band
-        ident = constant_spectrum(grid, np.eye(1), kind="filter")
+        # a block bandlimited below n_out/2 and a huge dynamic range: z
+        # reproduces the decimated samples
+        x = bandlimited_block(rng, 240, 21)
         spec = QuantizerSpec(bits=60, dynamic_range=1e3, dithered=False)
-        z, rate = run_acquisition(block, ident, cfg, spec, rng)
-        expected = cfg.ts * block.samples[0, :: int(block.rate / cfg.fs)]
-        np.testing.assert_allclose(z[0], expected, atol=1e-9)
-        assert rate == 0.0
+        z, overloads = acquire(x, 4, spec, n_bins=21)
+        np.testing.assert_allclose(z, x[..., ::4], rtol=0, atol=1e-12)
+        assert not overloads.any()
 
     @pytest.mark.parametrize("decim", [1, 2, 3, 4])
     def test_fold_of_unbandlimited_block(self, rng, decim):
         # white samples fill every rfft bin, the n/2 bin included, so decimation
         # folds bins onto each other; n_out is 60, 30, 20 and 15
-        block = Block(samples=rng.standard_normal((1, 60)), rate=4.0)
-        cfg = AdcConfig(1, block.rate / decim, bits=2, eta=2.0)
-        grid = make_frequency_grid(-2.0, 2.0, 16)  # identity over the whole band
-        ident = constant_spectrum(grid, np.eye(1), kind="filter")
+        x = rng.standard_normal((1, 1, 60))
         spec = QuantizerSpec(bits=60, dynamic_range=1e3, dithered=False)
-        z, _ = run_acquisition(block, ident, cfg, spec, rng)
-        expected = cfg.ts * block.samples[:, ::decim]
-        np.testing.assert_allclose(z, expected, rtol=0, atol=1e-12)
+        z, _ = acquire(x, decim, spec)
+        np.testing.assert_allclose(z, x[..., ::decim], rtol=0, atol=1e-12)
 
     def test_degenerate_zero_range(self, rng):
-        psd = flat_psd(1.0)
-        block = synthesize_process(psd, 80.0, rng)
-        cfg = AdcConfig(1, 1.0, bits=2, eta=2.0)
-        grid = make_frequency_grid(-2.0, 2.0, 16)
-        ident = constant_spectrum(grid, np.eye(1), kind="filter")
+        x = bandlimited_block(rng, 240, 21)
         spec = QuantizerSpec(bits=2, dynamic_range=0.0, dithered=False)
-        z, rate = run_acquisition(block, ident, cfg, spec, rng)
+        z, overloads = acquire(x, 4, spec, n_bins=21)
         np.testing.assert_allclose(z, 0.0)
-        assert rate == 1.0  # every sample saturates a zero-range quantizer
+        assert overloads.all()  # every sample saturates a zero-range quantizer
 
     def test_overload_rate_matches_gaussian_tail(self, rng):
         # eta = 4 at b = 4: overload far below a tenth of a percent
@@ -198,22 +165,22 @@ class TestRunAcquisition:
         assert report.overload_rate <= overload_probability_bound(2.0)
         assert report.overload_rate <= 0.05
 
-    def test_incompatible_rate_rejected(self, rng):
-        block = synthesize_process(flat_psd(1.0), 80.0, rng)
-        cfg = AdcConfig(1, 0.7, bits=2, eta=2.0)
-        grid = make_frequency_grid(-2.0, 2.0, 16)
-        ident = constant_spectrum(grid, np.eye(1), kind="filter")
-        spec = QuantizerSpec(bits=2, dynamic_range=1.0)
-        with pytest.raises(ValueError):
-            run_acquisition(block, ident, cfg, spec, rng)
+    def test_incompatible_rate_rejected(self):
+        # 1.5 Hz does not divide the 4 Hz simulation rate of a unit band
+        model = unit_scalar_model(fs=1.0, n_points=64)
+        design = design_filters(model, AdcConfig(1, 1.5, bits=2, eta=2.0), 64)
+        with pytest.raises(ValueError, match="divide the simulation rate"):
+            estimate_mse(SimulationRun("rate", model, design, n_trials=100))
 
 
 class TestRecoverTask:
-    def test_zero_filter(self, rng):
-        z = rng.standard_normal((1, 65))
+    """The digital filter's FIR read-out (``sim._recovery_filter``) and the
+    recovered task of ``estimate_mse``."""
+
+    def test_zero_filter(self):
         grid = make_frequency_grid(-0.5, 0.5, 16)
         zero = constant_spectrum(grid, np.zeros((1, 1)), kind="filter")
-        np.testing.assert_allclose(recover_task(z, zero, 1.0, 32), 0.0)
+        np.testing.assert_array_equal(sim._recovery_filter(zero, 1.0, 65, 32), 0.0)
 
     @pytest.mark.parametrize("n_out", [63, 64])
     def test_fir_read_out_matches_rfft_weighted_sum(self, rng, n_out):
@@ -225,7 +192,8 @@ class TestRecoverTask:
         z = rng.standard_normal((5, 3, n_out))
         g_half = g_freq.sample(np.fft.rfftfreq(n_out))
         want = rfft_read_out(g_half, read_out_phases(n_out, 20), z)
-        np.testing.assert_allclose(recover_task(z, g_freq, 1.0, 20), want, rtol=1e-12)
+        got = z.reshape(5, -1) @ sim._recovery_filter(g_freq, 1.0, n_out, 20)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_fine_quantization_recovers_task(self):
         # Nyquist sampling, 16 bits, and a loading that rules out overload:
@@ -253,12 +221,14 @@ class TestRecoverTask:
         gap = abs(rep1.empirical_nmse - rep0.empirical_nmse)
         assert gap < 3 * (rep0.std_error + rep1.std_error)
 
-    def test_t0_outside_block_rejected(self, rng):
-        z = rng.standard_normal((1, 65))
-        grid = make_frequency_grid(-0.5, 0.5, 16)
-        zero = constant_spectrum(grid, np.zeros((1, 1)), kind="filter")
-        with pytest.raises(ValueError):
-            recover_task(z, zero, 1.0, 32, t0=50.0, block_duration=65.0)
+    def test_t0_outside_block_rejected(self):
+        # estimate_mse refuses |t0| beyond 0.4 of the block duration
+        model = unit_scalar_model(fs=1.0, n_points=64)
+        design = design_filters(model, AdcConfig(1, 1.0, bits=2, eta=2.0), 64)
+        plan = sim._plan_block(model.band_edge, 1.0)
+        for t0 in np.array([0.41, -0.41]) * plan.n_samples / plan.sim_rate:
+            with pytest.raises(ValueError, match="t0 falls outside"):
+                estimate_mse(SimulationRun("t0", model, design, n_trials=100, t0=t0))
 
 
 class TestEstimateMse:
@@ -267,8 +237,6 @@ class TestEstimateMse:
         model = unit_scalar_model(fs=1.0, n_points=64)
         cfg = AdcConfig(1, 1.0, bits=2, eta=2.0)
         design = design_filters(model, cfg, 64)
-        from dataclasses import replace
-
         from taskadc.spectra import StackedSpectrum
 
         zero_stack = StackedSpectrum(
@@ -339,11 +307,27 @@ class TestFrequencyDomainChain:
         run = SimulationRun("ref", matched_model, shifted, n_trials=120, seed=7, t0=1e-9)
         assert_reports_close(estimate_mse(run), time_domain_reference(run), 1e-11)
 
+    @pytest.mark.parametrize("arch, k", [("analog_recovery", 4), ("digital_recovery", 16)])
+    @pytest.mark.parametrize("decim", [5, 8])
+    def test_sub_nyquist_baseline_matches_time_domain_reference(
+        self, matched_model, arch, k, decim
+    ):
+        # fs = 4 f_nyq / decim is below the Nyquist rate (alias order 1), so the
+        # filtered in-band bins wrap onto each other in the fold
+        cfg = AdcConfig(k, 4 * matched_model.f_nyq / decim, bits=3)
+        design = baseline_design(matched_model, cfg, arch, 64)
+        plan = sim._plan_block(matched_model.band_edge, cfg.fs)
+        assert 2 * plan.n_pos_bins >= plan.n_out
+        run = SimulationRun("alias", matched_model, design, n_trials=120, seed=decim)
+        report = estimate_mse(run)
+        assert report.overload_rate > 0
+        assert_reports_close(report, time_domain_reference(run), 1e-11)
+
     def test_report_does_not_depend_on_chunking(self, matched_model, monkeypatch):
         cfg = AdcConfig(2, matched_model.f_nyq, bits=3)
         design = design_filters(matched_model, cfg, 64)
         run = SimulationRun("chunks", matched_model, design, n_trials=120, seed=4)
-        n_samples = sim._plan_block(matched_model.band_edge, cfg.fs, None).n_samples
+        n_samples = sim._plan_block(matched_model.band_edge, cfg.fs).n_samples
         reports = []
         for trials_per_chunk in (1, 7, run.n_trials):
             monkeypatch.setattr(sim, "_CHUNK_SAMPLES", trials_per_chunk * n_samples)
