@@ -33,6 +33,8 @@ from .simulate import _OVERSAMPLE, SimulationRun, estimate_mse
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+# sweep flags read only by --simulate, with their defaults
+SIMULATION_DEFAULTS = {"seed": 0, "trials": 10_000, "dither": True}
 
 _ARCH_ALIASES = {
     "task": "task_based",
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", required=True, help="output directory")
         if "seed" in reads:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--grid-points", type=int, default=None, dest="grid_points")
         if "adc" in reads:
             p.add_argument("--k", type=int, default=None, help="number of converters")
@@ -325,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--arch", default="task", help="comma list: task,analog,digital")
     p_sweep.add_argument("--simulate", action="store_true")
-    p_sweep.add_argument("--trials", type=int, default=10_000)
-    p_sweep.add_argument("--dither", default=True, type=_on_off)
+    # defaults (SIMULATION_DEFAULTS) are filled in after parsing, so a flag
+    # given without --simulate can be told from its default
+    p_sweep.add_argument("--trials", type=int, default=None)
+    p_sweep.add_argument("--dither", default=None, type=_on_off)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rate = sub.add_parser("rate-search", help="grid search under bit-rate budgets")
@@ -338,9 +342,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _simulation_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Reject the simulation flags of a sweep without --simulate, which
+    would not read them, then fill in their defaults."""
+    unread = [name for name in SIMULATION_DEFAULTS if getattr(args, name) is not None]
+    if unread and not args.simulate:
+        parser.error(f"sweep reads --{', --'.join(unread)} only with --simulate")
+    for name, default in SIMULATION_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep":
+        _simulation_flags(parser, args)
     try:
         return args.func(args)
     # LinAlgError is a ValueError, so the numerical clause must come first

@@ -8,6 +8,13 @@ shifts until two agree to 1e-3; an n-point mean misreads the harmonics at
 multiples of n, so from ups = 16, where 2*ups is a multiple of both 16 and
 32, the loop stops on a wrong value.  ``_baseline_chain`` alone fixes the
 converter count and analog filter of each baseline architecture.
+
+Every sum over frequency in a shift kernel is dense, in grid order: on
+aliased cells const - Re(kernel sum) cancels two task-energy-sized numbers,
+so another summation order would move ``nmse_t0_0``.  The per-frequency
+products behind those sums (``designed_shift_kernel``'s gv, the general
+kernel's cross terms and solves) run once per run of identical rows and are
+gathered back to the grid, bit-identical to per-row work.
 """
 
 from __future__ import annotations
@@ -130,6 +137,13 @@ def designed_shift_kernel(task_stack: StackedSpectrum, cfg: AdcConfig):
     task-energy-sized numbers, so when the error is small its relative
     accuracy is only about eps * const / mse, and any change to the summation
     order of const or kernel moves it by that much.
+
+    So the per-row products gv = G V run once per run of identical task
+    rows, and only gv and its conjugate are expanded to the grid: const and
+    the kernel sum over frequency stay dense, in grid order, and bit-identical
+    to per-row work.  einsum drops a size-1 axis and then takes another path,
+    which moves the last bit, so a single run goes in as a batch of two
+    copies, as every dense grid has at least two rows.
     """
     w = task_stack.base_grid.weights
     modes = _waterfilled_modes(task_stack, cfg)
@@ -143,16 +157,18 @@ def designed_shift_kernel(task_stack: StackedSpectrum, cfg: AdcConfig):
     d = alpha / (alpha + q)
     const = float(w @ (s**2).sum(axis=1))
     n_blocks = 2 * task_stack.alias_order_ + 1
-    v_blocks = (
-        take_rows(modes.vh, modes.index)[:, :r_act, :]
-        .conj()
-        .reshape(s.shape[0], r_act, n_blocks, task_stack.block_cols)
-    )
-    gv = np.einsum(
-        "jnpm,jrpm->jpnr", task_stack.block_view(), v_blocks, optimize=True
-    )
+    # gv per run, a single run as two copies
+    n_runs = task_stack.run_starts.size
+    copies = 2 if n_runs == 1 else 1
+    g = np.concatenate([task_stack.run_blocks] * copies)
+    vh = np.concatenate([modes.vh[:, :r_act, :]] * copies).conj()
+    v_blocks = vh.reshape(g.shape[0], r_act, n_blocks, task_stack.block_cols)
+    gv = np.einsum("jnpm,jrpm->jpnr", task_stack.block_view(g), v_blocks, optimize=True)
+    gv = gv[:n_runs]
+    # dense, in grid order: its summation order fixes the bits of nmse_t0_0
     kernel = np.einsum(
-        "j,jr,jpnr,jqnr->pq", w, d, gv, gv.conj(), optimize=True
+        "j,jr,jpnr,jqnr->pq", w, d, take_rows(gv, modes.index),
+        take_rows(gv.conj(), modes.index), optimize=True,
     )
     return const, kernel
 

@@ -174,17 +174,24 @@ class TestDesignCommand:
         assert code == 2
 
 
-@pytest.mark.parametrize("args, flag", [
-    (["design", "--k", "2", "--bits", "3", "--fs", "1e8"], "--seed"),
-    (["rate-search", "--budgets", "4e8", "--arch", "analog"], "--k"),
-    (["rate-search", "--budgets", "4e8", "--arch", "analog"], "--bits"),
-    (["rate-search", "--budgets", "4e8", "--arch", "analog"], "--fs"),
-    (["rate-search", "--budgets", "4e8", "--arch", "analog"], "--seed"),
+SWEEP_B = ["sweep", "--var", "b", "--from", "1", "--to", "2", "--steps", "2", "--k", "2"]
+
+
+@pytest.mark.parametrize("args, flag, value", [
+    (["design", "--k", "2", "--bits", "3", "--fs", "1e8"], "--seed", "2"),
+    (["rate-search", "--budgets", "4e8", "--arch", "analog"], "--k", "2"),
+    (["rate-search", "--budgets", "4e8", "--arch", "analog"], "--bits", "2"),
+    (["rate-search", "--budgets", "4e8", "--arch", "analog"], "--fs", "2"),
+    (["rate-search", "--budgets", "4e8", "--arch", "analog"], "--seed", "2"),
+    # sweep reads its simulation flags only with --simulate
+    (SWEEP_B, "--trials", "5"),
+    (SWEEP_B, "--dither", "off"),
+    (SWEEP_B, "--seed", "2"),
 ])
-def test_unread_flags_are_rejected(matched_scenario, tmp_path, args, flag):
+def test_unread_flags_are_rejected(matched_scenario, tmp_path, args, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
-                     "--grid-points", "64", flag, "2"])
+                     "--grid-points", "64", flag, value])
     assert exc.value.code == 2
 
 

@@ -3,23 +3,26 @@ import pytest
 
 from taskadc.design import (
     AdcConfig,
+    _waterfilled_modes,
+    auto_grid_points,
     design_digital_filter,
     design_filters,
     theoretical_mse,
 )
 from taskadc.mmse import whitened_task_stack
-from taskadc.scenarios import isotropic_scenario
+from taskadc.scenarios import build_scenario, isotropic_scenario
 from taskadc.search import (
     SearchSpec,
     baseline_design,
     designed_shift_kernel,
+    modulated_stack,
     mse_at_shifts,
     rate_search,
     shift_mse_kernel,
     shifted_task_design,
     time_averaged_nmse,
 )
-from taskadc.spectra import alias_order, psd_sqrt, stack_aliases
+from taskadc.spectra import alias_order, psd_sqrt, stack_aliases, take_rows
 
 from conftest import random_flat_model
 
@@ -78,6 +81,76 @@ class TestShiftedTaskDesign:
             a = mse_at_shifts(c1, k1, cfg, t0s)
             b = mse_at_shifts(c2, k2, cfg, t0s)
             np.testing.assert_allclose(a, b, rtol=1e-9)
+
+
+def dense_designed_shift_kernel(task_stack, cfg):
+    """The aliased branch of ``designed_shift_kernel`` with gv computed on
+    every grid row: the reference its per-run gv must match bit for bit."""
+    w = task_stack.base_grid.weights
+    modes = _waterfilled_modes(task_stack, cfg)
+    s = modes.s
+    r_act = min(modes.gain.shape[1], s.shape[1])
+    q = 4.0 ** (-cfg.bits)
+    alpha = q * modes.gain[:, :r_act]
+    d = alpha / (alpha + q)
+    const = float(w @ (s**2).sum(axis=1))
+    n_blocks = 2 * task_stack.alias_order_ + 1
+    v_blocks = (
+        take_rows(modes.vh, modes.index)[:, :r_act, :]
+        .conj()
+        .reshape(s.shape[0], r_act, n_blocks, task_stack.block_cols)
+    )
+    gv = np.einsum("jnpm,jrpm->jpnr", task_stack.block_view(), v_blocks, optimize=True)
+    kernel = np.einsum("j,jr,jpnr,jqnr->pq", w, d, gv, gv.conj(), optimize=True)
+    return const, kernel
+
+
+@pytest.fixture(scope="module")
+def full_grid_matched_model(matched_spec):
+    # the default grid, as the CLI and the benchmark build it
+    return build_scenario(matched_spec)
+
+
+class TestDesignedShiftKernelBits:
+    """The per-run gv leaves const and kernel bit-identical to the dense form."""
+
+    @staticmethod
+    def check(task_stack, cfg):
+        const, kernel = designed_shift_kernel(task_stack, cfg)
+        ref_const, ref_kernel = dense_designed_shift_kernel(task_stack, cfg)
+        assert np.array_equal(const, ref_const)
+        assert np.array_equal(kernel, ref_kernel)
+
+    @staticmethod
+    def matched_stack(model, budget, k, bits):
+        cfg = AdcConfig(k, budget / (k * bits), bits)
+        n_points = auto_grid_points(cfg.fs, model.band_edge)
+        return whitened_task_stack(model, cfg.fs, n_points), cfg
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matched_scenario_b16(self, full_grid_matched_model, k):
+        task_stack, cfg = self.matched_stack(full_grid_matched_model, 1.6e9, k, 16)
+        assert 2 <= task_stack.alias_order_ <= 8
+        assert 1 < task_stack.run_starts.size < task_stack.base_grid.n_points
+        self.check(task_stack, cfg)
+
+    def test_single_run_single_mode(self, full_grid_matched_model):
+        # a one-run batch would take einsum's size-1 path and move the last bit
+        task_stack, cfg = self.matched_stack(full_grid_matched_model, 2e9, 1, 15)
+        assert task_stack.alias_order_ >= 1
+        assert task_stack.run_starts.size == 1
+        modes = _waterfilled_modes(task_stack, cfg)
+        assert min(modes.gain.shape[1], modes.s.shape[1]) == 1
+        self.check(task_stack, cfg)
+
+    def test_one_run_per_row(self, rng):
+        model = random_flat_model(rng, n=3, m=5, n_points=64)
+        cfg = AdcConfig(2, 0.45, 4)
+        # the shift phase differs on every row
+        task_stack = modulated_stack(whitened_task_stack(model, cfg.fs, 64), 0.3 * cfg.ts)
+        assert task_stack.alias_order_ >= 1
+        assert task_stack.run_starts.size == task_stack.base_grid.n_points
+        self.check(task_stack, cfg)
 
 
 class TestTimeAveragedNmse:
