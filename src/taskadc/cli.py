@@ -1,7 +1,8 @@
 """Batch experiment driver: design, sweep, and rate-search subcommands.
 
-Every run writes a manifest (config hash, seed, grid density, version) next
-to its outputs; CSV numbers are emitted with repr so reruns are byte-identical.
+Every run writes a manifest (config hash, seed, grid density, version,
+numerical environment) next to its outputs; CSV numbers are emitted with repr
+so reruns on the same BLAS thread count are byte-identical.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 # sweep flags read only by --simulate, with their defaults
 SIMULATION_DEFAULTS = {"seed": 0, "trials": 10_000, "dither": True}
+# the last digits of some results depend on how BLAS splits its work
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _ARCH_ALIASES = {
     "task": "task_based",
@@ -84,9 +87,25 @@ def _write_manifest(out_dir: str, command: str, config: dict, outputs: list[str]
         "seed": config.get("seed"),
         "grid_points": config.get("grid_points"),
         "version": __version__,
+        "environment": _environment(),
         "outputs": outputs,
     }
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+
+
+def _environment() -> dict:
+    """numpy, its BLAS and the BLAS thread settings (null when unset); not
+    part of the config hash."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        **{name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+    }
 
 
 def _load_scenario(path: str, n_points: int | None):
@@ -140,8 +159,6 @@ def _sweep_value_configs(args, model):
         values = sorted(dict.fromkeys(values))
     else:
         values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
-    if not values:
-        raise ValueError("empty sweep range")
     base = {
         "k_adcs": args.k,
         "fs": args.fs if args.fs is not None else model.f_nyq,
@@ -292,6 +309,16 @@ def _on_off(text: str) -> bool:
     )
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _config_dict(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
@@ -324,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--var", required=True, choices=["eta", "b", "K", "fs", "t0"])
     p_sweep.add_argument("--from", type=float, required=True, dest="start")
     p_sweep.add_argument("--to", type=float, required=True, dest="stop")
-    p_sweep.add_argument("--steps", type=int, required=True)
+    p_sweep.add_argument("--steps", type=_at_least_one, required=True)
     p_sweep.add_argument("--arch", default="task", help="comma list: task,analog,digital")
     p_sweep.add_argument("--simulate", action="store_true")
     # defaults (SIMULATION_DEFAULTS) are filled in after parsing, so a flag

@@ -31,6 +31,7 @@ from .spectra import (
     alias_order,
     joint_runs,
     psd_sqrt,
+    stack_aliases,
     take_rows,
 )
 
@@ -491,13 +492,19 @@ def nyquist_analog_filter(
 ) -> SpectralMatrixFunction:
     """Unstack the designed filter when sampling satisfies Nyquist.
 
-    Right-multiplies by the pseudo-inverse of the input PSD square root;
-    null-space columns of the PSD map to zero response.
+    Right-multiplies h_bar by the pseudo-inverse of the input PSD square
+    root, one pseudo-inverse per joint run of the two: the root is looked up
+    on the design's base grid as an alias-order-0 stack, so neither operand
+    is expanded to the grid.  Null-space columns of the PSD map to zero
+    response.
     """
-    if design.h_bar.alias_order_ != 0:
+    h_bar = design.h_bar
+    if h_bar.alias_order_ != 0:
         raise ValueError("analog filter can only be unstacked at alias order 0")
-    sampled = psd_sqrt(c_x).sample(design.h_bar.base_grid.points)
-    return _times_pinv(design.h_bar.base_grid, design.h_bar.blocks, sampled)
+    grid = h_bar.base_grid
+    # f_max at the base grid's edge rebuilds exactly this grid at alias order 0
+    root = stack_aliases(psd_sqrt(c_x), h_bar.fs, grid.f_hi, grid.n_points)
+    return _times_pinv(grid, h_bar, root)
 
 
 def design_filters(

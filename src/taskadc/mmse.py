@@ -14,9 +14,7 @@ from .spectra import (
     _check_shared_grid,
     multiply_spectra,
     psd_sqrt,
-    row_runs,
     stack_aliases,
-    take_rows,
 )
 
 PINV_CUTOFF = 1e-12  # singular values below cutoff*largest count as zero
@@ -99,7 +97,8 @@ class TaskModel:
 def analog_mmse_filter(
     c_sx: SpectralMatrixFunction, c_x: SpectralMatrixFunction
 ) -> SpectralMatrixFunction:
-    """Per-frequency cross_psd @ pinv(input_psd).
+    """Per-frequency cross_psd @ pinv(input_psd), one pseudo-inverse per run
+    on which both spectra are constant.
 
     The pseudo-inverse maps null-space components of a rank-deficient input
     PSD to zero.
@@ -107,15 +106,19 @@ def analog_mmse_filter(
     n, m = c_sx.shape
     if c_x.shape != (m, m):
         raise ValueError("input PSD shape must match the cross-PSD columns")
-    return _times_pinv(c_sx.grid, c_sx.values, c_x.values)
+    _check_shared_grid(c_sx.grid, c_x.grid)
+    return _times_pinv(c_sx.grid, c_sx, c_x)
 
 
-def _times_pinv(grid, left: np.ndarray, psd: np.ndarray) -> SpectralMatrixFunction:
-    """The filter left @ pinv(psd) per grid row, one pseudo-inverse per run of
-    identical rows; singular values below PINV_CUTOFF*largest count as zero."""
-    starts, _ = row_runs(left, psd)
-    inv = np.linalg.pinv(take_rows(psd, starts), rcond=PINV_CUTOFF, hermitian=True)
-    values = take_rows(left, starts) @ inv
+def _times_pinv(grid, left, psd) -> SpectralMatrixFunction:
+    """The filter left @ pinv(psd) on ``grid``, for run-form operands (a
+    ``SpectralMatrixFunction`` or a ``StackedSpectrum``): one pseudo-inverse
+    per joint run, the union of both run partitions, which is ``row_runs``
+    of their dense rows taken together.  Singular values below
+    PINV_CUTOFF*largest count as zero."""
+    starts = np.union1d(left.run_starts, psd.run_starts)
+    inv = np.linalg.pinv(psd.rows_at(starts), rcond=PINV_CUTOFF, hermitian=True)
+    values = left.rows_at(starts) @ inv
     return SpectralMatrixFunction(grid=grid, values=values, kind="filter", run_starts=starts)
 
 

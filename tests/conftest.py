@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from taskadc.mmse import TaskModel
+from taskadc.mmse import TaskModel, analog_mmse_filter
 from taskadc.scenarios import ScenarioSpec, build_scenario
-from taskadc.spectra import constant_spectrum, make_frequency_grid
+from taskadc.spectra import (
+    SpectralMatrixFunction,
+    constant_spectrum,
+    make_frequency_grid,
+    multiply_spectra,
+)
 
 
 def unit_scalar_model(fs: float = 1.0, n_points: int = 256) -> TaskModel:
@@ -31,6 +36,33 @@ def random_flat_model(rng: np.random.Generator, n: int, m: int, n_points: int = 
         task_filter=constant_spectrum(grid, task_level, kind="filter"),
         input_psd=constant_spectrum(grid, input_level, kind="psd"),
         cross_psd=constant_spectrum(grid, cross_level, kind="cross_psd"),
+    )
+
+
+def piecewise_model(n_points: int, seed: int = 0) -> TaskModel:
+    """N=2, M=4 model on [-0.5, 0.5] whose input PSD has 4 runs, the third of
+    rank 2, and whose task levels change at other rows; the task filter is
+    ``analog_mmse_filter`` of the resulting cross-PSD."""
+    rng = np.random.default_rng(seed)
+    grid = make_frequency_grid(-0.5, 0.5, n_points)
+    levels = []
+    for rank in (4, 4, 2, 4):
+        a = rng.standard_normal((4, rank))
+        levels.append(a @ a.T + (0.1 * np.eye(4) if rank == 4 else 0.0))
+    psd = SpectralMatrixFunction(
+        grid, np.array(levels), "psd",
+        run_starts=[0, n_points // 5, n_points // 2, 4 * n_points // 5],
+    )
+    task = SpectralMatrixFunction(
+        grid, rng.standard_normal((3, 2, 4)), "filter",
+        run_starts=[0, n_points // 3, 3 * n_points // 4],
+    )
+    product = multiply_spectra(task, psd)
+    cross = SpectralMatrixFunction(
+        grid, product.run_values, "cross_psd", run_starts=product.run_starts
+    )
+    return TaskModel(
+        task_filter=analog_mmse_filter(cross, psd), input_psd=psd, cross_psd=cross
     )
 
 

@@ -268,6 +268,33 @@ class TestSweepCommand:
         assert manifests["a"]["config_sha256"] == manifests["b"]["config_sha256"]
         assert manifests["a"]["config_sha256"] != manifests["c"]["config_sha256"]
 
+    def test_manifest_records_the_numerical_environment(
+        self, scalar_scenario, tmp_path, monkeypatch
+    ):
+        manifests = []
+        for threads in (None, "1"):
+            if threads is None:
+                monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OMP_NUM_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            code = main([
+                "sweep", "--scenario", str(scalar_scenario), "--out", str(out),
+                "--var", "b", "--from", "1", "--to", "2", "--steps", "2",
+                "--k", "1", "--fs", "1.0", "--grid-points", "64",
+            ])
+            assert code == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        unset, pinned = (m["environment"] for m in manifests)
+        assert set(unset) == {
+            "numpy", "blas", "blas_version",
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+        }
+        assert unset["numpy"] == np.__version__
+        assert (unset["OMP_NUM_THREADS"], pinned["OMP_NUM_THREADS"]) == (None, "1")
+        # the environment is recorded, not hashed
+        assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
+
     def test_baselines_run_at_their_own_converter_count(self, matched_scenario, tmp_path):
         out = tmp_path / "out"
         code = main([
@@ -298,14 +325,18 @@ class TestSweepCommand:
         assert code == 2
         assert not out.exists()
 
-    def test_empty_range_exits_2(self, matched_scenario, tmp_path):
-        code = main([
-            "sweep", "--scenario", str(matched_scenario),
-            "--out", str(tmp_path / "o"),
-            "--var", "b", "--from", "1", "--to", "6", "--steps", "0",
-            "--k", "2", "--grid-points", "64",
-        ])
-        assert code == 2
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_steps_below_one_exits_2(self, matched_scenario, tmp_path, capsys, steps):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--scenario", str(matched_scenario),
+                "--out", str(tmp_path / "o"),
+                "--var", "b", "--from", "1", "--to", "6", "--steps", steps,
+                "--k", "2", "--grid-points", "64",
+            ])
+        assert exc.value.code == 2
+        assert f"--steps: must be at least 1, got {steps}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRateSearchCommand:

@@ -21,9 +21,9 @@ from taskadc.design import (
     theoretical_mse,
     theoretical_mse_waterfilled,
 )
-from taskadc.mmse import TaskModel, task_energy, whitened_task_stack
+from taskadc.mmse import PINV_CUTOFF, TaskModel, task_energy, whitened_task_stack
 from taskadc.quantizer import effective_loading
-from taskadc.scenarios import isotropic_scenario
+from taskadc.scenarios import build_scenario, isotropic_scenario
 from taskadc.search import (
     baseline_design,
     designed_shift_kernel,
@@ -36,10 +36,11 @@ from taskadc.spectra import (
     constant_spectrum,
     interleave_re_im,
     make_frequency_grid,
+    psd_sqrt,
     row_runs,
 )
 
-from conftest import random_flat_model, unit_scalar_model
+from conftest import piecewise_model, random_flat_model, unit_scalar_model
 
 
 def scalar_design(bits, eta=2.0, fs=1.0, n_points=128):
@@ -544,7 +545,54 @@ class TestDesignJson:
             FilterDesign.from_dict(dict(data, version=3))
 
 
+def dense_nyquist_analog_filter(
+    design: FilterDesign, c_x: SpectralMatrixFunction
+) -> SpectralMatrixFunction:
+    """The Nyquist unstack on every grid row: the input-PSD root sampled at
+    each base point, runs found in the dense rows of h_bar and the root."""
+    grid = design.h_bar.base_grid
+    sampled = psd_sqrt(c_x).sample(grid.points)
+    starts, _ = row_runs(design.h_bar.blocks, sampled)
+    inv = np.linalg.pinv(sampled[starts], rcond=PINV_CUTOFF, hermitian=True)
+    values = design.h_bar.blocks[starts] @ inv
+    return SpectralMatrixFunction(grid=grid, values=values, kind="filter", run_starts=starts)
+
+
+def _assert_same_runs(a: SpectralMatrixFunction, b: SpectralMatrixFunction) -> None:
+    assert np.array_equal(a.run_starts, b.run_starts)
+    assert np.array_equal(a.run_values, b.run_values)
+
+
 class TestNyquistUnstacking:
+    @pytest.mark.parametrize("seed", [0, 40])
+    @pytest.mark.parametrize("fs", [400e6, 1.6e9 / 3, 1.6e9])
+    def test_matches_dense_unstack_on_scenario(self, matched_spec, seed, fs):
+        model = build_scenario(replace(matched_spec, channel_seed=seed))
+        for k in range(1, 5):
+            design = design_filters(model, AdcConfig(k, fs, 4))
+            _assert_same_runs(design.h, dense_nyquist_analog_filter(design, model.input_psd))
+
+    @pytest.mark.parametrize("n_points", [64, 74, 101])
+    def test_matches_dense_unstack_on_piecewise_psd(self, n_points):
+        # 4 input-PSD runs, one rank-deficient, looked up on design grids
+        # whose cells do not line up with the model's runs
+        model = piecewise_model(n_points)
+        for k in (1, 2):
+            for fs in (1.0, 1.25, 2.0):
+                for grid_points in (64, 74, 100):
+                    design = design_filters(model, AdcConfig(k, fs, 3), grid_points)
+                    dense = dense_nyquist_analog_filter(design, model.input_psd)
+                    assert dense.run_starts.size > 1
+                    _assert_same_runs(design.h, dense)
+
+    def test_design_expands_no_dense_grid(self, matched_spec):
+        model = build_scenario(matched_spec)
+        design = design_filters(model, AdcConfig(4, matched_spec.f_nyq, 4))
+        assert design.h is not None
+        assert "blocks" not in design.h_bar.__dict__
+        assert "values" not in model.input_psd.__dict__
+        assert "values" not in model._input_root.__dict__
+
     def test_full_rank_recovery(self, rng):
         # h @ C_x^{1/2} must reproduce the stacked response (full-rank PSD)
         from taskadc.spectra import psd_sqrt

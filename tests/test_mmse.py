@@ -4,6 +4,7 @@ import pytest
 import taskadc.simulate as sim
 from taskadc.design import analog_recovery_is_optimal
 from taskadc.mmse import (
+    PINV_CUTOFF,
     TaskModel,
     analog_mmse_filter,
     task_covariance,
@@ -11,9 +12,9 @@ from taskadc.mmse import (
     whitened_task_stack,
 )
 from taskadc.scenarios import isotropic_scenario
-from taskadc.spectra import constant_spectrum, make_frequency_grid, psd_sqrt
+from taskadc.spectra import constant_spectrum, make_frequency_grid, psd_sqrt, row_runs
 
-from conftest import random_flat_model, synthesize_block, unit_scalar_model
+from conftest import piecewise_model, random_flat_model, synthesize_block, unit_scalar_model
 
 
 class TestAnalogMmseFilter:
@@ -50,6 +51,28 @@ class TestAnalogMmseFilter:
                 constant_spectrum(grid, np.ones((1, 3)), kind="cross_psd"),
                 constant_spectrum(grid, np.eye(2)),
             )
+
+
+    def test_grid_mismatch(self):
+        with pytest.raises(ValueError, match="share a grid"):
+            analog_mmse_filter(
+                constant_spectrum(make_frequency_grid(-0.5, 0.5, 4), np.ones((1, 2)),
+                                  kind="cross_psd"),
+                constant_spectrum(make_frequency_grid(-0.5, 0.5, 8), np.eye(2)),
+            )
+
+    @pytest.mark.parametrize("n_points", [64, 74, 101])
+    def test_matches_dense_pinv_bit_for_bit(self, n_points):
+        # one pseudo-inverse per joint run equals one per grid row, exactly,
+        # across a rank-deficient PSD run and runs the cross-PSD splits
+        model = piecewise_model(n_points)
+        c_sx, c_x = model.cross_psd, model.input_psd
+        gamma = analog_mmse_filter(c_sx, c_x)
+        dense = c_sx.values @ np.linalg.pinv(c_x.values, rcond=PINV_CUTOFF, hermitian=True)
+        starts, _ = row_runs(dense)
+        assert np.array_equal(gamma.run_starts, starts)
+        assert np.array_equal(gamma.run_values, dense[starts])
+        assert gamma.run_starts.size == 6
 
 
 class TestTaskEnergy:
