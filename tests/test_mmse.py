@@ -52,7 +52,6 @@ class TestAnalogMmseFilter:
                 constant_spectrum(grid, np.eye(2)),
             )
 
-
     def test_grid_mismatch(self):
         with pytest.raises(ValueError, match="share a grid"):
             analog_mmse_filter(
