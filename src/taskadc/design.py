@@ -30,7 +30,6 @@ from .spectra import (
     _rows_to_dict,
     alias_order,
     joint_runs,
-    psd_sqrt,
     stack_aliases,
     take_rows,
 )
@@ -488,23 +487,23 @@ def theoretical_mse_waterfilled(design: FilterDesign) -> MseReport:
 
 
 def nyquist_analog_filter(
-    design: FilterDesign, c_x: SpectralMatrixFunction
+    design: FilterDesign, root: SpectralMatrixFunction
 ) -> SpectralMatrixFunction:
     """Unstack the designed filter when sampling satisfies Nyquist.
 
-    Right-multiplies h_bar by the pseudo-inverse of the input PSD square
-    root, one pseudo-inverse per joint run of the two: the root is looked up
-    on the design's base grid as an alias-order-0 stack, so neither operand
-    is expanded to the grid.  Null-space columns of the PSD map to zero
-    response.
+    Right-multiplies h_bar by the pseudo-inverse of ``root``, the input PSD's
+    square root (``TaskModel._input_root``), one pseudo-inverse per joint run
+    of the two: the root is looked up on the design's base grid as an
+    alias-order-0 stack, so neither operand is expanded to the grid.
+    Null-space columns of the PSD map to zero response.
     """
     h_bar = design.h_bar
     if h_bar.alias_order_ != 0:
         raise ValueError("analog filter can only be unstacked at alias order 0")
     grid = h_bar.base_grid
     # f_max at the base grid's edge rebuilds exactly this grid at alias order 0
-    root = stack_aliases(psd_sqrt(c_x), h_bar.fs, grid.f_hi, grid.n_points)
-    return _times_pinv(grid, h_bar, root)
+    stack = stack_aliases(root, h_bar.fs, grid.f_hi, grid.n_points)
+    return _times_pinv(grid, h_bar, stack)
 
 
 def design_filters(
@@ -520,7 +519,7 @@ def design_filters(
     report = theoretical_mse_waterfilled(design)
     h = None
     if design.h_bar.alias_order_ == 0:
-        h = nyquist_analog_filter(design, model.input_psd)
+        h = nyquist_analog_filter(design, model._input_root)
     return replace(
         design,
         g_freq=solve.filter(design.h_bar.base_grid),

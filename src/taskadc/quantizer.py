@@ -49,30 +49,56 @@ class QuantizerSpec:
 
 
 def quantize_midrise(x, spec: QuantizerSpec):
-    """Mid-rise quantization; inputs at or beyond the dynamic range saturate."""
+    """Mid-rise quantization; inputs at or beyond the dynamic range saturate.
+
+    Works in place on the output and one cell buffer and leaves x untouched;
+    a scalar input returns a float.
+    """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("quantizer input must be finite")
     gamma = spec.dynamic_range
     delta = spec.step
-    saturated = np.sign(x) * (gamma - delta / 2.0)
-    if delta == 0.0:
-        out = saturated
-    else:
-        inside = np.abs(x) < gamma
-        out = np.where(inside, delta * (np.floor(x / delta) + 0.5), saturated)
+    # out= keeps 0-d inputs as arrays, so the in-place steps below hold for them
+    out = np.sign(x, out=np.empty_like(x))
+    out *= gamma - delta / 2.0
+    if delta != 0.0:
+        cells = np.divide(x, delta, out=np.empty_like(x))
+        np.floor(cells, out=cells)
+        cells += 0.5
+        cells *= delta
+        np.copyto(out, cells, where=np.abs(x) < gamma)
     if out.ndim == 0:
         return float(out)
     return out
 
 
+def _triangular_dither(u, v, delta: float):
+    """Triangular dither u - v on [-delta, delta] from two equal-shape arrays
+    (or floats) of uniforms on [0, 1), overwriting array u with the result.
+
+    Each uniform is mapped as ``Generator.uniform(-delta/2, delta/2)`` maps
+    it, low + (high - low) * r, so the dither equals the difference of two
+    such ``uniform`` draws bit for bit.
+    """
+    low = -delta / 2.0
+    width = delta / 2.0 - low
+    u *= width
+    u += low
+    v *= width
+    v += low
+    u -= v
+    return u
+
+
 def sample_dither(delta: float, rng: np.random.Generator, size=None):
-    """Triangular dither on [-delta, delta]: difference of two uniforms."""
-    if delta <= 0:
-        raise ValueError("step must be positive")
-    u = rng.uniform(-delta / 2.0, delta / 2.0, size=size)
-    v = rng.uniform(-delta / 2.0, delta / 2.0, size=size)
-    return u - v
+    """Triangular dither on [-delta, delta]: difference of two uniform
+    blocks of ``size``, drawn one after the other."""
+    if not 0 < delta < np.inf:
+        raise ValueError("step must be positive and finite")
+    u = rng.random(size)
+    v = rng.random(size)
+    return _triangular_dither(u, v, delta)
 
 
 def calibrate_dynamic_range(max_input_variance: float, eta: float, bits: int) -> float:

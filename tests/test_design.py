@@ -593,6 +593,26 @@ class TestNyquistUnstacking:
         assert "values" not in model.input_psd.__dict__
         assert "values" not in model._input_root.__dict__
 
+    def test_unstack_reuses_the_models_input_root(self, matched_spec, monkeypatch):
+        import taskadc.design
+        import taskadc.mmse
+
+        model = build_scenario(matched_spec)
+        cfg = AdcConfig(4, matched_spec.f_nyq, 4)
+        first = design_filters(model, cfg)
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return psd_sqrt(c)
+
+        # both modules that build on the root: neither may compute it again
+        for module in (taskadc.mmse, taskadc.design):
+            monkeypatch.setattr(module, "psd_sqrt", counted, raising=False)
+        again = design_filters(model, cfg)
+        assert calls == []
+        _assert_same_runs(again.h, first.h)
+
     def test_full_rank_recovery(self, rng):
         # h @ C_x^{1/2} must reproduce the stacked response (full-rank PSD)
         from taskadc.spectra import psd_sqrt
@@ -646,7 +666,7 @@ class TestNyquistUnstacking:
         stack = whitened_task_stack(model, 0.4, 32)
         design = design_analog_filter(stack, cfg)
         with pytest.raises(ValueError):
-            nyquist_analog_filter(design, model.input_psd)
+            nyquist_analog_filter(design, model._input_root)
 
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskadc.quantizer import (
     QuantizerSpec,
@@ -72,10 +74,89 @@ class TestQuantizeMidrise:
         q = quantize_midrise(x, spec)
         assert np.all(np.diff(q) >= 0)
 
-    def test_rejects_non_finite(self):
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, value):
         spec = QuantizerSpec(bits=1, dynamic_range=1.0)
         with pytest.raises(ValueError):
-            quantize_midrise(float("nan"), spec)
+            quantize_midrise(value, spec)
+        with pytest.raises(ValueError):
+            quantize_midrise(np.array([0.1, value]), spec)
+
+
+def where_quantize(x, spec):
+    """The out-of-place expression ``quantize_midrise`` computes in place."""
+    x = np.asarray(x, dtype=float)
+    gamma = spec.dynamic_range
+    delta = spec.step
+    saturated = np.sign(x) * (gamma - delta / 2.0)
+    if delta == 0.0:
+        out = saturated
+    else:
+        inside = np.abs(x) < gamma
+        out = np.where(inside, delta * (np.floor(x / delta) + 0.5), saturated)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 included
+
+
+def edge_inputs(spec):
+    """Inputs at +-gamma, on every cell edge, one ulp either side of each, and
+    signed zeros."""
+    gamma, delta = spec.dynamic_range, spec.step
+    edges = np.arange(-(2 ** (spec.bits - 1)), 2 ** (spec.bits - 1) + 1) * delta
+    points = np.concatenate((edges, [gamma, -gamma, 2 * gamma, -2 * gamma, 0.0, -0.0]))
+    return np.concatenate(
+        (points, np.nextafter(points, np.inf), np.nextafter(points, -np.inf))
+    )
+
+
+class TestQuantizeMidriseExpression:
+    """``quantize_midrise`` equals the out-of-place expression bit for bit."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("dynamic_range", [1.0, 0.7, 3.3, 1e-3, 2.5e5])
+    def test_edges(self, bits, dynamic_range):
+        spec = QuantizerSpec(bits=bits, dynamic_range=dynamic_range)
+        x = edge_inputs(spec)
+        kept = x.copy()
+        assert_same_bits(quantize_midrise(x, spec), where_quantize(x, spec))
+        assert_same_bits(x, kept)  # the input is not overwritten
+        for value in x[:: max(1, x.size // 40)]:
+            got = quantize_midrise(value, spec)
+            assert type(got) is float
+            assert_same_bits(got, where_quantize(value, spec))
+
+    @pytest.mark.parametrize("dynamic_range", [0.0, 5e-324])
+    def test_zero_step(self, dynamic_range):
+        # a zero range, and a subnormal one whose step underflows to zero
+        spec = QuantizerSpec(bits=4, dynamic_range=dynamic_range)
+        assert spec.step == 0.0
+        x = np.array([-1.0, -0.0, 0.0, 5e-324, 2.0])
+        assert_same_bits(quantize_midrise(x, spec), where_quantize(x, spec))
+        for value in x:
+            assert_same_bits(quantize_midrise(value, spec), where_quantize(value, spec))
+
+    def test_shapes_and_layouts(self, rng):
+        spec = QuantizerSpec(bits=3, dynamic_range=1.5)
+        x = rng.normal(scale=1.5, size=(3, 4, 10))
+        for view in (x, x.transpose(2, 0, 1), x[:, ::2], x[0, 0, :1]):
+            assert_same_bits(quantize_midrise(view, spec), where_quantize(view, spec))
+        assert quantize_midrise([0.3, -0.3], spec).shape == (2,)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        bits=st.integers(1, 20),
+        dynamic_range=st.floats(1e-6, 1e6),
+        x=st.lists(st.floats(-1e7, 1e7, allow_subnormal=True), min_size=1, max_size=20),
+    )
+    def test_random_inputs(self, bits, dynamic_range, x):
+        spec = QuantizerSpec(bits=bits, dynamic_range=dynamic_range)
+        assert_same_bits(quantize_midrise(x, spec), where_quantize(x, spec))
 
 
 class TestDither:
@@ -87,9 +168,26 @@ class TestDither:
         second = np.mean(draws**2)
         assert abs(second - delta**2 / 6) < 0.01 * delta**2 / 6
 
-    def test_rejects_bad_step(self, rng):
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_step(self, rng, delta):
         with pytest.raises(ValueError):
-            sample_dither(0.0, rng)
+            sample_dither(delta, rng)
+
+    @pytest.mark.parametrize("size", [None, 1, 7, (3, 5), (2, 4, 513)])
+    def test_equals_two_uniform_draws(self, size):
+        # the difference of two Generator.uniform blocks, bit for bit, and the
+        # stream left where those two draws leave it
+        for seed in range(40):
+            for delta in (0.7, 1e-3, 3.3, 0.1171875, 2.5e5, 1e-300):
+                child = np.random.SeedSequence(seed).spawn(3)[seed % 3]
+                old = np.random.Generator(np.random.Philox(child))
+                new = np.random.Generator(np.random.Philox(child))
+                u = old.uniform(-delta / 2.0, delta / 2.0, size=size)
+                v = old.uniform(-delta / 2.0, delta / 2.0, size=size)
+                got = sample_dither(delta, new, size=size)
+                assert type(got) is type(u - v)
+                assert np.array_equal(got, u - v)
+                assert new.random() == old.random()
 
 
 class TestCalibrateDynamicRange:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -327,10 +328,27 @@ class TestFrequencyDomainChain:
         cfg = AdcConfig(2, matched_model.f_nyq, bits=3)
         design = design_filters(matched_model, cfg, 64)
         run = SimulationRun("chunks", matched_model, design, n_trials=120, seed=4)
-        n_samples = sim._plan_block(matched_model.band_edge, cfg.fs).n_samples
+        plan = sim._plan_block(matched_model.band_edge, cfg.fs)
+        # a trial's normals, then the two dither blocks of its K converters
+        normals = matched_model.m_inputs * (1 + 2 * plan.n_pos_bins)
+        draws = normals + 2 * cfg.k_adcs * plan.n_out
         reports = []
         for trials_per_chunk in (1, 7, run.n_trials):
-            monkeypatch.setattr(sim, "_CHUNK_SAMPLES", trials_per_chunk * n_samples)
+            monkeypatch.setattr(sim, "_CHUNK_DRAWS", trials_per_chunk * draws)
             reports.append(estimate_mse(run))
         for report in reports[:2]:
             assert_reports_close(report, reports[2].to_dict(), 1e-13)
+
+    def test_memory_does_not_grow_with_trials(self, matched_model):
+        # chunks hold a fixed number of trials: ten times the trials, same peak
+        cfg = AdcConfig(4, matched_model.f_nyq, bits=4)
+        design = design_filters(matched_model, cfg, 64)
+        peaks = []
+        for n_trials in (200, 2000):
+            tracemalloc.start()
+            try:
+                estimate_mse(SimulationRun("mem", matched_model, design, n_trials=n_trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 2**20
