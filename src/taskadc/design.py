@@ -60,6 +60,9 @@ class AdcConfig:
             raise ValueError("k_adcs must be at least 1")
         if self.bits < 1:
             raise ValueError("bits must be at least 1")
+        if self.bits >= 512:
+            # 4**bits = 2**(2*bits) overflows a float from 512 bits on
+            raise ValueError("bits must be below 512: 4**bits overflows a float")
         if not np.isfinite(self.fs) or self.fs <= 0:
             raise ValueError("fs must be positive")
         if self.eta is None:

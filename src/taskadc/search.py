@@ -14,7 +14,14 @@ aliased cells const - Re(kernel sum) cancels two task-energy-sized numbers,
 so another summation order would move ``nmse_t0_0``.  The per-frequency
 products behind those sums (``designed_shift_kernel``'s gv, the general
 kernel's cross terms and solves) run once per run of identical rows and are
-gathered back to the grid, bit-identical to per-row work.
+expanded back to the grid, bit-identical to per-row work.  When P = 2*ups + 1
+exceeds N times the contracted width (K converters in ``shift_mse_kernel``,
+r active modes in ``designed_shift_kernel``), einsum makes one GEMM over
+(n, k or r, j) of a kernel sum, and the products are expanded straight into
+that GEMM's memory order, grid rows innermost, so einsum's reshapes are
+views, not transposing copies.  Otherwise einsum multiplies row by row, and
+the grid-major gather reads faster.  The choice reads only shapes: the
+einsum calls, their paths and every product and sum are unchanged.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from .design import (
 from .mmse import TaskModel, task_energy, whitened_task_stack
 from .spectra import (
     StackedSpectrum,
+    _expand_runs,
     constant_spectrum,
     joint_runs,
     stack_aliases,
@@ -114,14 +122,23 @@ def shift_mse_kernel(h_bar: StackedSpectrum, task_stack: StackedSpectrum, cfg: A
     sol = _solve_output(h, cross, cfg.ts, noise_var)
     w = task_stack.base_grid.weights
     dense = starts.size == w.size
+    # for P > N*K einsum makes one GEMM over (n, k, j): expand cross as
+    # (p, n, k, j) and sol as (n, k, j, q) so its reshapes are views;
+    # otherwise it multiplies row by row, which reads grid-major rows best
+    gemm = n_blocks > cross.shape[2] * cross.shape[3]
     kernel = np.zeros((n_blocks, n_blocks), dtype=complex)
     chunk = max(1, int(2**22 // max(1, n_blocks * n_blocks)))
     for lo in range(0, w.size, chunk):
-        hi = lo + chunk
-        rows = slice(lo, hi) if dense else index[lo:hi]
-        kernel += np.einsum(
-            "j,jpnk,jqkn->pq", w[lo:hi], cross[rows], sol[rows], optimize=True
-        )
+        hi = min(lo + chunk, w.size)
+        if gemm:
+            runs = slice(index[lo], index[hi - 1] + 1)
+            at = np.maximum(starts[runs] - lo, 0)
+            c = _expand_runs(cross[runs], at, hi - lo, (1, 2, 3, 0))
+            s = _expand_runs(sol[runs], at, hi - lo, (3, 2, 0, 1))
+        else:
+            rows = slice(lo, hi) if dense else index[lo:hi]
+            c, s = cross[rows], sol[rows]
+        kernel += np.einsum("j,jpnk,jqkn->pq", w[lo:hi], c, s, optimize=True)
     return energy, cfg.ts * kernel
 
 
@@ -143,7 +160,10 @@ def designed_shift_kernel(task_stack: StackedSpectrum, cfg: AdcConfig):
     the kernel sum over frequency stay dense, in grid order, and bit-identical
     to per-row work.  einsum drops a size-1 axis and then takes another path,
     which moves the last bit, so a single run goes in as a batch of two
-    copies, as every dense grid has at least two rows.
+    copies, as every dense grid has at least two rows.  For P > N*r the two
+    expansions are laid out in the memory order of the kernel sum's GEMM,
+    gv as (n, r, j, p) and its conjugate as (q, n, r, j), so einsum reads
+    them through views; the einsum call and its sums are unchanged.
     """
     w = task_stack.base_grid.weights
     modes = _waterfilled_modes(task_stack, cfg)
@@ -165,11 +185,16 @@ def designed_shift_kernel(task_stack: StackedSpectrum, cfg: AdcConfig):
     v_blocks = vh.reshape(g.shape[0], r_act, n_blocks, task_stack.block_cols)
     gv = np.einsum("jnpm,jrpm->jpnr", task_stack.block_view(g), v_blocks, optimize=True)
     gv = gv[:n_runs]
+    # for P > N*r einsum makes one GEMM over (n, r, j): expand gv as
+    # (n, r, j, p) and its conjugate as (q, n, r, j) so its reshapes are views
+    if n_blocks > gv.shape[2] * r_act:
+        starts = task_stack.run_starts
+        gv_p = _expand_runs(gv, starts, w.size, (2, 3, 0, 1))
+        gv_q = _expand_runs(gv.conj(), starts, w.size, (1, 2, 3, 0))
+    else:
+        gv_p, gv_q = take_rows(gv, modes.index), take_rows(gv.conj(), modes.index)
     # dense, in grid order: its summation order fixes the bits of nmse_t0_0
-    kernel = np.einsum(
-        "j,jr,jpnr,jqnr->pq", w, d, take_rows(gv, modes.index),
-        take_rows(gv.conj(), modes.index), optimize=True,
-    )
+    kernel = np.einsum("j,jr,jpnr,jqnr->pq", w, d, gv_p, gv_q, optimize=True)
     return const, kernel
 
 
@@ -253,6 +278,9 @@ class SearchSpec:
     def __post_init__(self):
         if not 0 < self.rate_budget < np.inf:
             raise ValueError("rate budget must be positive and finite")
+        # a bad eta would fail every cell and read as "no feasible configuration"
+        if self.eta is not None and not 0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
         if len(self.b_range) == 0:

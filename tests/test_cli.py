@@ -95,6 +95,16 @@ class TestDesignCommand:
         assert code == 2
         assert "eta must be positive and finite" in capsys.readouterr().err
 
+    def test_bits_overflowing_a_float_exit_2(self, matched_scenario, tmp_path, capsys):
+        code = main([
+            "design", "--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
+            "--k", "2", "--bits", "512", "--fs", "1e8", "--grid-points", "16",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: bits must be below 512" in err
+        assert "Traceback" not in err
+
     def test_grid_of_fewer_than_ten_points(self, matched_scenario, tmp_path, capsys):
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -325,6 +335,17 @@ class TestSweepCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_bits_overflowing_a_float_exit_2(self, matched_scenario, tmp_path, capsys):
+        code = main([
+            "sweep", "--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
+            "--var", "b", "--from", "1", "--to", "600", "--steps", "2",
+            "--k", "2", "--grid-points", "64",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: bits must be below 512" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_steps_below_one_exits_2(self, matched_scenario, tmp_path, capsys, steps):
         with pytest.raises(SystemExit) as exc:
@@ -368,3 +389,14 @@ class TestRateSearchCommand:
             ])
             assert code == 2
             assert "rate budget must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", ["inf", "-1", "nan"])
+    def test_bad_eta_exits_2_naming_eta(self, matched_scenario, tmp_path, capsys, eta):
+        code = main([
+            "rate-search", "--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
+            "--budgets", "4e8", "--eta", eta, "--grid-points", "64",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: eta must be positive and finite" in err
+        assert "no feasible configuration" not in err

@@ -66,6 +66,12 @@ class TestAdcConfig:
         with pytest.raises(ValueError, match="eta must be positive and finite"):
             AdcConfig(k_adcs=1, fs=1.0, bits=4, eta=eta)
 
+    def test_bits_whose_step_overflows_are_rejected(self):
+        # 4**511 = 2**1022 is a finite float, 4**512 is not
+        assert AdcConfig(2, 4e8, 511).bits == 511
+        with pytest.raises(ValueError, match="bits"):
+            AdcConfig(2, 4e8, 512)
+
     @pytest.mark.parametrize("kw", [dict(k_adcs=0), dict(bits=0), dict(fs=-1.0)])
     def test_invalid_fields(self, kw):
         base = dict(k_adcs=1, fs=1.0, bits=1)

@@ -1,18 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from taskadc.design import (
     AdcConfig,
+    _solve_output,
     _waterfilled_modes,
     auto_grid_points,
     design_digital_filter,
     design_filters,
+    quantizer_noise,
     theoretical_mse,
 )
-from taskadc.mmse import whitened_task_stack
+from taskadc.mmse import task_energy, whitened_task_stack
 from taskadc.scenarios import build_scenario, isotropic_scenario
 from taskadc.search import (
     SearchSpec,
+    _arch_chain,
     baseline_design,
     designed_shift_kernel,
     modulated_stack,
@@ -22,7 +27,14 @@ from taskadc.search import (
     shifted_task_design,
     time_averaged_nmse,
 )
-from taskadc.spectra import alias_order, psd_sqrt, stack_aliases, take_rows
+from taskadc.spectra import (
+    StackedSpectrum,
+    alias_order,
+    joint_runs,
+    psd_sqrt,
+    stack_aliases,
+    take_rows,
+)
 
 from conftest import random_flat_model
 
@@ -143,6 +155,24 @@ class TestDesignedShiftKernelBits:
         assert min(modes.gain.shape[1], modes.s.shape[1]) == 1
         self.check(task_stack, cfg)
 
+    @pytest.mark.parametrize("layout", ["one_run_per_row", "single_run"])
+    def test_gemm_side_run_layouts(self, full_grid_matched_model, layout):
+        # P > N*r: gv and its conjugate are expanded in the GEMM's memory order
+        task_stack, cfg = self.matched_stack(full_grid_matched_model, 1.6e9, 4, 16)
+        if layout == "one_run_per_row":
+            task_stack = modulated_stack(task_stack, 0.3 * cfg.ts)
+            assert task_stack.run_starts.size == task_stack.base_grid.n_points
+        else:
+            task_stack = StackedSpectrum(
+                base_grid=task_stack.base_grid, alias_order_=task_stack.alias_order_,
+                blocks=task_stack.run_blocks[:1], block_cols=task_stack.block_cols,
+                fs=task_stack.fs, run_starts=[0],
+            )
+        modes = _waterfilled_modes(task_stack, cfg)
+        r_act = min(modes.gain.shape[1], modes.s.shape[1])
+        assert 2 * task_stack.alias_order_ + 1 > task_stack.rows * r_act
+        self.check(task_stack, cfg)
+
     def test_one_run_per_row(self, rng):
         model = random_flat_model(rng, n=3, m=5, n_points=64)
         cfg = AdcConfig(2, 0.45, 4)
@@ -151,6 +181,85 @@ class TestDesignedShiftKernelBits:
         assert task_stack.alias_order_ >= 1
         assert task_stack.run_starts.size == task_stack.base_grid.n_points
         self.check(task_stack, cfg)
+
+
+def gathered_shift_mse_kernel(h_bar, task_stack, cfg):
+    """``shift_mse_kernel`` with the per-run cross terms and solves gathered
+    to the grid row-major, chunk by chunk: the reference its expansion in
+    the GEMM's memory order must match bit for bit."""
+    noise_var, _ = quantizer_noise(h_bar, cfg)
+    n_blocks = 2 * task_stack.alias_order_ + 1
+    starts, index = joint_runs(task_stack, h_bar)
+    h = h_bar.rows_at(starts)
+    gv = task_stack.block_view(task_stack.rows_at(starts))
+    cross = np.einsum("jnpm,jkpm->jpnk", gv, h_bar.block_view(h).conj())
+    sol = _solve_output(h, cross, cfg.ts, noise_var)
+    w = task_stack.base_grid.weights
+    kernel = np.zeros((n_blocks, n_blocks), dtype=complex)
+    chunk = max(1, int(2**22 // max(1, n_blocks * n_blocks)))
+    for lo in range(0, w.size, chunk):
+        rows = index[lo:lo + chunk]
+        kernel += np.einsum(
+            "j,jpnk,jqkn->pq", w[lo:lo + chunk], cross[rows], sol[rows], optimize=True
+        )
+    return task_energy(task_stack), cfg.ts * kernel
+
+
+class TestShiftMseKernelBits:
+    """Expanding cross and sol in the GEMM's memory order leaves const and
+    kernel bit-identical to the row-major gather."""
+
+    @staticmethod
+    def check(h_bar, task_stack, cfg):
+        const, kernel = shift_mse_kernel(h_bar, task_stack, cfg)
+        ref_const, ref_kernel = gathered_shift_mse_kernel(h_bar, task_stack, cfg)
+        assert np.array_equal(const, ref_const)
+        assert np.array_equal(kernel, ref_kernel)
+
+    @staticmethod
+    def gemm(task_stack, k):
+        """True where einsum makes one GEMM: P = 2*ups + 1 exceeds N*K."""
+        return 2 * task_stack.alias_order_ + 1 > task_stack.rows * k
+
+    @pytest.mark.parametrize("arch, k", [("analog_recovery", 4), ("digital_recovery", 16)])
+    @pytest.mark.parametrize("bits", [1, 16])
+    def test_both_sides_of_the_gemm_rule(self, full_grid_matched_model, arch, k, bits):
+        cfg = AdcConfig(k, 1.6e9 / (k * bits), bits)
+        task_stack, h_bar = _arch_chain(full_grid_matched_model, cfg, arch, None)
+        assert self.gemm(task_stack, k) == (bits == 16)
+        self.check(h_bar, task_stack, cfg)
+
+    def test_several_chunks(self, full_grid_matched_model):
+        cfg = AdcConfig(16, 4e8 / (16 * 16), 16)
+        task_stack, h_bar = _arch_chain(full_grid_matched_model, cfg, "digital_recovery", None)
+        n_blocks = 2 * task_stack.alias_order_ + 1
+        assert n_blocks == 257
+        assert task_stack.base_grid.n_points > 2 * (2**22 // n_blocks**2)
+        assert 1 < joint_runs(task_stack, h_bar)[0].size < task_stack.base_grid.n_points
+        self.check(h_bar, task_stack, cfg)
+
+    def test_one_run_per_row(self, full_grid_matched_model):
+        cfg = AdcConfig(4, 1.6e9 / (4 * 16), 16)
+        task_stack, h_bar = _arch_chain(full_grid_matched_model, cfg, "analog_recovery", None)
+        # the shift phase differs on every row
+        shifted = modulated_stack(task_stack, 0.3 * cfg.ts)
+        assert self.gemm(shifted, 4)
+        assert joint_runs(shifted, h_bar)[0].size == shifted.base_grid.n_points
+        self.check(h_bar, shifted, cfg)
+
+    def test_single_run(self, full_grid_matched_model):
+        cfg = AdcConfig(16, 1.6e9 / (16 * 16), 16)
+        task_stack, h_bar = _arch_chain(full_grid_matched_model, cfg, "digital_recovery", None)
+        single = [
+            StackedSpectrum(
+                base_grid=s.base_grid, alias_order_=s.alias_order_, blocks=s.run_blocks[:1],
+                block_cols=s.block_cols, fs=s.fs, run_starts=[0],
+            )
+            for s in (task_stack, h_bar)
+        ]
+        assert self.gemm(single[0], 16)
+        assert joint_runs(*single)[0].size == 1
+        self.check(single[1], single[0], cfg)
 
 
 class TestTimeAveragedNmse:
@@ -264,6 +373,20 @@ class TestRateSearch:
         for budget in (np.inf, np.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 SearchSpec(rate_budget=budget)
+
+    @pytest.mark.parametrize("eta", [np.inf, -1.0, 0.0, np.nan])
+    def test_bad_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            SearchSpec(rate_budget=4e8, eta=eta)
+
+    def test_cells_infeasible_at_a_valid_eta_are_skipped(self, rng):
+        # eta = 3 overloads the dithered 1-bit quantizer but not the 2-bit one
+        model = random_flat_model(rng, n=1, m=2, n_points=32)
+        spec = SearchSpec(rate_budget=4.0, k_range=(1,), b_range=(1, 2), eta=3.0,
+                          n_points=32)
+        assert [row["bits"] for row in rate_search(model, spec).table] == [2]
+        with pytest.raises(ValueError, match="no feasible configuration"):
+            rate_search(model, replace(spec, b_range=(1,)))
 
 
 class TestBaselineDesign:
