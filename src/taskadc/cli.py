@@ -98,7 +98,7 @@ def _environment() -> dict:
     part of the config hash."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+    except KeyError:  # a build that records no BLAS
         blas = {}
     return {
         "numpy": np.__version__,

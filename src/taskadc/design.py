@@ -198,6 +198,11 @@ def solve_waterfill_level(
 
     kappa = effective_loading(cfg.eta, cfg.bits)
     target = cfg.k_adcs * 4.0**cfg.bits / (kappa * cfg.ts)
+    if not np.isfinite(target):
+        raise ValueError(
+            f"bits={cfg.bits}, K={cfg.k_adcs}, fs={cfg.fs:g}: the quantizer-support "
+            "budget K*4**b/(kappa*Ts) overflows a float"
+        )
 
     w_cum = np.cumsum(flat_w)
     ws_cum = np.cumsum(flat_w * flat_s)

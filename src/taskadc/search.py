@@ -11,17 +11,14 @@ converter count and analog filter of each baseline architecture.
 
 Every sum over frequency in a shift kernel is dense, in grid order: on
 aliased cells const - Re(kernel sum) cancels two task-energy-sized numbers,
-so another summation order would move ``nmse_t0_0``.  The per-frequency
-products behind those sums (``designed_shift_kernel``'s gv, the general
-kernel's cross terms and solves) run once per run of identical rows and are
-expanded back to the grid, bit-identical to per-row work.  When P = 2*ups + 1
-exceeds N times the contracted width (K converters in ``shift_mse_kernel``,
-r active modes in ``designed_shift_kernel``), einsum makes one GEMM over
-(n, k or r, j) of a kernel sum, and the products are expanded straight into
-that GEMM's memory order, grid rows innermost, so einsum's reshapes are
-views, not transposing copies.  Otherwise einsum multiplies row by row, and
-the grid-major gather reads faster.  The choice reads only shapes: the
-einsum calls, their paths and every product and sum are unchanged.
+so another summation order would move ``nmse_t0_0``.  ``_run_einsum`` keeps
+that order and still works per run of identical rows: it replays numpy's
+own einsum plan, runs the steps that keep the grid row j once per run, and
+hands the first step that sums over j grid-sized operands laid out as the
+dense call would lay them, so both kernels are bit-identical to their dense
+einsums.  That reaches into numpy's einsum internals (``bmm_einsum``, which
+numpy >= 2.4 calls for every pairwise step), imported here so that a numpy
+without them fails at import rather than with other bits.
 """
 
 from __future__ import annotations
@@ -30,6 +27,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy._core.einsumfunc import _parse_eq_to_batch_matmul, bmm_einsum
 
 from .design import (
     AdcConfig,
@@ -47,9 +45,11 @@ from .design import (
 from .mmse import TaskModel, task_energy, whitened_task_stack
 from .spectra import (
     StackedSpectrum,
-    _expand_runs,
+    _rows_at,
+    _run_index,
     constant_spectrum,
     joint_runs,
+    row_runs,
     stack_aliases,
     take_rows,
 )
@@ -103,42 +103,112 @@ def _arch_chain(model: TaskModel, cfg: AdcConfig, arch: str, n_points: int | Non
     return task_stack, h_bar
 
 
+def _memory_order(x: np.ndarray) -> list[int]:
+    """x's axes from the largest stride to the smallest."""
+    return sorted(range(x.ndim), key=lambda axis: -x.strides[axis])
+
+
+def _expand(x: np.ndarray, axis: int, counts, order: list[int]) -> np.ndarray:
+    """x's runs (along ``axis``) repeated ``counts`` times, laid out in
+    memory in axis ``order`` and returned in x's own axis order."""
+    dense = np.repeat(x.transpose(order), counts, axis=order.index(axis))
+    return dense.transpose(np.argsort(order))
+
+
+def _matmul_order(x: np.ndarray, term: str, eq: str | None, shape) -> list[int]:
+    """Axis order in which to lay out the grid-sized expansion of x, an
+    operand of a pairwise einsum step, so it reaches matmul as the dense
+    operand would.  ``eq`` and ``shape`` are ``bmm_einsum``'s transpose and
+    reshape of x.  Where that reshape is a view, matmul reads the dense
+    operand in its own memory order, which is that of its runs.  Where it
+    copies, matmul reads the copy, C-ordered in the transposed axes: the
+    expansion is laid out so, and the copy is saved.  View or copy depends
+    only on which axes are adjacent in memory, so run-sized x decides it."""
+    try:
+        if shape is not None:
+            np.reshape(x if eq is None else np.einsum(eq, x), shape, copy=False)
+    except ValueError:
+        desired = term if eq is None else eq.split("->")[1]
+        return [term.index(i) for i in desired] + [
+            axis for axis, i in enumerate(term) if i not in desired
+        ]
+    return _memory_order(x)
+
+
+def _run_einsum(subscripts: str, run_operands, index: np.ndarray, lo: int, hi: int):
+    """``np.einsum(subscripts, *dense, optimize=True)`` bit for bit, where
+    ``dense`` holds grid rows lo..hi of ``run_operands`` gathered by
+    ``index`` (the run of every grid row).  Every operand's subscripts, and
+    the result's if it keeps j, begin with j, the grid row; ``run_operands``
+    hold one row per run there.
+
+    It replays einsum's own plan for the dense shapes, calling each
+    pairwise step as einsum does, through ``bmm_einsum``.  Steps that keep j
+    run once per run: a row's product depends only on that row.  The first
+    step that sums over j gets grid-sized operands, each expanded from its
+    runs in the layout the dense call hands to matmul (``_matmul_order``),
+    so that sum and every later step are the dense ones.  When no step sums
+    over j the result stays one row per run.  numpy drops a size-1 axis and
+    then takes another path, so a single run goes in as two copies.
+    """
+    first, stop = index[lo], index[hi - 1] + 1
+    ops = [x[first:stop] for x in run_operands]
+    n_runs, n_rows = stop - first, hi - lo
+    if n_runs == n_rows:  # one run per row: the runs are the dense rows
+        return np.einsum(subscripts, *ops, optimize=True)
+    counts = np.bincount(index[lo:hi] - first)
+    if n_runs == 1:
+        ops = [_expand(x, 0, [2], _memory_order(x)) for x in ops]
+        counts = [n_rows, 0]
+    shapes = [np.broadcast_to(0.0, (n_rows,) + x.shape[1:]) for x in ops]
+    _, steps = np.einsum_path(subscripts, *shapes, optimize=True, einsum_call=True)
+    for inds, eq, _ in steps:
+        args = [ops.pop(i) for i in inds]
+        if counts is not None and "j" not in eq.split("->")[1]:
+            # the first sum over j: grid-sized operands from here on
+            terms = eq.split("->")[0].split(",")
+            prep = _parse_eq_to_batch_matmul(eq, *(x.shape for x in args))
+            args = [
+                _expand(x, term.index("j"), counts, _matmul_order(x, term, eq_x, shape))
+                if "j" in term else x
+                for x, term, eq_x, shape in zip(args, terms, prep[:2], prep[2:4])
+            ]
+            counts = None
+        ops.append(bmm_einsum(eq, *args))
+    return ops[0] if counts is None else ops[0][:n_runs]
+
+
+def _weighted_runs(w: np.ndarray, *stacks: StackedSpectrum):
+    """(starts, index) of the runs on which every stack and the quadrature
+    weights w are constant: the stacks' joint runs on a uniform grid."""
+    starts = np.union1d(joint_runs(*stacks)[0], row_runs(w)[0])
+    return starts, _run_index(starts, w.size)
+
+
 def shift_mse_kernel(h_bar: StackedSpectrum, task_stack: StackedSpectrum, cfg: AdcConfig):
     """(const, kernel) with mse(t0) = const - Re(p(t0)^T kernel conj(p(t0))).
 
     kernel[k, k'] integrates the per-alias cross terms against the inverse
     sampled-output covariance; p_k(t0) = e^{j*2*pi*k*fs*t0}.  Valid for any
-    analog filter stack.
+    analog filter stack.  The cross terms and solves run once per run of
+    identical rows, and the kernel sum over frequency is ``_run_einsum``'s,
+    chunk by chunk: the dense sum's bits.
     """
     noise_var, _ = quantizer_noise(h_bar, cfg)
     energy = task_energy(task_stack)
     n_blocks = 2 * task_stack.alias_order_ + 1
-    # cross terms and solves once per run of identical rows; the weighted
-    # sum over frequency stays dense so its summation order is unchanged
-    starts, index = joint_runs(task_stack, h_bar)
+    w = task_stack.base_grid.weights
+    starts, index = _weighted_runs(w, task_stack, h_bar)
     h = h_bar.rows_at(starts)
     gv = task_stack.block_view(task_stack.rows_at(starts))
     cross = np.einsum("jnpm,jkpm->jpnk", gv, h_bar.block_view(h).conj())  # (runs, P, N, K)
     sol = _solve_output(h, cross, cfg.ts, noise_var)
-    w = task_stack.base_grid.weights
-    dense = starts.size == w.size
-    # for P > N*K einsum makes one GEMM over (n, k, j): expand cross as
-    # (p, n, k, j) and sol as (n, k, j, q) so its reshapes are views;
-    # otherwise it multiplies row by row, which reads grid-major rows best
-    gemm = n_blocks > cross.shape[2] * cross.shape[3]
+    operands = (take_rows(w, starts), cross, sol)
     kernel = np.zeros((n_blocks, n_blocks), dtype=complex)
     chunk = max(1, int(2**22 // max(1, n_blocks * n_blocks)))
     for lo in range(0, w.size, chunk):
         hi = min(lo + chunk, w.size)
-        if gemm:
-            runs = slice(index[lo], index[hi - 1] + 1)
-            at = np.maximum(starts[runs] - lo, 0)
-            c = _expand_runs(cross[runs], at, hi - lo, (1, 2, 3, 0))
-            s = _expand_runs(sol[runs], at, hi - lo, (3, 2, 0, 1))
-        else:
-            rows = slice(lo, hi) if dense else index[lo:hi]
-            c, s = cross[rows], sol[rows]
-        kernel += np.einsum("j,jpnk,jqkn->pq", w[lo:hi], c, s, optimize=True)
+        kernel += _run_einsum("j,jpnk,jqkn->pq", operands, index, lo, hi)
     return energy, cfg.ts * kernel
 
 
@@ -155,15 +225,10 @@ def designed_shift_kernel(task_stack: StackedSpectrum, cfg: AdcConfig):
     accuracy is only about eps * const / mse, and any change to the summation
     order of const or kernel moves it by that much.
 
-    So the per-row products gv = G V run once per run of identical task
-    rows, and only gv and its conjugate are expanded to the grid: const and
-    the kernel sum over frequency stay dense, in grid order, and bit-identical
-    to per-row work.  einsum drops a size-1 axis and then takes another path,
-    which moves the last bit, so a single run goes in as a batch of two
-    copies, as every dense grid has at least two rows.  For P > N*r the two
-    expansions are laid out in the memory order of the kernel sum's GEMM,
-    gv as (n, r, j, p) and its conjugate as (q, n, r, j), so einsum reads
-    them through views; the einsum call and its sums are unchanged.
+    So const is summed on the dense grid, and gv = G V and the kernel sum
+    go through ``_run_einsum``: gv and the per-row steps of the kernel sum
+    run once per run of identical task rows, and the sum over frequency is
+    the dense one, bit for bit.
     """
     w = task_stack.base_grid.weights
     modes = _waterfilled_modes(task_stack, cfg)
@@ -177,24 +242,13 @@ def designed_shift_kernel(task_stack: StackedSpectrum, cfg: AdcConfig):
     d = alpha / (alpha + q)
     const = float(w @ (s**2).sum(axis=1))
     n_blocks = 2 * task_stack.alias_order_ + 1
-    # gv per run, a single run as two copies
-    n_runs = task_stack.run_starts.size
-    copies = 2 if n_runs == 1 else 1
-    g = np.concatenate([task_stack.run_blocks] * copies)
-    vh = np.concatenate([modes.vh[:, :r_act, :]] * copies).conj()
-    v_blocks = vh.reshape(g.shape[0], r_act, n_blocks, task_stack.block_cols)
-    gv = np.einsum("jnpm,jrpm->jpnr", task_stack.block_view(g), v_blocks, optimize=True)
-    gv = gv[:n_runs]
-    # for P > N*r einsum makes one GEMM over (n, r, j): expand gv as
-    # (n, r, j, p) and its conjugate as (q, n, r, j) so its reshapes are views
-    if n_blocks > gv.shape[2] * r_act:
-        starts = task_stack.run_starts
-        gv_p = _expand_runs(gv, starts, w.size, (2, 3, 0, 1))
-        gv_q = _expand_runs(gv.conj(), starts, w.size, (1, 2, 3, 0))
-    else:
-        gv_p, gv_q = take_rows(gv, modes.index), take_rows(gv.conj(), modes.index)
-    # dense, in grid order: its summation order fixes the bits of nmse_t0_0
-    kernel = np.einsum("j,jr,jpnr,jqnr->pq", w, d, gv_p, gv_q, optimize=True)
+    starts, index = _weighted_runs(w, task_stack)
+    g = task_stack.block_view(task_stack.rows_at(starts))
+    vh = _rows_at(task_stack.run_starts, modes.vh[:, :r_act, :], starts).conj()
+    v_blocks = vh.reshape(starts.size, r_act, n_blocks, task_stack.block_cols)
+    gv = _run_einsum("jnpm,jrpm->jpnr", (g, v_blocks), index, 0, w.size)
+    operands = (take_rows(w, starts), take_rows(d, starts), gv, gv.conj())
+    kernel = _run_einsum("j,jr,jpnr,jqnr->pq", operands, index, 0, w.size)
     return const, kernel
 
 

@@ -267,24 +267,12 @@ def _check_run_starts(starts: np.ndarray, n_points: int) -> None:
         raise ValueError("run_starts must rise strictly from 0 within the grid")
 
 
-def _expand_runs(
-    rows: np.ndarray, starts: np.ndarray, n_points: int, axes: tuple[int, ...] | None = None
-) -> np.ndarray:
+def _expand_runs(rows: np.ndarray, starts: np.ndarray, n_points: int) -> np.ndarray:
     """One row per run repeated over its run: the ``n_points`` grid rows,
-    read-only when ``rows`` are.
-
-    With ``axes``, a permutation of the row array's axes, the grid rows are
-    laid out in memory in that axis order (always a new array) and returned
-    as a view in the row array's own axis order.
-    """
-    if axes is None and starts.size == n_points:
+    read-only when ``rows`` are."""
+    if starts.size == n_points:
         return rows
-    counts = np.diff(starts, append=n_points)
-    if axes is None:
-        dense = np.repeat(rows, counts, axis=0)
-    else:
-        dense = np.repeat(rows.transpose(axes), counts, axis=axes.index(0))
-        dense = dense.transpose(np.argsort(axes))
+    dense = np.repeat(rows, np.diff(starts, append=n_points), axis=0)
     dense.flags.writeable = rows.flags.writeable
     return dense
 

@@ -105,6 +105,27 @@ class TestDesignCommand:
         assert "config error: bits must be below 512" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bits, code", [(505, 2), (490, 0)])
+    def test_bits_whose_waterfill_budget_overflows_exit_2(
+        self, matched_scenario, tmp_path, capsys, bits, code
+    ):
+        # 4**505 is finite, but K*4**b/(kappa*Ts) at 400 MHz is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = main([
+                "design", "--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
+                "--k", "2", "--bits", str(bits), "--fs", "4e8", "--grid-points", "16",
+            ])
+        assert got == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == (
+                "config error: bits=505, K=2, fs=4e+08: the quantizer-support budget "
+                "K*4**b/(kappa*Ts) overflows a float\n"
+            )
+        else:
+            assert err == ""
+
     def test_grid_of_fewer_than_ten_points(self, matched_scenario, tmp_path, capsys):
         out = tmp_path / "out"
         with warnings.catch_warnings():

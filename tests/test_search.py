@@ -1,4 +1,7 @@
+import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +17,12 @@ from taskadc.design import (
     theoretical_mse,
 )
 from taskadc.mmse import task_energy, whitened_task_stack
-from taskadc.scenarios import build_scenario, isotropic_scenario
+from taskadc.scenarios import ScenarioSpec, build_scenario, isotropic_scenario
 from taskadc.search import (
+    ARCHITECTURES,
     SearchSpec,
     _arch_chain,
+    _run_einsum,
     baseline_design,
     designed_shift_kernel,
     modulated_stack,
@@ -28,6 +33,7 @@ from taskadc.search import (
     time_averaged_nmse,
 )
 from taskadc.spectra import (
+    FrequencyGrid,
     StackedSpectrum,
     alias_order,
     joint_runs,
@@ -93,6 +99,18 @@ class TestShiftedTaskDesign:
             a = mse_at_shifts(c1, k1, cfg, t0s)
             b = mse_at_shifts(c2, k2, cfg, t0s)
             np.testing.assert_allclose(a, b, rtol=1e-9)
+
+
+def nonuniform_weights(stack):
+    """``stack`` on its grid's points with weights that alternate 0.5 and 1.5
+    times the spacing: no run of the stack keeps one weight."""
+    grid = stack.base_grid
+    weights = grid.spacing * (1.0 + 0.5 * (-1.0) ** np.arange(grid.n_points))
+    return StackedSpectrum(
+        base_grid=FrequencyGrid(grid.points, weights, grid.f_lo, grid.f_hi),
+        alias_order_=stack.alias_order_, blocks=stack.run_blocks,
+        block_cols=stack.block_cols, fs=stack.fs, run_starts=stack.run_starts,
+    )
 
 
 def dense_designed_shift_kernel(task_stack, cfg):
@@ -173,6 +191,20 @@ class TestDesignedShiftKernelBits:
         assert 2 * task_stack.alias_order_ + 1 > task_stack.rows * r_act
         self.check(task_stack, cfg)
 
+    def test_matched_scenario_row_side(self, full_grid_matched_model):
+        # P <= N*r: einsum multiplies row by row, then sums the rows in a GEMV
+        task_stack, cfg = self.matched_stack(full_grid_matched_model, 4e8, 2, 1)
+        modes = _waterfilled_modes(task_stack, cfg)
+        r_act = min(modes.gain.shape[1], modes.s.shape[1])
+        assert 2 * task_stack.alias_order_ + 1 == 3 <= task_stack.rows * r_act
+        assert task_stack.run_starts.size == 2
+        self.check(task_stack, cfg)
+
+    def test_weights_that_vary_within_a_run(self, full_grid_matched_model):
+        # the quadrature weights join the runs the per-run steps work on
+        task_stack, cfg = self.matched_stack(full_grid_matched_model, 1.6e9, 2, 16)
+        self.check(nonuniform_weights(task_stack), cfg)
+
     def test_one_run_per_row(self, rng):
         model = random_flat_model(rng, n=3, m=5, n_points=64)
         cfg = AdcConfig(2, 0.45, 4)
@@ -238,6 +270,11 @@ class TestShiftMseKernelBits:
         assert 1 < joint_runs(task_stack, h_bar)[0].size < task_stack.base_grid.n_points
         self.check(h_bar, task_stack, cfg)
 
+    def test_weights_that_vary_within_a_run(self, full_grid_matched_model):
+        cfg = AdcConfig(4, 1.6e9 / (4 * 16), 16)
+        task_stack, h_bar = _arch_chain(full_grid_matched_model, cfg, "analog_recovery", None)
+        self.check(nonuniform_weights(h_bar), nonuniform_weights(task_stack), cfg)
+
     def test_one_run_per_row(self, full_grid_matched_model):
         cfg = AdcConfig(4, 1.6e9 / (4 * 16), 16)
         task_stack, h_bar = _arch_chain(full_grid_matched_model, cfg, "analog_recovery", None)
@@ -260,6 +297,99 @@ class TestShiftMseKernelBits:
         assert self.gemm(single[0], 16)
         assert joint_runs(*single)[0].size == 1
         self.check(single[1], single[0], cfg)
+
+
+class TestRunEinsum:
+    """``_run_einsum`` on run operands equals einsum on the grid rows they
+    stand for, bit for bit, chunk by chunk."""
+
+    N_ROWS = 64
+    CHUNKS = (0, 16, 32, 48, 63, 64)  # three 16-row chunks, 15 rows, 1 row
+    RUN_STARTS = {
+        "one_run": [0],
+        "one_run_per_row": list(range(64)),
+        # runs 5..22 and 24..39 cross chunk edges, 40..62 spans one
+        "runs_across_chunks": [0, 5, 23, 24, 40, 63],
+    }
+    REAL_TERMS = ("j", "jr")  # the quadrature weights and mode gains
+
+    @classmethod
+    def check(cls, rng, subscripts, sizes, layout):
+        starts = np.array(cls.RUN_STARTS[layout])
+        index = np.repeat(np.arange(starts.size), np.diff(starts, append=cls.N_ROWS))
+        operands = []
+        for term in subscripts.split("->")[0].split(","):
+            shape = (starts.size,) + tuple(sizes[i] for i in term[1:])
+            x = rng.standard_normal(shape)
+            if term not in cls.REAL_TERMS:
+                x = x + 1j * rng.standard_normal(shape)
+            operands.append(x)
+        for lo, hi in zip(cls.CHUNKS[:-1], cls.CHUNKS[1:]):
+            rows = index[lo:hi]
+            want = np.einsum(subscripts, *(x[rows] for x in operands), optimize=True)
+            got = _run_einsum(subscripts, operands, index, lo, hi)
+            if "j" in subscripts.split("->")[1]:
+                got = got[rows - rows[0]]  # one row per run
+            assert np.array_equal(got, want), (lo, hi)
+
+    @staticmethod
+    def row_side(subscripts, sizes) -> bool:
+        """True where einsum's plan multiplies row by row and then sums the
+        rows in a GEMV, False where it sums over j in one GEMM."""
+        dense = [
+            np.broadcast_to(0.0, tuple(sizes[i] for i in term))
+            for term in subscripts.split("->")[0].split(",")
+        ]
+        steps = np.einsum_path(subscripts, *dense, optimize=True, einsum_call=True)[1]
+        return steps[-1][1] == "pqj,j->pq"
+
+    LAYOUTS = pytest.mark.parametrize("layout", list(RUN_STARTS))
+
+    @LAYOUTS
+    @pytest.mark.parametrize("p, k", [(17, 4), (5, 4), (5, 16)])
+    def test_shift_mse_kernel_sum(self, rng, layout, p, k):
+        sizes = dict(j=16, p=p, q=p, n=4, k=k)
+        assert self.row_side("j,jpnk,jqkn->pq", sizes) == (p <= 4 * k)
+        self.check(rng, "j,jpnk,jqkn->pq", sizes, layout)
+
+    @LAYOUTS
+    @pytest.mark.parametrize("p, r", [(17, 2), (3, 2), (9, 1)])
+    def test_designed_kernel_sum(self, rng, layout, p, r):
+        sizes = dict(j=16, p=p, q=p, n=4, r=r)
+        assert self.row_side("j,jr,jpnr,jqnr->pq", sizes) == (p <= 4 * r)
+        self.check(rng, "j,jr,jpnr,jqnr->pq", sizes, layout)
+
+    @LAYOUTS
+    def test_designed_kernel_gv(self, rng, layout):
+        # j is never summed: the result stays one row per run
+        self.check(rng, "jnpm,jrpm->jpnr", dict(n=4, p=5, m=16, r=2), layout)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+class TestBenchmarkReference:
+    """The benchmark's ``search`` cells match ``perfbench/reference.json``
+    at its 1e-9, so reference drift fails here and not only in the benchmark."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_search_cells(self, seed):
+        want = json.loads(REFERENCE.read_text())["seeds"][str(seed)]["search"]
+        model = build_scenario(ScenarioSpec(
+            n_streams=4, m_antennas=16, f_nyq=400e6, snr_db=10.0,
+            sigma_phi=math.radians(1.0), channel_seed=seed,
+        ))
+        for arch in ARCHITECTURES:
+            spec = SearchSpec(rate_budget=1.6e9, b_range=(1, 16), architecture=arch)
+            got = [
+                [row["k_adcs"], row["bits"], row["nmse"], row["nmse_t0_0"]]
+                for row in rate_search(model, spec).table
+            ]
+            ref = want[f"rate_search/{arch}"]["rows"]
+            assert [row[:2] for row in got] == [row[:2] for row in ref]
+            for row, ref_row in zip(got, ref):
+                for value, ref_value in zip(row[2:], ref_row[2:]):
+                    assert abs(value - ref_value) <= 1e-9 * max(abs(value), abs(ref_value))
 
 
 class TestTimeAveragedNmse:
