@@ -42,7 +42,6 @@ from .spectra import (
     SpectralMatrixFunction,
     StackedSpectrum,
     integrate_matrix,
-    make_frequency_grid,
     psd_sqrt,
     stack_aliases,
 )

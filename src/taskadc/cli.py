@@ -193,7 +193,7 @@ def _architectures(text: str) -> list[str]:
     archs = [_ARCH_ALIASES.get(a, a) for a in text.split(",")]
     for arch in archs:
         if arch not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {arch}")
+            raise ValueError(f"unknown architecture {arch!r}")
     return archs
 
 

@@ -453,7 +453,7 @@ def _mmse_solve(
 ) -> _MmseSolve:
     """The solve behind the digital filter and its MSE; the quantization-noise
     level is derived from the filter actually supplied."""
-    if h_bar.base_grid.n_points != task_stack.base_grid.n_points:
+    if h_bar.base_grid != task_stack.base_grid:
         raise ValueError("analog filter and task stacks must share the baseband grid")
     if h_bar.stacked_cols != task_stack.stacked_cols:
         raise ValueError("analog filter and task stacks must share the alias layout")

@@ -31,11 +31,10 @@ def effective_loading(eta: float, bits: int) -> float:
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Mid-rise quantizer parameters: resolution, dynamic range, dither flag."""
+    """Mid-rise quantizer parameters: resolution and dynamic range."""
 
     bits: int
     dynamic_range: float
-    dithered: bool = True
 
     def __post_init__(self):
         if self.bits < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mmse import TaskModel
-from .spectra import DEFAULT_GRID_POINTS, constant_spectrum, make_frequency_grid
+from .spectra import DEFAULT_GRID_POINTS, FrequencyGrid, constant_spectrum
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def build_scenario(spec: ScenarioSpec, n_points: int = DEFAULT_GRID_POINTS) -> T
     cross_level = (f_mat.T @ f_mat) @ f_mat.T
     task_level = cross_level @ np.linalg.inv(input_level)
 
-    grid = make_frequency_grid(-spec.f_nyq / 2.0, spec.f_nyq / 2.0, n_points)
+    grid = FrequencyGrid(-spec.f_nyq / 2.0, spec.f_nyq / 2.0, n_points)
     return TaskModel(
         task_filter=constant_spectrum(grid, task_level, kind="filter"),
         input_psd=constant_spectrum(grid, input_level, kind="psd"),
@@ -159,7 +159,7 @@ def isotropic_scenario(
     gains = np.ones(n) if task_gains is None else np.asarray(task_gains, dtype=float)
     if gains.shape != (n,):
         raise ValueError("task_gains must have length n")
-    grid = make_frequency_grid(-fs / 2.0, fs / 2.0, n_points)
+    grid = FrequencyGrid(-fs / 2.0, fs / 2.0, n_points)
     task_level = np.diag(gains)
     return TaskModel(
         task_filter=constant_spectrum(grid, task_level, kind="filter"),

@@ -46,10 +46,8 @@ from .mmse import TaskModel, task_energy, whitened_task_stack
 from .spectra import (
     StackedSpectrum,
     _rows_at,
-    _run_index,
     constant_spectrum,
     joint_runs,
-    row_runs,
     stack_aliases,
     take_rows,
 )
@@ -178,13 +176,6 @@ def _run_einsum(subscripts: str, run_operands, index: np.ndarray, lo: int, hi: i
     return ops[0] if counts is None else ops[0][:n_runs]
 
 
-def _weighted_runs(w: np.ndarray, *stacks: StackedSpectrum):
-    """(starts, index) of the runs on which every stack and the quadrature
-    weights w are constant: the stacks' joint runs on a uniform grid."""
-    starts = np.union1d(joint_runs(*stacks)[0], row_runs(w)[0])
-    return starts, _run_index(starts, w.size)
-
-
 def shift_mse_kernel(h_bar: StackedSpectrum, task_stack: StackedSpectrum, cfg: AdcConfig):
     """(const, kernel) with mse(t0) = const - Re(p(t0)^T kernel conj(p(t0))).
 
@@ -198,7 +189,7 @@ def shift_mse_kernel(h_bar: StackedSpectrum, task_stack: StackedSpectrum, cfg: A
     energy = task_energy(task_stack)
     n_blocks = 2 * task_stack.alias_order_ + 1
     w = task_stack.base_grid.weights
-    starts, index = _weighted_runs(w, task_stack, h_bar)
+    starts, index = joint_runs(task_stack, h_bar)
     h = h_bar.rows_at(starts)
     gv = task_stack.block_view(task_stack.rows_at(starts))
     cross = np.einsum("jnpm,jkpm->jpnk", gv, h_bar.block_view(h).conj())  # (runs, P, N, K)
@@ -242,7 +233,7 @@ def designed_shift_kernel(task_stack: StackedSpectrum, cfg: AdcConfig):
     d = alpha / (alpha + q)
     const = float(w @ (s**2).sum(axis=1))
     n_blocks = 2 * task_stack.alias_order_ + 1
-    starts, index = _weighted_runs(w, task_stack)
+    starts, index = joint_runs(task_stack)
     g = task_stack.block_view(task_stack.rows_at(starts))
     vh = _rows_at(task_stack.run_starts, modes.vh[:, :r_act, :], starts).conj()
     v_blocks = vh.reshape(starts.size, r_act, n_blocks, task_stack.block_cols)

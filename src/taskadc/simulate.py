@@ -248,9 +248,7 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
     if design.dynamic_range is None or design.task_energy is None:
         raise ValueError("simulation needs a fully assembled design")
     plan = _plan_block(model.band_edge, cfg.fs)
-    qspec = QuantizerSpec(
-        bits=cfg.bits, dynamic_range=design.dynamic_range, dithered=run.dithered
-    )
+    qspec = QuantizerSpec(bits=cfg.bits, dynamic_range=design.dynamic_range)
 
     roots_dc, roots_pos = _sample_dc_and_bins(model._input_root, plan)
     gamma_dc, gamma_pos = _sample_dc_and_bins(model.task_filter, plan)

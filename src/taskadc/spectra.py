@@ -34,43 +34,40 @@ _KINDS = ("psd", "cross_psd", "filter")
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform midpoint grid over a frequency band, with quadrature weights."""
+    """Uniform midpoint grid over [f_lo, f_hi]: ``n_points`` cells of equal
+    width, each sampled at its centre and weighted by its width.  A grid is
+    these three numbers, so grids compare and hash by value."""
 
-    points: np.ndarray
-    weights: np.ndarray
     f_lo: float
     f_hi: float
+    n_points: int
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if points.ndim != 1 or points.size < 2:
-            raise ValueError("grid needs at least 2 points")
         if not (np.isfinite(self.f_lo) and np.isfinite(self.f_hi)):
             raise ValueError("band edges must be finite")
         if not self.f_lo < self.f_hi:
             raise ValueError("f_lo must be below f_hi")
-        if np.any(np.diff(points) <= 0):
-            raise ValueError("points must be strictly increasing")
-        if points[0] < self.f_lo or points[-1] > self.f_hi:
-            raise ValueError("points must lie within [f_lo, f_hi]")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        width = self.f_hi - self.f_lo
-        if abs(weights.sum() - width) > 1e-12 * width:
-            raise ValueError("weights must sum to the band width")
-        points.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def n_points(self) -> int:
-        return self.points.size
+        object.__setattr__(self, "n_points", int(self.n_points))
+        if self.n_points < 2:
+            raise ValueError("n_points must be at least 2")
 
     @property
     def spacing(self) -> float:
         return (self.f_hi - self.f_lo) / self.n_points
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The cell centres, read-only."""
+        points = self.f_lo + self.spacing * (np.arange(self.n_points) + 0.5)
+        points.flags.writeable = False
+        return points
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The quadrature weights: every cell's width, read-only."""
+        weights = np.full(self.n_points, self.spacing)
+        weights.flags.writeable = False
+        return weights
 
     def is_symmetric(self) -> bool:
         """True when the band is symmetric about 0 (so f and -f pair up)."""
@@ -82,21 +79,6 @@ class FrequencyGrid:
         if not self.is_symmetric():
             raise ValueError("grid is not symmetric about 0")
         return np.arange(self.n_points)[::-1]
-
-
-def make_frequency_grid(f_lo: float, f_hi: float, n_points: int) -> FrequencyGrid:
-    """Uniform midpoint grid: n_points cell centres, equal weights."""
-    if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
-        raise ValueError("band edges must be finite")
-    if f_lo >= f_hi:
-        raise ValueError("f_lo must be below f_hi")
-    n_points = int(n_points)
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    step = (f_hi - f_lo) / n_points
-    points = f_lo + step * (np.arange(n_points) + 0.5)
-    weights = np.full(n_points, step)
-    return FrequencyGrid(points=points, weights=weights, f_lo=f_lo, f_hi=f_hi)
 
 
 @dataclass(frozen=True, init=False)
@@ -217,7 +199,7 @@ def _grid_to_dict(grid: FrequencyGrid) -> dict:
 
 
 def _grid_from_dict(data: dict) -> FrequencyGrid:
-    return make_frequency_grid(data["f_lo"], data["f_hi"], data["n"])
+    return FrequencyGrid(data["f_lo"], data["f_hi"], data["n"])
 
 
 def interleave_re_im(values: np.ndarray) -> list:
@@ -360,7 +342,7 @@ def multiply_spectra(
 
 
 def _check_shared_grid(a: FrequencyGrid, b: FrequencyGrid) -> None:
-    if a.n_points != b.n_points or not np.allclose(a.points, b.points):
+    if a != b:
         raise ValueError("spectra must share a grid")
 
 
@@ -498,11 +480,11 @@ def joint_runs(*stacks: StackedSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """(starts, index) of the runs on which every stack is constant: the
     union of their run boundaries, which is ``row_runs`` of their dense rows
     taken together."""
-    n = stacks[0].base_grid.n_points
-    if any(s.base_grid.n_points != n for s in stacks):
+    grid = stacks[0].base_grid
+    if any(s.base_grid != grid for s in stacks):
         raise ValueError("stacks must share the baseband grid")
     starts = reduce(np.union1d, (s.run_starts for s in stacks))
-    return starts, _run_index(starts, n)
+    return starts, _run_index(starts, grid.n_points)
 
 
 def stack_aliases(
@@ -525,7 +507,7 @@ def stack_aliases(
     # no folding: the stack is supported on the source band only, so gridding
     # past the band edge would just sample zeros
     half = fs / 2.0 if ups > 0 else min(fs / 2.0, f_max)
-    base = make_frequency_grid(-half, half, n_points)
+    base = FrequencyGrid(-half, half, n_points)
     shifts = np.arange(-ups, ups + 1)
     idx, inside = _cell_lookup(grid, base.points[:, None] - shifts * fs)
     # source run of every (base point, shift); the extra run -1 is zero

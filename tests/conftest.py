@@ -6,16 +6,16 @@ import pytest
 from taskadc.mmse import TaskModel, analog_mmse_filter
 from taskadc.scenarios import ScenarioSpec, build_scenario
 from taskadc.spectra import (
+    FrequencyGrid,
     SpectralMatrixFunction,
     constant_spectrum,
-    make_frequency_grid,
     multiply_spectra,
 )
 
 
 def unit_scalar_model(fs: float = 1.0, n_points: int = 256) -> TaskModel:
     """Noiseless identity task on a flat unit-PSD scalar input over [-fs/2, fs/2]."""
-    grid = make_frequency_grid(-fs / 2.0, fs / 2.0, n_points)
+    grid = FrequencyGrid(-fs / 2.0, fs / 2.0, n_points)
     one = np.ones((1, 1))
     return TaskModel(
         task_filter=constant_spectrum(grid, one, kind="filter"),
@@ -31,7 +31,7 @@ def random_flat_model(rng: np.random.Generator, n: int, m: int, n_points: int = 
     input_level = a @ a.T + m * np.eye(m)
     cross_level = rng.standard_normal((n, m))
     task_level = cross_level @ np.linalg.inv(input_level)
-    grid = make_frequency_grid(-f_nyq / 2.0, f_nyq / 2.0, n_points)
+    grid = FrequencyGrid(-f_nyq / 2.0, f_nyq / 2.0, n_points)
     return TaskModel(
         task_filter=constant_spectrum(grid, task_level, kind="filter"),
         input_psd=constant_spectrum(grid, input_level, kind="psd"),
@@ -44,7 +44,7 @@ def piecewise_model(n_points: int, seed: int = 0) -> TaskModel:
     rank 2, and whose task levels change at other rows; the task filter is
     ``analog_mmse_filter`` of the resulting cross-PSD."""
     rng = np.random.default_rng(seed)
-    grid = make_frequency_grid(-0.5, 0.5, n_points)
+    grid = FrequencyGrid(-0.5, 0.5, n_points)
     levels = []
     for rank in (4, 4, 2, 4):
         a = rng.standard_normal((4, rank))

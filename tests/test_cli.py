@@ -411,6 +411,15 @@ class TestRateSearchCommand:
             assert code == 2
             assert "rate budget must be positive and finite" in capsys.readouterr().err
 
+    def test_empty_architecture_exits_2_naming_it(self, matched_scenario, tmp_path, capsys):
+        code = main([
+            "rate-search", "--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
+            "--budgets", "4e8", "--arch", "task,", "--grid-points", "64",
+        ])
+        assert code == 2
+        assert "config error: unknown architecture ''" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("eta", ["inf", "-1", "nan"])
     def test_bad_eta_exits_2_naming_eta(self, matched_scenario, tmp_path, capsys, eta):
         code = main([

@@ -31,11 +31,11 @@ from taskadc.search import (
     shift_mse_kernel,
 )
 from taskadc.spectra import (
+    FrequencyGrid,
     SpectralMatrixFunction,
     StackedSpectrum,
     constant_spectrum,
     interleave_re_im,
-    make_frequency_grid,
     psd_sqrt,
     row_runs,
 )
@@ -82,21 +82,21 @@ class TestAdcConfig:
 
 class TestWaterfillLevel:
     def test_flat_scalar_one_bit(self):
-        grid = make_frequency_grid(-0.5, 0.5, 32)
+        grid = FrequencyGrid(-0.5, 0.5, 32)
         cfg = AdcConfig(1, 1.0, 1, eta=2.0)
         sig = np.ones((32, 1))
         zeta = solve_waterfill_level(sig, grid.weights, cfg)
         assert abs(zeta - (1 + 4.0 / 12.0)) < 1e-12
 
     def test_flat_scalar_four_bit(self):
-        grid = make_frequency_grid(-0.5, 0.5, 32)
+        grid = FrequencyGrid(-0.5, 0.5, 32)
         cfg = AdcConfig(1, 1.0, 4, eta=2.0)
         zeta = solve_waterfill_level(np.ones((32, 1)), grid.weights, cfg)
         kappa = effective_loading(2.0, 4)
         assert abs(zeta - (1 + 256.0 / kappa)) < 1e-9
 
     def test_doubling_halves_level(self, rng):
-        grid = make_frequency_grid(-0.5, 0.5, 64)
+        grid = FrequencyGrid(-0.5, 0.5, 64)
         cfg = AdcConfig(2, 1.0, 3, eta=2.0)
         sig = rng.uniform(0.5, 2.0, size=(64, 2))
         z1 = solve_waterfill_level(sig, grid.weights, cfg)
@@ -105,13 +105,13 @@ class TestWaterfillLevel:
             assert abs(z2 - z1 / 2) < 1e-10 * z1
 
     def test_zero_task_rejected(self):
-        grid = make_frequency_grid(-0.5, 0.5, 8)
+        grid = FrequencyGrid(-0.5, 0.5, 8)
         with pytest.raises(ValueError):
             solve_waterfill_level(np.zeros((8, 1)), grid.weights, AdcConfig(1, 1.0, 1))
 
     def test_kinked_profile_residual(self, rng):
         # profile with many inactive modes still satisfies the constraint exactly
-        grid = make_frequency_grid(-0.5, 0.5, 128)
+        grid = FrequencyGrid(-0.5, 0.5, 128)
         cfg = AdcConfig(3, 1.0, 2, eta=2.0)
         sig = rng.uniform(0.0, 1.0, size=(128, 3)) ** 4
         zeta = solve_waterfill_level(sig, grid.weights, cfg)
@@ -247,6 +247,15 @@ class TestDigitalFilter:
         report = theoretical_mse(zero, stack, cfg)
         assert abs(report.nmse - 1.0) < 1e-12
         assert abs(report.mse - task_energy(stack)) < 1e-12
+
+    @pytest.mark.parametrize("solve", [design_digital_filter, theoretical_mse])
+    def test_stacks_from_different_bands(self, matched_model, solve):
+        # alias order 2 and 4096 points both, on [-50, 50] and [-45, 45] MHz
+        cfg = AdcConfig(2, 100e6, 4)
+        h_bar = design_filters(matched_model, cfg, 4096).h_bar
+        task_stack = whitened_task_stack(matched_model, 90e6, 4096)
+        with pytest.raises(ValueError, match="share the baseband grid"):
+            solve(h_bar, task_stack, cfg)
 
 
 class TestTheoreticalMse:
@@ -389,7 +398,7 @@ class TestRankAndIsotropy:
         assert max_rank_bound(whitened_task_stack(model, 1.0, 16)) == 1
 
     def test_zero_rank(self):
-        grid = make_frequency_grid(-0.5, 0.5, 8)
+        grid = FrequencyGrid(-0.5, 0.5, 8)
         stack = StackedSpectrum(
             base_grid=grid, alias_order_=0,
             blocks=np.zeros((8, 2, 3), dtype=complex), block_cols=3,
@@ -409,7 +418,7 @@ class TestRankAndIsotropy:
         input_level = a @ a.swapaxes(-1, -2) + m * np.eye(m)
         cross_level = rng.standard_normal((3, n, m))
         cross_level[1, 1] = 2.0 * cross_level[1, 0]
-        grid = make_frequency_grid(-0.5, 0.5, n_pts)
+        grid = FrequencyGrid(-0.5, 0.5, n_pts)
 
         def spectrum(levels, kind):
             return SpectralMatrixFunction(grid=grid, values=levels[piece], kind=kind)
@@ -468,7 +477,7 @@ def _json_round_trip(design: FilterDesign) -> FilterDesign:
 
 def _varying_model(rng, n_pts: int) -> TaskModel:
     """Smooth, non-flat spectra: every grid row differs from its neighbours."""
-    grid = make_frequency_grid(-0.5, 0.5, n_pts)
+    grid = FrequencyGrid(-0.5, 0.5, n_pts)
     a = rng.standard_normal((3, 3))
     tilt = 1.0 + grid.points[:, None, None] ** 2
     input_psd = (a @ a.T + 3.0 * np.eye(3)) * tilt
@@ -635,7 +644,7 @@ class TestNyquistUnstacking:
 
     def test_rank_deficient_nullspace(self):
         # input PSD with a dead direction: the analog filter ignores it
-        grid = make_frequency_grid(-0.5, 0.5, 16)
+        grid = FrequencyGrid(-0.5, 0.5, 16)
         from taskadc.mmse import TaskModel
 
         psd = np.diag([1.0, 0.0])

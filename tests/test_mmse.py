@@ -12,7 +12,7 @@ from taskadc.mmse import (
     whitened_task_stack,
 )
 from taskadc.scenarios import isotropic_scenario
-from taskadc.spectra import constant_spectrum, make_frequency_grid, psd_sqrt, row_runs
+from taskadc.spectra import FrequencyGrid, constant_spectrum, psd_sqrt, row_runs
 
 from conftest import piecewise_model, random_flat_model, synthesize_block, unit_scalar_model
 
@@ -20,14 +20,14 @@ from conftest import piecewise_model, random_flat_model, synthesize_block, unit_
 class TestAnalogMmseFilter:
     def test_scalar_wiener_shrinkage(self):
         # x = s + n with unit flat spectra: the filter halves the observation
-        grid = make_frequency_grid(-0.5, 0.5, 16)
+        grid = FrequencyGrid(-0.5, 0.5, 16)
         c_x = constant_spectrum(grid, np.array([[2.0]]))
         c_sx = constant_spectrum(grid, np.array([[1.0]]), kind="cross_psd")
         gamma = analog_mmse_filter(c_sx, c_x)
         np.testing.assert_allclose(gamma.values.real, 0.5, atol=1e-12)
 
     def test_identity_task(self, rng):
-        grid = make_frequency_grid(-0.5, 0.5, 8)
+        grid = FrequencyGrid(-0.5, 0.5, 8)
         a = rng.standard_normal((3, 3))
         c_x = constant_spectrum(grid, a @ a.T + np.eye(3))
         gamma = analog_mmse_filter(
@@ -35,7 +35,7 @@ class TestAnalogMmseFilter:
         np.testing.assert_allclose(gamma.values[0].real, np.eye(3), atol=1e-10)
 
     def test_rank_one_pseudo_inverse(self):
-        grid = make_frequency_grid(-0.5, 0.5, 4)
+        grid = FrequencyGrid(-0.5, 0.5, 4)
         v = np.array([[1.0], [2.0]])
         c_x = constant_spectrum(grid, v @ v.T)
         c_sx = constant_spectrum(grid, v.T, kind="cross_psd")
@@ -45,7 +45,7 @@ class TestAnalogMmseFilter:
         )
 
     def test_shape_mismatch(self):
-        grid = make_frequency_grid(-0.5, 0.5, 4)
+        grid = FrequencyGrid(-0.5, 0.5, 4)
         with pytest.raises(ValueError):
             analog_mmse_filter(
                 constant_spectrum(grid, np.ones((1, 3)), kind="cross_psd"),
@@ -55,9 +55,9 @@ class TestAnalogMmseFilter:
     def test_grid_mismatch(self):
         with pytest.raises(ValueError, match="share a grid"):
             analog_mmse_filter(
-                constant_spectrum(make_frequency_grid(-0.5, 0.5, 4), np.ones((1, 2)),
+                constant_spectrum(FrequencyGrid(-0.5, 0.5, 4), np.ones((1, 2)),
                                   kind="cross_psd"),
-                constant_spectrum(make_frequency_grid(-0.5, 0.5, 8), np.eye(2)),
+                constant_spectrum(FrequencyGrid(-0.5, 0.5, 8), np.eye(2)),
             )
 
     @pytest.mark.parametrize("n_points", [64, 74, 101])
@@ -76,7 +76,7 @@ class TestAnalogMmseFilter:
 
 class TestTaskEnergy:
     def test_zero_task(self):
-        grid = make_frequency_grid(-0.5, 0.5, 16)
+        grid = FrequencyGrid(-0.5, 0.5, 16)
         model = TaskModel(
             task_filter=constant_spectrum(grid, np.zeros((1, 1)), kind="filter"),
             input_psd=constant_spectrum(grid, np.eye(1)),
@@ -118,7 +118,7 @@ class TestTaskEnergy:
 class TestTaskCovariance:
     def test_flat_scalar_closed_form(self):
         # Wiener gain 1/2 on a flat unit input over a width-2 band
-        grid = make_frequency_grid(-1.0, 1.0, 32)
+        grid = FrequencyGrid(-1.0, 1.0, 32)
         model = TaskModel(
             task_filter=constant_spectrum(grid, np.array([[0.5]]), kind="filter"),
             input_psd=constant_spectrum(grid, np.array([[1.0]])),
@@ -128,7 +128,7 @@ class TestTaskCovariance:
         assert abs(cov[0, 0] - 2.0 * 0.25) < 1e-12
 
     def test_zero_filter(self):
-        grid = make_frequency_grid(-0.5, 0.5, 8)
+        grid = FrequencyGrid(-0.5, 0.5, 8)
         model = TaskModel(
             task_filter=constant_spectrum(grid, np.zeros((2, 2)), kind="filter"),
             input_psd=constant_spectrum(grid, np.eye(2)),
@@ -151,7 +151,7 @@ class TestTaskCovariance:
 
 class TestTaskModelValidation:
     def test_inconsistent_filter_rejected(self):
-        grid = make_frequency_grid(-0.5, 0.5, 8)
+        grid = FrequencyGrid(-0.5, 0.5, 8)
         with pytest.raises(ValueError):
             TaskModel(
                 task_filter=constant_spectrum(grid, np.array([[1.0]]), kind="filter"),

@@ -33,7 +33,6 @@ from taskadc.search import (
     time_averaged_nmse,
 )
 from taskadc.spectra import (
-    FrequencyGrid,
     StackedSpectrum,
     alias_order,
     joint_runs,
@@ -99,18 +98,6 @@ class TestShiftedTaskDesign:
             a = mse_at_shifts(c1, k1, cfg, t0s)
             b = mse_at_shifts(c2, k2, cfg, t0s)
             np.testing.assert_allclose(a, b, rtol=1e-9)
-
-
-def nonuniform_weights(stack):
-    """``stack`` on its grid's points with weights that alternate 0.5 and 1.5
-    times the spacing: no run of the stack keeps one weight."""
-    grid = stack.base_grid
-    weights = grid.spacing * (1.0 + 0.5 * (-1.0) ** np.arange(grid.n_points))
-    return StackedSpectrum(
-        base_grid=FrequencyGrid(grid.points, weights, grid.f_lo, grid.f_hi),
-        alias_order_=stack.alias_order_, blocks=stack.run_blocks,
-        block_cols=stack.block_cols, fs=stack.fs, run_starts=stack.run_starts,
-    )
 
 
 def dense_designed_shift_kernel(task_stack, cfg):
@@ -200,11 +187,6 @@ class TestDesignedShiftKernelBits:
         assert task_stack.run_starts.size == 2
         self.check(task_stack, cfg)
 
-    def test_weights_that_vary_within_a_run(self, full_grid_matched_model):
-        # the quadrature weights join the runs the per-run steps work on
-        task_stack, cfg = self.matched_stack(full_grid_matched_model, 1.6e9, 2, 16)
-        self.check(nonuniform_weights(task_stack), cfg)
-
     def test_one_run_per_row(self, rng):
         model = random_flat_model(rng, n=3, m=5, n_points=64)
         cfg = AdcConfig(2, 0.45, 4)
@@ -269,11 +251,6 @@ class TestShiftMseKernelBits:
         assert task_stack.base_grid.n_points > 2 * (2**22 // n_blocks**2)
         assert 1 < joint_runs(task_stack, h_bar)[0].size < task_stack.base_grid.n_points
         self.check(h_bar, task_stack, cfg)
-
-    def test_weights_that_vary_within_a_run(self, full_grid_matched_model):
-        cfg = AdcConfig(4, 1.6e9 / (4 * 16), 16)
-        task_stack, h_bar = _arch_chain(full_grid_matched_model, cfg, "analog_recovery", None)
-        self.check(nonuniform_weights(h_bar), nonuniform_weights(task_stack), cfg)
 
     def test_one_run_per_row(self, full_grid_matched_model):
         cfg = AdcConfig(4, 1.6e9 / (4 * 16), 16)

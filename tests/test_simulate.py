@@ -9,7 +9,7 @@ from taskadc.design import AdcConfig, design_filters
 from taskadc.quantizer import QuantizerSpec, quantize_midrise, sample_dither
 from taskadc.search import baseline_design, shifted_task_design
 from taskadc.simulate import SimulationRun, estimate_mse
-from taskadc.spectra import SpectralMatrixFunction, constant_spectrum, make_frequency_grid
+from taskadc.spectra import FrequencyGrid, SpectralMatrixFunction, constant_spectrum
 
 from conftest import random_flat_model, synthesize_block, unit_scalar_model
 
@@ -36,9 +36,7 @@ def time_domain_reference(run):
     analog filter acts on all rfft bins of that block."""
     model, design, cfg = run.model, run.design, run.cfg
     plan = sim._plan_block(model.band_edge, cfg.fs)
-    spec = QuantizerSpec(
-        bits=cfg.bits, dynamic_range=design.dynamic_range, dithered=run.dithered
-    )
+    spec = QuantizerSpec(bits=cfg.bits, dynamic_range=design.dynamic_range)
     roots_dc, roots_pos = sim._sample_dc_and_bins(model._input_root, plan)
     gamma_dc, gamma_pos = sim._sample_dc_and_bins(model.task_filter, plan)
     h_half = design.h.sample(np.fft.rfftfreq(plan.n_samples, d=1.0 / plan.sim_rate))
@@ -122,7 +120,7 @@ class TestRunAcquisition:
         # a block bandlimited below n_out/2 and a huge dynamic range: z
         # reproduces the decimated samples
         x = bandlimited_block(rng, 240, 21)
-        spec = QuantizerSpec(bits=60, dynamic_range=1e3, dithered=False)
+        spec = QuantizerSpec(bits=60, dynamic_range=1e3)
         z, overloads = acquire(x, 4, spec, n_bins=21)
         np.testing.assert_allclose(z, x[..., ::4], rtol=0, atol=1e-12)
         assert not overloads.any()
@@ -132,13 +130,13 @@ class TestRunAcquisition:
         # white samples fill every rfft bin, the n/2 bin included, so decimation
         # folds bins onto each other; n_out is 60, 30, 20 and 15
         x = rng.standard_normal((1, 1, 60))
-        spec = QuantizerSpec(bits=60, dynamic_range=1e3, dithered=False)
+        spec = QuantizerSpec(bits=60, dynamic_range=1e3)
         z, _ = acquire(x, decim, spec)
         np.testing.assert_allclose(z, x[..., ::decim], rtol=0, atol=1e-12)
 
     def test_degenerate_zero_range(self, rng):
         x = bandlimited_block(rng, 240, 21)
-        spec = QuantizerSpec(bits=2, dynamic_range=0.0, dithered=False)
+        spec = QuantizerSpec(bits=2, dynamic_range=0.0)
         z, overloads = acquire(x, 4, spec, n_bins=21)
         np.testing.assert_allclose(z, 0.0)
         assert overloads.all()  # every sample saturates a zero-range quantizer
@@ -179,7 +177,7 @@ class TestRecoverTask:
     recovered task of ``estimate_mse``."""
 
     def test_zero_filter(self):
-        grid = make_frequency_grid(-0.5, 0.5, 16)
+        grid = FrequencyGrid(-0.5, 0.5, 16)
         zero = constant_spectrum(grid, np.zeros((1, 1)), kind="filter")
         np.testing.assert_array_equal(sim._recovery_filter(zero, 1.0, 65, 32), 0.0)
 
@@ -187,7 +185,7 @@ class TestRecoverTask:
     def test_fir_read_out_matches_rfft_weighted_sum(self, rng, n_out):
         # a filter that differs in every cell, read at a sample off the centre;
         # an even n_out has the n_out/2 bin, whose conjugate-pair weight is 1
-        grid = make_frequency_grid(-0.5, 0.5, 40)
+        grid = FrequencyGrid(-0.5, 0.5, 40)
         values = rng.standard_normal((40, 2, 3)) + 1j * rng.standard_normal((40, 2, 3))
         g_freq = SpectralMatrixFunction(grid, values, kind="filter")
         z = rng.standard_normal((5, 3, n_out))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 from taskadc.design import AdcConfig, design_filters
 from taskadc.mmse import TaskModel, task_energy, whitened_task_stack
 from taskadc.spectra import (
+    FrequencyGrid,
     SpectralMatrixFunction,
     StackedSpectrum,
+    _grid_from_dict,
+    _grid_to_dict,
     alias_order,
     constant_spectrum,
     integrate_matrix,
     interleave_re_im,
     joint_runs,
-    make_frequency_grid,
     multiply_spectra,
     psd_sqrt,
     row_runs,
@@ -26,43 +29,65 @@ from conftest import random_flat_model, unit_scalar_model
 
 class TestFrequencyGrid:
     def test_midpoint_layout(self):
-        grid = make_frequency_grid(-0.5, 0.5, 4)
+        grid = FrequencyGrid(-0.5, 0.5, 4)
         np.testing.assert_allclose(grid.points, [-0.375, -0.125, 0.125, 0.375])
         np.testing.assert_allclose(grid.weights, 0.25)
 
+    def test_points_and_weights_follow_from_the_edges(self):
+        grid = FrequencyGrid(-45e6, 45e6, 4096)
+        step = 90e6 / 4096
+        assert dataclasses.astuple(grid) == (-45e6, 45e6, 4096)
+        assert np.array_equal(grid.points, -45e6 + step * (np.arange(4096) + 0.5))
+        assert np.array_equal(grid.weights, np.full(4096, step))
+        for derived in (grid.points, grid.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                derived[0] = 0.0
+
+    def test_dict_round_trip_equals_the_grid(self):
+        grid = FrequencyGrid(-45e6, 45e6, 4096)
+        again = _grid_from_dict(json.loads(json.dumps(_grid_to_dict(grid))))
+        assert again == grid and hash(again) == hash(grid)
+        assert grid != FrequencyGrid(-50e6, 50e6, 4096)
+        assert grid != FrequencyGrid(-45e6, 45e6, 4098)
+
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            make_frequency_grid(0.0, 1.0, 1)
+        with pytest.raises(ValueError, match="at least 2"):
+            FrequencyGrid(0.0, 1.0, 1)
 
     def test_weights_partition_band(self):
-        grid = make_frequency_grid(-200e6, 200e6, 4096)
+        grid = FrequencyGrid(-200e6, 200e6, 4096)
         assert abs(grid.weights.sum() - 400e6) <= 1e-12 * 400e6
 
     def test_non_finite_edges(self):
-        with pytest.raises(ValueError):
-            make_frequency_grid(float("-inf"), 0.0, 8)
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyGrid(float("-inf"), 0.0, 8)
+
+    @pytest.mark.parametrize("f_lo, f_hi", [(1.0, 0.0), (1.0, 1.0)])
+    def test_edges_out_of_order(self, f_lo, f_hi):
+        with pytest.raises(ValueError, match="f_lo must be below f_hi"):
+            FrequencyGrid(f_lo, f_hi, 8)
 
     def test_symmetry(self):
-        grid = make_frequency_grid(-1.0, 1.0, 9)
+        grid = FrequencyGrid(-1.0, 1.0, 9)
         rev = grid.reversal_index()
         np.testing.assert_allclose(grid.points[rev], -grid.points, atol=1e-15)
 
 
 class TestIntegrateMatrix:
     def test_constant_identity(self):
-        grid = make_frequency_grid(-0.5, 0.5, 64)
+        grid = FrequencyGrid(-0.5, 0.5, 64)
         f = constant_spectrum(grid, np.eye(2))
         np.testing.assert_allclose(integrate_matrix(f), np.eye(2), atol=1e-14)
 
     def test_odd_function_vanishes(self):
-        grid = make_frequency_grid(-1.0, 1.0, 128)
+        grid = FrequencyGrid(-1.0, 1.0, 128)
         values = grid.points[:, None, None] * np.ones((1, 1))
         f = SpectralMatrixFunction(grid=grid, values=values, kind="filter")
         assert abs(integrate_matrix(f)[0, 0]) < 1e-12
 
     def test_quadratic_matches_analytic(self):
         # midpoint rule on f^2 over (-1/2, 1/2); exact integral is 1/12
-        grid = make_frequency_grid(-0.5, 0.5, 4096)
+        grid = FrequencyGrid(-0.5, 0.5, 4096)
         values = (grid.points**2)[:, None, None] * np.ones((1, 1))
         f = SpectralMatrixFunction(grid=grid, values=values, kind="filter")
         assert abs(integrate_matrix(f)[0, 0] - 1.0 / 12.0) < 1e-6
@@ -70,25 +95,25 @@ class TestIntegrateMatrix:
 
 class TestPsdSqrt:
     def test_diagonal(self):
-        grid = make_frequency_grid(-0.5, 0.5, 8)
+        grid = FrequencyGrid(-0.5, 0.5, 8)
         root = psd_sqrt(constant_spectrum(grid, np.diag([4.0, 9.0])))
         np.testing.assert_allclose(root.values[0], np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_zero(self):
-        grid = make_frequency_grid(-0.5, 0.5, 8)
+        grid = FrequencyGrid(-0.5, 0.5, 8)
         root = psd_sqrt(constant_spectrum(grid, np.zeros((2, 2))))
         np.testing.assert_allclose(root.values, 0.0)
 
     def test_reconstruction(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         psd = a @ a.conj().T
-        grid = make_frequency_grid(-0.5, 0.5, 8)
+        grid = FrequencyGrid(-0.5, 0.5, 8)
         root = psd_sqrt(constant_spectrum(grid, psd))
         rebuilt = root.values[0] @ root.values[0].conj().T
         np.testing.assert_allclose(rebuilt, psd, rtol=1e-9, atol=1e-12)
 
     def test_rejects_indefinite(self):
-        grid = make_frequency_grid(-0.5, 0.5, 4)
+        grid = FrequencyGrid(-0.5, 0.5, 4)
         values = np.broadcast_to(np.diag([1.0, -0.5]), (4, 2, 2)).astype(complex)
         f = SpectralMatrixFunction(grid=grid, values=values, kind="filter")
         with pytest.raises(ValueError):
@@ -101,7 +126,7 @@ class TestPsdSqrt:
         v = rng.standard_normal((n, 3, 1)) + 1j * rng.standard_normal((n, 3, 1))
         values = v @ v.conj().swapaxes(-1, -2)
         f = SpectralMatrixFunction(
-            grid=make_frequency_grid(-0.5, 0.5, n), values=values, kind="psd"
+            grid=FrequencyGrid(-0.5, 0.5, n), values=values, kind="psd"
         )
         root = psd_sqrt(f)
         assert root.kind == "psd"
@@ -123,7 +148,7 @@ class TestRowRuns:
 
     def test_constant_spectrum_is_one_run(self, rng):
         a = rng.standard_normal((3, 3))
-        f = constant_spectrum(make_frequency_grid(-0.5, 0.5, 64), a @ a.T)
+        f = constant_spectrum(FrequencyGrid(-0.5, 0.5, 64), a @ a.T)
         starts, index = row_runs(f.values)
         np.testing.assert_array_equal(starts, [0])
         np.testing.assert_array_equal(index, np.zeros(64))
@@ -135,7 +160,7 @@ class TestRowRuns:
         a = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
         values = a @ a.conj().swapaxes(-1, -2)
         f = SpectralMatrixFunction(
-            grid=make_frequency_grid(-0.5, 0.5, n), values=values, kind="psd"
+            grid=FrequencyGrid(-0.5, 0.5, n), values=values, kind="psd"
         )
         starts, _ = row_runs(f.values)
         assert starts.size == n
@@ -156,7 +181,7 @@ class TestRowRuns:
 
 class TestStackAliases:
     def test_nyquist_no_aliasing(self):
-        grid = make_frequency_grid(-1.0, 1.0, 64)
+        grid = FrequencyGrid(-1.0, 1.0, 64)
         f = constant_spectrum(grid, np.array([[2.0]]))
         stack = stack_aliases(f, fs=2.0, n_points=64)
         assert stack.alias_order_ == 0
@@ -164,7 +189,7 @@ class TestStackAliases:
 
     def test_single_fold_layout(self):
         # fs equal to the band edge: three blocks, outer ones partially zero
-        grid = make_frequency_grid(-1.0, 1.0, 64)
+        grid = FrequencyGrid(-1.0, 1.0, 64)
         f = constant_spectrum(grid, np.array([[3.0]]))
         stack = stack_aliases(f, fs=1.0, n_points=32)
         assert stack.alias_order_ == 1
@@ -179,7 +204,7 @@ class TestStackAliases:
 
     def test_power_folding(self):
         # flat scalar with fs = f_max/2: five blocks; row power sums alias powers
-        grid = make_frequency_grid(-1.0, 1.0, 128)
+        grid = FrequencyGrid(-1.0, 1.0, 128)
         f = constant_spectrum(grid, np.array([[1.5]]))
         stack = stack_aliases(f, fs=0.5, n_points=16)
         assert stack.alias_order_ == 2
@@ -191,7 +216,7 @@ class TestStackAliases:
         np.testing.assert_allclose(power, direct)
 
     def test_invalid_rates(self):
-        grid = make_frequency_grid(-1.0, 1.0, 8)
+        grid = FrequencyGrid(-1.0, 1.0, 8)
         f = constant_spectrum(grid, np.eye(1))
         with pytest.raises(ValueError):
             stack_aliases(f, fs=0.0)
@@ -219,7 +244,7 @@ class TestInvariants:
         assert matched_model.input_psd.conjugate_symmetry_error() < 1e-10
 
     def test_json_round_trip(self, rng):
-        grid = make_frequency_grid(-2.0, 2.0, 16)
+        grid = FrequencyGrid(-2.0, 2.0, 16)
         values = rng.standard_normal((16, 2, 3)) + 1j * rng.standard_normal((16, 2, 3))
         f = SpectralMatrixFunction(grid=grid, values=values, kind="filter")
         back = SpectralMatrixFunction.from_dict(f.to_dict())
@@ -233,7 +258,7 @@ class TestInvariants:
         values = np.repeat(level[None], 16, axis=0)
         values[6:, 0, 0] = complex(-0.0, 0.0)  # equal to 0.0, but other bits
         f = SpectralMatrixFunction(
-            grid=make_frequency_grid(-1.0, 1.0, 16), values=values, kind="filter"
+            grid=FrequencyGrid(-1.0, 1.0, 16), values=values, kind="filter"
         )
         data = f.to_dict()
         assert data["run_starts"] == [0, 6]
@@ -242,7 +267,7 @@ class TestInvariants:
 
     def test_flat_version_1_dict_loads_as_one_run(self, rng):
         level = rng.standard_normal((2, 2))
-        f = constant_spectrum(make_frequency_grid(-1.0, 1.0, 16), level, kind="filter")
+        f = constant_spectrum(FrequencyGrid(-1.0, 1.0, 16), level, kind="filter")
         data = dict(f.to_dict(), values=interleave_re_im(f.values))
         del data["run_starts"]  # version 1: every grid row stored
         back = SpectralMatrixFunction.from_dict(data)
@@ -251,7 +276,7 @@ class TestInvariants:
 
     def test_stacked_json_round_trip_checks_length(self, rng):
         f = SpectralMatrixFunction(
-            grid=make_frequency_grid(-2.0, 2.0, 16),
+            grid=FrequencyGrid(-2.0, 2.0, 16),
             values=rng.standard_normal((16, 2, 3)) + 1j * rng.standard_normal((16, 2, 3)),
             kind="filter",
         )
@@ -273,7 +298,7 @@ def dense_stack_reference(f, fs, f_max=None, n_points=64):
         f_max = max(abs(f.grid.f_lo), abs(f.grid.f_hi))
     ups = alias_order(fs, f_max)
     half = fs / 2.0 if ups > 0 else min(fs / 2.0, f_max)
-    base = make_frequency_grid(-half, half, n_points)
+    base = FrequencyGrid(-half, half, n_points)
     rows, cols = f.shape
     blocks = np.empty((n_points, rows, (2 * ups + 1) * cols), dtype=complex)
     for i, k in enumerate(range(-ups, ups + 1)):
@@ -301,11 +326,11 @@ def both_forms(f):
 
 def _flat_source(rng):
     a = rng.standard_normal((2, 3))
-    return constant_spectrum(make_frequency_grid(-1.0, 1.0, 40), a, kind="filter")
+    return constant_spectrum(FrequencyGrid(-1.0, 1.0, 40), a, kind="filter")
 
 
 def _smooth_source(rng):
-    grid = make_frequency_grid(-1.0, 1.0, 40)
+    grid = FrequencyGrid(-1.0, 1.0, 40)
     a = rng.standard_normal((2, 3))
     values = np.cos(np.pi * grid.points)[:, None, None] * a
     return SpectralMatrixFunction(grid=grid, values=values, kind="filter")
@@ -313,7 +338,7 @@ def _smooth_source(rng):
 
 def _complex_source(rng):
     # non-Hermitian, f and -f unrelated, and stepped so some rows repeat
-    grid = make_frequency_grid(-1.0, 1.5, 50)
+    grid = FrequencyGrid(-1.0, 1.5, 50)
     steps = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
     steps[2, 0, 1] = complex(-0.0, 0.0)
     return SpectralMatrixFunction(grid=grid, values=np.repeat(steps, 10, axis=0), kind="filter")
@@ -325,7 +350,7 @@ def _zero_edged_source(rng):
     values = np.zeros((40, 2, 3), dtype=complex)
     values[8:-8] = rng.standard_normal((2, 3))
     return SpectralMatrixFunction(
-        grid=make_frequency_grid(-1.0, 1.0, 40), values=values, kind="filter"
+        grid=FrequencyGrid(-1.0, 1.0, 40), values=values, kind="filter"
     )
 
 
@@ -337,7 +362,7 @@ def _signed_zero_source(rng):
     values[15:, 0, 0] = complex(-0.0, 0.0)
     values[30:, 0, 0] = complex(0.0, -0.0)
     return SpectralMatrixFunction(
-        grid=make_frequency_grid(-1.0, 1.0, 40), values=values, kind="filter"
+        grid=FrequencyGrid(-1.0, 1.0, 40), values=values, kind="filter"
     )
 
 
@@ -409,7 +434,7 @@ class TestRunNativeStack:
         assert stack.blocks.tobytes() == blocks.tobytes()
 
     def test_dense_and_run_constructors_agree(self, rng):
-        grid = make_frequency_grid(-0.5, 0.5, 12)
+        grid = FrequencyGrid(-0.5, 0.5, 12)
         rows = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
         rows[2] = rows[1]  # neighbouring runs with identical rows merge
         starts = np.array([0, 3, 5, 9])
@@ -435,10 +460,18 @@ class TestRunNativeStack:
         np.testing.assert_array_equal(index, ref_index)
         assert a.rows_at(starts).tobytes() == a.blocks[starts].tobytes()
 
+    def test_joint_runs_of_stacks_from_different_bands(self, matched_model):
+        # alias order 2 and 4096 points both, on [-50, 50] and [-45, 45] MHz
+        h_bar = design_filters(matched_model, AdcConfig(2, 100e6, 4), 4096).h_bar
+        task_stack = whitened_task_stack(matched_model, 90e6, 4096)
+        assert h_bar.alias_order_ == task_stack.alias_order_ == 2
+        with pytest.raises(ValueError, match="share the baseband grid"):
+            joint_runs(h_bar, task_stack)
+
     def test_piecewise_model_whitened_stack(self, rng):
         # the input PSD and the task filter change at different grid rows
         n_pts, n, m = 96, 2, 3
-        grid = make_frequency_grid(-0.5, 0.5, n_pts)
+        grid = FrequencyGrid(-0.5, 0.5, n_pts)
         a = rng.standard_normal((3, m, m)) + 1j * rng.standard_normal((3, m, m))
         psd = (a @ a.conj().swapaxes(-1, -2) + m * np.eye(m))[np.arange(n_pts) // 32]
         task = rng.standard_normal((2, n, m))[(np.arange(n_pts) >= 48).astype(int)]
