@@ -267,7 +267,6 @@ def cmd_rate_search(args) -> int:
                 rate_budget=budget,
                 architecture=arch,
                 eta=args.eta,
-                n_t0=args.n_t0,
                 n_points=args.grid_points,
             )
             result = rate_search(model, spec)
@@ -364,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_rate)  # K, b and fs of every cell come from the budget
     p_rate.add_argument("--budgets", required=True, help="comma list of bits/s budgets")
     p_rate.add_argument("--arch", default="task,analog,digital")
-    p_rate.add_argument("--n-t0", type=int, default=16, dest="n_t0")
     p_rate.set_defaults(func=cmd_rate_search)
     return parser
 

@@ -36,6 +36,8 @@ from .spectra import (
 
 RANK_TOL = 1e-10  # singular values below tol*largest do not count toward rank
 ACTIVE_TOL = 1e-12  # modes below tol*largest are dropped before water-filling
+EQUALIZE_TOL = 1e-12  # diagonal entries within tol*span of trace/K count as equal
+ISOTROPY_TOL = 1e-9  # a covariance within tol*trace of a scaled identity is isotropic
 DESIGN_JSON_VERSION = 2  # 1: every grid row stored, no sigma_h/sigma_task/quant_noise_var
 
 
@@ -56,13 +58,10 @@ class AdcConfig:
     eta: float | None = None
 
     def __post_init__(self):
-        if self.k_adcs < 1:
-            raise ValueError("k_adcs must be at least 1")
-        if self.bits < 1:
-            raise ValueError("bits must be at least 1")
-        if self.bits >= 512:
-            # 4**bits = 2**(2*bits) overflows a float from 512 bits on
-            raise ValueError("bits must be below 512: 4**bits overflows a float")
+        for name in ("k_adcs", "bits"):
+            _check_count(name, getattr(self, name))
+            # a numpy integer would not serialize to design.json
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not np.isfinite(self.fs) or self.fs <= 0:
             raise ValueError("fs must be positive")
         if self.eta is None:
@@ -77,6 +76,18 @@ class AdcConfig:
     def rate(self) -> float:
         """Total output bit rate k_adcs * fs * bits."""
         return self.k_adcs * self.fs * self.bits
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a valid AdcConfig ``k_adcs`` or
+    ``bits``: a whole number (Python or numpy, not bool), at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    if name == "bits" and value >= 512:
+        # 4**bits = 2**(2*bits) overflows a float from 512 bits on
+        raise ValueError("bits must be below 512: 4**bits overflows a float")
 
 
 class MseReport(NamedTuple):
@@ -165,10 +176,11 @@ class FilterDesign:
         )
 
 
-def auto_grid_points(fs: float, f_max: float, target: int = DEFAULT_GRID_POINTS) -> int:
+def auto_grid_points(fs: float, f_max: float) -> int:
     """Baseband grid density; shrinks for alias-heavy stackings so the total
     sample count across the physical band stays roughly constant."""
     ups = alias_order(fs, f_max)
+    target = DEFAULT_GRID_POINTS
     n = min(target, max(384, int(round(target * 9 / (2 * ups + 1)))))
     return n + (n % 2)
 
@@ -222,7 +234,7 @@ def solve_waterfill_level(
     return zeta
 
 
-def equalize_diagonal(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def equalize_diagonal(a: np.ndarray) -> np.ndarray:
     """Unitary U such that U @ a @ U^H has all diagonal entries equal.
 
     Pairs the largest and smallest remaining diagonal entries and applies a
@@ -240,11 +252,12 @@ def equalize_diagonal(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     u_total = np.eye(k, dtype=complex)
     target = float(np.trace(work).real) / k
     span = max(abs(target) * k, scale)
+    tol = EQUALIZE_TOL * span
     fixed = np.zeros(k, dtype=bool)
     for _ in range(k - 1):
         live = np.flatnonzero(~fixed)
         d = np.diag(work).real[live]
-        if d.max() - target <= tol * span and target - d.min() <= tol * span:
+        if d.max() - target <= tol and target - d.min() <= tol:
             break
         hi = int(live[np.argmax(d)])
         lo = int(live[np.argmin(d)])
@@ -301,8 +314,9 @@ def max_rank_bound(task_stack: StackedSpectrum) -> int:
     return int(ranks.max(initial=0))
 
 
-def analog_recovery_is_optimal(c_stilde: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when the task covariance is a scaled identity (within tol*trace)."""
+def analog_recovery_is_optimal(c_stilde: np.ndarray) -> bool:
+    """True when the task covariance is a scaled identity (within
+    ISOTROPY_TOL*trace)."""
     c = np.asarray(c_stilde, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("covariance must be square")
@@ -311,7 +325,7 @@ def analog_recovery_is_optimal(c_stilde: np.ndarray, tol: float = 1e-9) -> bool:
     n = c.shape[0]
     tr = float(np.trace(c))
     resid = np.linalg.norm(c - (tr / n) * np.eye(n))
-    return bool(resid <= tol * tr + 1e-300)
+    return bool(resid <= ISOTROPY_TOL * tr + 1e-300)
 
 
 def quantizer_noise(h_bar: StackedSpectrum, cfg: AdcConfig) -> tuple[float, float]:

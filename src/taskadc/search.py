@@ -3,11 +3,12 @@
 The shifted-task error is a finite Fourier series in t0 with harmonics at
 k*fs, |k| <= 2*ups (ups the alias order), so its exact average over [0, Ts)
 is const - Re(trace(kernel)).  The one time average (``time_averaged_nmse``,
-the search table's ``nmse``) takes midpoint means instead, doubling from n_t0
-shifts until two agree to 1e-3; an n-point mean misreads the harmonics at
-multiples of n, so from ups = 16, where 2*ups is a multiple of both 16 and
-32, the loop stops on a wrong value.  ``_baseline_chain`` alone fixes the
-converter count and analog filter of each baseline architecture.
+the search table's ``nmse``) takes midpoint means instead, doubling from a
+fixed ``T0_START`` = 16 shifts until two agree to 1e-3.  An n-point mean
+misreads the harmonics at multiples of n, so from ups = 16, where 2*ups is a
+multiple of both 16 and 32, the loop stops on a wrong value.
+``_baseline_chain`` alone fixes the converter count and analog filter of
+each baseline architecture.
 
 Every sum over frequency in a shift kernel is dense, in grid order: on
 aliased cells const - Re(kernel sum) cancels two task-energy-sized numbers,
@@ -23,7 +24,6 @@ without them fails at import rather than with other bits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,6 +32,7 @@ from numpy._core.einsumfunc import _parse_eq_to_batch_matmul, bmm_einsum
 from .design import (
     AdcConfig,
     FilterDesign,
+    _check_count,
     _mmse_solve,
     _singular_values,
     _solve_output,
@@ -53,6 +54,7 @@ from .spectra import (
 )
 
 ARCHITECTURES = ("task_based", "analog_recovery", "digital_recovery")
+T0_START = 16  # midpoints of the first t0 grid of the time average
 
 
 def modulated_stack(stack: StackedSpectrum, t0: float) -> StackedSpectrum:
@@ -277,31 +279,12 @@ def shifted_task_design(
     )
 
 
-def _shift_kernel_for(
-    model: TaskModel, cfg: AdcConfig, arch: str, n_points: int | None
-):
-    """(energy, const, kernel) for an architecture's shifted-task error."""
-    if arch == "task_based":
-        if n_points is None:
-            n_points = auto_grid_points(cfg.fs, model.band_edge)
-        task_stack = whitened_task_stack(model, cfg.fs, n_points)
-        const, kernel = designed_shift_kernel(task_stack, cfg)
-        return task_energy(task_stack), const, kernel
-    task_stack, h_bar = _arch_chain(model, cfg, arch, n_points)
-    const, kernel = shift_mse_kernel(h_bar, task_stack, cfg)
-    return const, const, kernel
-
-
 def time_averaged_nmse(
-    model: TaskModel,
-    cfg: AdcConfig,
-    n_t0: int = 16,
-    arch: str = "task_based",
-    n_points: int | None = None,
+    model: TaskModel, cfg: AdcConfig, arch: str = "task_based", n_points: int | None = None
 ) -> float:
     """Average over t0 in [0, Ts) of the shifted-task nmse: the value
     ``rate_search`` puts in its ``nmse`` column."""
-    return _converged_time_average(model, cfg, arch, n_t0, n_points)[0]
+    return _converged_time_average(model, cfg, arch, T0_START, n_points)[0]
 
 
 @dataclass(frozen=True)
@@ -309,7 +292,8 @@ class SearchSpec:
     """Grid-search request under a total bit-rate budget.
 
     eta=None means the resolution-dependent schedule; fs is always the budget
-    divided by k*b, so every cell saturates the budget exactly.
+    divided by k*b, so every cell saturates the budget exactly.  Every k_range
+    and b_range entry must be a count ``AdcConfig`` accepts.
     """
 
     rate_budget: float
@@ -317,7 +301,6 @@ class SearchSpec:
     b_range: tuple[int, ...] = tuple(range(1, 17))
     eta: float | None = None
     architecture: str = "task_based"
-    n_t0: int = 16
     n_points: int | None = None
 
     def __post_init__(self):
@@ -330,42 +313,21 @@ class SearchSpec:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
         if len(self.b_range) == 0:
             raise ValueError("empty resolution range")
-
-    def to_dict(self) -> dict:
-        return {
-            "rate_budget": self.rate_budget,
-            "k_range": None if self.k_range is None else list(self.k_range),
-            "b_range": list(self.b_range),
-            "eta": self.eta,
-            "architecture": self.architecture,
-            "n_t0": self.n_t0,
-        }
+        for range_name, name in (("k_range", "k_adcs"), ("b_range", "bits")):
+            for value in getattr(self, range_name) or ():
+                try:
+                    _check_count(name, value)
+                except ValueError as exc:
+                    raise ValueError(f"{range_name}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    spec: SearchSpec
     best_k: int
     best_fs: float
     best_bits: int
     best_nmse: float
     table: tuple[dict, ...] = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "best": {
-                "k_adcs": self.best_k,
-                "fs_hz": self.best_fs,
-                "bits": self.best_bits,
-                "nmse": self.best_nmse,
-            },
-            "table": list(self.table),
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
     def to_csv(self, path) -> None:
         """Full table as CSV: k_adcs, bits, fs_hz, nmse, nmse_t0_0."""
@@ -384,9 +346,16 @@ class SearchResult:
 def _converged_time_average(model, cfg, arch, n_t0, n_points) -> tuple[float, float]:
     """(time-averaged nmse, nmse at t0=0), doubling the t0 grid from n_t0
     midpoints until two grids agree."""
-    if n_t0 < 8:
-        raise ValueError("n_t0 must be at least 8")
-    energy, const, kernel = _shift_kernel_for(model, cfg, arch, n_points)
+    if arch == "task_based":
+        if n_points is None:
+            n_points = auto_grid_points(cfg.fs, model.band_edge)
+        task_stack = whitened_task_stack(model, cfg.fs, n_points)
+        const, kernel = designed_shift_kernel(task_stack, cfg)
+        energy = task_energy(task_stack)
+    else:
+        task_stack, h_bar = _arch_chain(model, cfg, arch, n_points)
+        const, kernel = shift_mse_kernel(h_bar, task_stack, cfg)
+        energy = const
     if energy <= 0:
         return 0.0, 0.0
     nmse0 = float(mse_at_shifts(const, kernel, cfg, 0.0)[0] / energy)
@@ -431,14 +400,12 @@ def rate_search(model: TaskModel, spec: SearchSpec) -> SearchResult:
     for k in sorted(k_values):
         for b in sorted(spec.b_range):
             fs = spec.rate_budget / (k * b)
-            if fs <= 0:
-                continue
             try:
                 cfg = AdcConfig(k_adcs=k, fs=fs, bits=b, eta=spec.eta)
             except ValueError:
-                continue  # infeasible loading for this resolution
+                continue  # spec.eta is an infeasible loading at this resolution
             avg, at_zero = _converged_time_average(
-                model, cfg, spec.architecture, spec.n_t0, spec.n_points
+                model, cfg, spec.architecture, T0_START, spec.n_points
             )
             rows.append(
                 {
@@ -453,7 +420,6 @@ def rate_search(model: TaskModel, spec: SearchSpec) -> SearchResult:
         raise ValueError("no feasible configuration under the rate budget")
     best = min(rows, key=lambda r: (r["nmse"], r["k_adcs"], -r["bits"]))
     return SearchResult(
-        spec=spec,
         best_k=best["k_adcs"],
         best_fs=best["fs_hz"],
         best_bits=best["bits"],

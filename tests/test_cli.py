@@ -420,6 +420,17 @@ class TestRateSearchCommand:
         assert "config error: unknown architecture ''" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_n_t0_flag_exits_2(self, matched_scenario, tmp_path, capsys):
+        # the t0 average starts from a fixed grid; there is no flag to set it
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "rate-search", "--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
+                "--budgets", "4e8", "--n-t0", "16", "--grid-points", "64",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n-t0 16" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("eta", ["inf", "-1", "nan"])
     def test_bad_eta_exits_2_naming_eta(self, matched_scenario, tmp_path, capsys, eta):
         code = main([

@@ -72,7 +72,18 @@ class TestAdcConfig:
         with pytest.raises(ValueError, match="bits"):
             AdcConfig(2, 4e8, 512)
 
-    @pytest.mark.parametrize("kw", [dict(k_adcs=0), dict(bits=0), dict(fs=-1.0)])
+    def test_numpy_integer_counts_reach_design_json(self, rng):
+        cfg = AdcConfig(np.int64(2), 1.0, np.int32(3))
+        assert (type(cfg.k_adcs), type(cfg.bits)) == (int, int)
+        model = random_flat_model(rng, n=2, m=3, n_points=32)
+        data = json.loads(json.dumps(design_filters(model, cfg, 32).to_dict()))
+        assert (data["k_adcs"], data["bits"]) == (2, 3)
+
+    @pytest.mark.parametrize("kw", [
+        dict(k_adcs=0), dict(bits=0), dict(fs=-1.0),
+        # counts that are not whole numbers
+        dict(bits=4.5), dict(k_adcs=2.5), dict(k_adcs=np.float64(2.0)), dict(bits=True),
+    ])
     def test_invalid_fields(self, kw):
         base = dict(k_adcs=1, fs=1.0, bits=1)
         base.update(kw)
