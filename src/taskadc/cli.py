@@ -154,11 +154,13 @@ def cmd_design(args) -> int:
 
 def _sweep_value_configs(args, model):
     """(value, AdcConfig) pairs for the sweep variable."""
+    values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
     if args.var in ("b", "K"):
-        values = [int(v) for v in np.linspace(args.start, args.stop, args.steps)]
-        values = sorted(dict.fromkeys(values))
-    else:
-        values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
+        # counts are whole numbers, as AdcConfig requires
+        for v in values:
+            if not v.is_integer():
+                raise ValueError(f"--var {args.var} grid value {v!r} is not a whole number")
+        values = sorted(dict.fromkeys(int(v) for v in values))
     base = {
         "k_adcs": args.k,
         "fs": args.fs if args.fs is not None else model.f_nyq,

@@ -38,7 +38,7 @@ RANK_TOL = 1e-10  # singular values below tol*largest do not count toward rank
 ACTIVE_TOL = 1e-12  # modes below tol*largest are dropped before water-filling
 EQUALIZE_TOL = 1e-12  # diagonal entries within tol*span of trace/K count as equal
 ISOTROPY_TOL = 1e-9  # a covariance within tol*trace of a scaled identity is isotropic
-DESIGN_JSON_VERSION = 2  # 1: every grid row stored, no sigma_h/sigma_task/quant_noise_var
+DESIGN_JSON_VERSION = 2  # the only layout from_dict reads
 
 
 class DesignError(RuntimeError):
@@ -137,29 +137,24 @@ class FilterDesign:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FilterDesign":
-        """Inverse of ``to_dict``, exact for version 2.  A version-1 file has
-        runs of one row, no ``sigma_task`` or ``quant_noise_var`` (both load
-        as None) and no ``sigma_h`` (loads as zeros)."""
-        if data.get("version", 1) > DESIGN_JSON_VERSION:
-            raise ValueError(f"design.json version {data['version']} is newer than this reader")
+        """Inverse of ``to_dict``, bit for bit.  Any version but 2 is a
+        ValueError: version 1 did not store ``sigma_h``."""
+        version = data.get("version")
+        if version != DESIGN_JSON_VERSION:
+            raise ValueError(f"design.json version {version} is not {DESIGN_JSON_VERSION}")
         cfg = AdcConfig(
             k_adcs=data["k_adcs"], fs=data["fs_hz"], bits=data["bits"], eta=data["eta"]
         )
         h_bar = StackedSpectrum.from_dict(data["h_bar"], data["alias_order"], cfg.fs)
         n, k_eff = h_bar.base_grid.n_points, min(cfg.k_adcs, h_bar.stacked_cols)
-        if "sigma_h" in data:
-            sigma_h = _rows_from_dict(data["sigma_h"], n, (k_eff,), float)
-        else:
-            sigma_h = np.zeros((n, k_eff))
-        sigma_task = data.get("sigma_task")
+        sigma_h = _rows_from_dict(data["sigma_h"], n, (k_eff,), float)
+        sigma_task = data["sigma_task"]
         if sigma_task is not None:
             sigma_task = _rows_from_dict(sigma_task, n, (-1,), float)
-        g_freq = (
-            None
-            if data.get("g_freq") is None
-            else SpectralMatrixFunction.from_dict(data["g_freq"])
+        g_freq, h = (
+            None if data[key] is None else SpectralMatrixFunction.from_dict(data[key])
+            for key in ("g_freq", "h")
         )
-        h = None if data.get("h") is None else SpectralMatrixFunction.from_dict(data["h"])
         return cls(
             cfg=cfg,
             h_bar=h_bar,
@@ -172,7 +167,7 @@ class FilterDesign:
             mse_theory=data["mse"],
             nmse=data["nmse"],
             dynamic_range=data["dynamic_range"],
-            quant_noise_var=data.get("quant_noise_var"),
+            quant_noise_var=data["quant_noise_var"],
         )
 
 

@@ -25,12 +25,13 @@ class TaskModel:
     """Second-order description of the inputs and the linear task.
 
     task_filter is the N x M analog MMSE response, input_psd the M x M input
-    PSD, cross_psd the N x M cross-PSD between task and inputs.
+    PSD, both on one grid.  Only the whitened response task_filter @
+    input_psd^(1/2) enters the design, so a model given by its cross-PSD is
+    built with ``analog_mmse_filter(cross_psd, input_psd)``.
     """
 
     task_filter: SpectralMatrixFunction
     input_psd: SpectralMatrixFunction
-    cross_psd: SpectralMatrixFunction
 
     def __post_init__(self):
         n, m = self.task_filter.shape
@@ -38,15 +39,7 @@ class TaskModel:
             raise ValueError("task and input dimensions must be at least 1")
         if self.input_psd.shape != (m, m):
             raise ValueError("input_psd must be M x M")
-        if self.cross_psd.shape != (n, m):
-            raise ValueError("cross_psd must be N x M")
-        _check_shared_grid(self.task_filter.grid, self.cross_psd.grid)
-        product = multiply_spectra(self.task_filter, self.input_psd)
-        starts = np.union1d(product.run_starts, self.cross_psd.run_starts)
-        resid = product.rows_at(starts) - self.cross_psd.rows_at(starts)
-        scale = max(float(np.abs(self.cross_psd.run_values).max()), 1e-300)
-        if float(np.abs(resid).max()) > 1e-8 * scale:
-            raise ValueError("task_filter is inconsistent: filter @ input_psd != cross_psd")
+        _check_shared_grid(self.task_filter.grid, self.input_psd.grid)
 
     @property
     def n_task(self) -> int:
@@ -75,23 +68,6 @@ class TaskModel:
         """The whitened task response task_filter @ input_psd^(1/2), computed
         once per model."""
         return multiply_spectra(self.task_filter, self._input_root)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_task": self.n_task,
-            "m_inputs": self.m_inputs,
-            "task_filter": self.task_filter.to_dict(),
-            "input_psd": self.input_psd.to_dict(),
-            "cross_psd": self.cross_psd.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TaskModel":
-        return cls(
-            task_filter=SpectralMatrixFunction.from_dict(data["task_filter"]),
-            input_psd=SpectralMatrixFunction.from_dict(data["input_psd"]),
-            cross_psd=SpectralMatrixFunction.from_dict(data["cross_psd"]),
-        )
 
 
 def analog_mmse_filter(

@@ -76,8 +76,11 @@ class ScenarioSpec:
 
 
 def _number(value, name: str, whole: bool = False):
-    """A scenario entry as a float, or as an int when ``whole``; a value that
-    float() rejects, or a fractional count, is a ValueError."""
+    """A scenario entry as a float, or as an int when ``whole``; a JSON
+    boolean, a value that float() rejects, or a fractional count is a
+    ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, not {value!r}")
     if whole and isinstance(value, int):
         return value
     try:
@@ -115,8 +118,9 @@ def _psd_matrix_sqrt(a: np.ndarray) -> np.ndarray:
 def build_scenario(spec: ScenarioSpec, n_points: int = DEFAULT_GRID_POINTS) -> TaskModel:
     """Task model for estimating noiseless matched-filter outputs.
 
-    In-band levels: input PSD F F^T + (N0/2) I, cross-PSD (F^T F) F^T, with
-    the noise level N0 derived from the requested SNR.
+    In-band levels: input PSD F F^T + (N0/2) I and task filter cross-PSD @
+    inv(input PSD), with cross-PSD (F^T F) F^T and the noise level N0
+    derived from the requested SNR.
     """
     n, m = spec.n_streams, spec.m_antennas
     if spec.channel_matrix is not None:
@@ -139,7 +143,6 @@ def build_scenario(spec: ScenarioSpec, n_points: int = DEFAULT_GRID_POINTS) -> T
     return TaskModel(
         task_filter=constant_spectrum(grid, task_level, kind="filter"),
         input_psd=constant_spectrum(grid, input_level, kind="psd"),
-        cross_psd=constant_spectrum(grid, cross_level, kind="cross_psd"),
     )
 
 
@@ -164,5 +167,4 @@ def isotropic_scenario(
     return TaskModel(
         task_filter=constant_spectrum(grid, task_level, kind="filter"),
         input_psd=constant_spectrum(grid, np.eye(n), kind="psd"),
-        cross_psd=constant_spectrum(grid, task_level, kind="cross_psd"),
     )

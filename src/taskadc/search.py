@@ -292,12 +292,13 @@ class SearchSpec:
     """Grid-search request under a total bit-rate budget.
 
     eta=None means the resolution-dependent schedule; fs is always the budget
-    divided by k*b, so every cell saturates the budget exactly.  Every k_range
-    and b_range entry must be a count ``AdcConfig`` accepts.
+    divided by k*b, so every cell saturates the budget exactly.  Every b_range
+    entry must be a ``bits`` count ``AdcConfig`` accepts.  The converter
+    counts are not chosen: a task-based search runs K = 1 up to the rank
+    bound, a baseline its architecture's fixed K.
     """
 
     rate_budget: float
-    k_range: tuple[int, ...] | None = None
     b_range: tuple[int, ...] = tuple(range(1, 17))
     eta: float | None = None
     architecture: str = "task_based"
@@ -313,12 +314,11 @@ class SearchSpec:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
         if len(self.b_range) == 0:
             raise ValueError("empty resolution range")
-        for range_name, name in (("k_range", "k_adcs"), ("b_range", "bits")):
-            for value in getattr(self, range_name) or ():
-                try:
-                    _check_count(name, value)
-                except ValueError as exc:
-                    raise ValueError(f"{range_name}: {exc}") from None
+        for value in self.b_range:
+            try:
+                _check_count("bits", value)
+            except ValueError as exc:
+                raise ValueError(f"b_range: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -379,25 +379,21 @@ def _converged_time_average(model, cfg, arch, n_t0, n_points) -> tuple[float, fl
 def rate_search(model: TaskModel, spec: SearchSpec) -> SearchResult:
     """Exhaustive (K, b) grid search with fs = R/(K*b).
 
-    The converter count for the task-based architecture is capped by the
-    largest rank of the stacked task response; ties break toward fewer
-    converters, then higher resolution.
+    The task-based architecture runs K = 1 up to the largest rank of the
+    stacked task response at the Nyquist rate (at most N), each baseline its
+    fixed converter count; ties break toward fewer converters, then higher
+    resolution.
     """
-    if spec.k_range is not None:
-        k_values = list(spec.k_range)
-    elif spec.architecture == "task_based":
-        k_values = list(range(1, model.n_task + 1))
-    else:
-        k_values = [_baseline_chain(model, spec.architecture)[0]]
     if spec.architecture == "task_based":
         nyq_stack = whitened_task_stack(
             model, model.f_nyq, auto_grid_points(model.f_nyq, model.band_edge)
         )
-        bound = max_rank_bound(nyq_stack)
-        k_values = [k for k in k_values if k <= bound]
+        k_values = range(1, max_rank_bound(nyq_stack) + 1)
+    else:
+        k_values = [_baseline_chain(model, spec.architecture)[0]]
 
     rows = []
-    for k in sorted(k_values):
+    for k in k_values:
         for b in sorted(spec.b_range):
             fs = spec.rate_budget / (k * b)
             try:

@@ -69,17 +69,6 @@ class FrequencyGrid:
         weights.flags.writeable = False
         return weights
 
-    def is_symmetric(self) -> bool:
-        """True when the band is symmetric about 0 (so f and -f pair up)."""
-        tol = 1e-9 * self.spacing
-        return abs(self.f_lo + self.f_hi) <= tol
-
-    def reversal_index(self) -> np.ndarray:
-        """Index array mapping each point to the point at -f (symmetric grids)."""
-        if not self.is_symmetric():
-            raise ValueError("grid is not symmetric about 0")
-        return np.arange(self.n_points)[::-1]
-
 
 @dataclass(frozen=True, init=False)
 class SpectralMatrixFunction:
@@ -140,12 +129,6 @@ class SpectralMatrixFunction:
         out[inside] = self.run_values[self.run_index[idx[inside]]]
         return out
 
-    def conjugate_symmetry_error(self) -> float:
-        """Max deviation of value(-f) from conj(value(f)), for real signals."""
-        rev = self.grid.reversal_index()
-        diff = self.values[rev] - self.values.conj()
-        return float(np.abs(diff).max())
-
     def to_dict(self) -> dict:
         return {
             "grid": _grid_to_dict(self.grid),
@@ -202,12 +185,6 @@ def _grid_from_dict(data: dict) -> FrequencyGrid:
     return FrequencyGrid(data["f_lo"], data["f_hi"], data["n"])
 
 
-def interleave_re_im(values: np.ndarray) -> list:
-    """Flat list of an array in C order, complex entries as [re, im] pairs
-    (the JSON layout); a real array flattens as it is."""
-    return np.ascontiguousarray(values).view(float).ravel().tolist()
-
-
 def _rows_to_dict(values: np.ndarray) -> dict:
     """A sampled array stored as its runs of identical rows: the first row of
     each run (``run_starts``) and those rows' values, flattened."""
@@ -216,16 +193,19 @@ def _rows_to_dict(values: np.ndarray) -> dict:
 
 
 def _runs_to_dict(starts: np.ndarray, rows: np.ndarray) -> dict:
-    return {"run_starts": starts.tolist(), "values": interleave_re_im(rows)}
+    """The JSON layout of runs: their first rows, and their values as one
+    flat list in C order with complex entries as [re, im] pairs."""
+    values = np.ascontiguousarray(rows).view(float).ravel().tolist()
+    return {"run_starts": starts.tolist(), "values": values}
 
 
 def _runs_from_dict(
     data: dict, n_points: int, shape: tuple, dtype: type = complex
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of ``_runs_to_dict``, bit for bit: (run starts, one row of
-    ``shape`` per run).  A missing ``run_starts`` (version 1) means one run
-    per row; one -1 in ``shape`` is inferred from the values length."""
-    starts = np.asarray(data.get("run_starts", range(n_points)), dtype=int)
+    ``shape`` per run).  One -1 in ``shape`` is inferred from the values
+    length."""
+    starts = np.asarray(data["run_starts"], dtype=int)
     _check_run_starts(starts, n_points)
     flat = np.asarray(data["values"], dtype=float)
     per_row = math.prod(d for d in shape if d != -1) * (2 if dtype is complex else 1)
@@ -459,11 +439,10 @@ class StackedSpectrum:
 
     @classmethod
     def from_dict(cls, data: dict, alias_order_: int, fs: float) -> "StackedSpectrum":
-        """Inverse of ``to_dict``; without ``rows`` (version 1) the row count
-        follows from the values length."""
+        """Inverse of ``to_dict``."""
         grid = _grid_from_dict(data["grid"])
         cols = (2 * alias_order_ + 1) * data["block_cols"]
-        starts, rows = _runs_from_dict(data, grid.n_points, (data.get("rows", -1), cols))
+        starts, rows = _runs_from_dict(data, grid.n_points, (data["rows"], cols))
         return cls(
             base_grid=grid, alias_order_=alias_order_, blocks=rows,
             block_cols=data["block_cols"], fs=fs, run_starts=starts,

@@ -20,7 +20,6 @@ def unit_scalar_model(fs: float = 1.0, n_points: int = 256) -> TaskModel:
     return TaskModel(
         task_filter=constant_spectrum(grid, one, kind="filter"),
         input_psd=constant_spectrum(grid, one, kind="psd"),
-        cross_psd=constant_spectrum(grid, one, kind="cross_psd"),
     )
 
 
@@ -35,14 +34,15 @@ def random_flat_model(rng: np.random.Generator, n: int, m: int, n_points: int = 
     return TaskModel(
         task_filter=constant_spectrum(grid, task_level, kind="filter"),
         input_psd=constant_spectrum(grid, input_level, kind="psd"),
-        cross_psd=constant_spectrum(grid, cross_level, kind="cross_psd"),
     )
 
 
-def piecewise_model(n_points: int, seed: int = 0) -> TaskModel:
-    """N=2, M=4 model on [-0.5, 0.5] whose input PSD has 4 runs, the third of
-    rank 2, and whose task levels change at other rows; the task filter is
-    ``analog_mmse_filter`` of the resulting cross-PSD."""
+def piecewise_spectra(
+    n_points: int, seed: int = 0
+) -> tuple[SpectralMatrixFunction, SpectralMatrixFunction]:
+    """(cross-PSD, input PSD) of an N=2, M=4 model on [-0.5, 0.5]: the input
+    PSD has 4 runs, the third of rank 2, and the cross-PSD is a task level
+    that changes at other rows times that PSD."""
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(-0.5, 0.5, n_points)
     levels = []
@@ -61,9 +61,14 @@ def piecewise_model(n_points: int, seed: int = 0) -> TaskModel:
     cross = SpectralMatrixFunction(
         grid, product.run_values, "cross_psd", run_starts=product.run_starts
     )
-    return TaskModel(
-        task_filter=analog_mmse_filter(cross, psd), input_psd=psd, cross_psd=cross
-    )
+    return cross, psd
+
+
+def piecewise_model(n_points: int, seed: int = 0) -> TaskModel:
+    """The model of ``piecewise_spectra``: its task filter is
+    ``analog_mmse_filter`` of the cross-PSD."""
+    cross, psd = piecewise_spectra(n_points, seed)
+    return TaskModel(task_filter=analog_mmse_filter(cross, psd), input_psd=psd)
 
 
 def synthesize_block(roots_dc, roots_pos, plan, rng):

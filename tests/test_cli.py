@@ -157,9 +157,11 @@ class TestDesignCommand:
         (lambda c: dict(c, channel="abc"), "channel must be a JSON object"),
         (lambda c: dict(c, N=[1]), "N must be a number"),
         (lambda c: dict(c, N=1.7), "N must be a whole number"),
+        (lambda c: dict(c, N=True), "N must be a number, not True"),
         (lambda c: dict(c, snr_db=math.nan), "must be finite"),
         (lambda c: dict(c, sigma_phi_deg=math.nan), "must be finite"),
-    ], ids=["list", "channel_string", "N_list", "N_fraction", "nan_snr", "nan_spread"])
+    ], ids=["list", "channel_string", "N_list", "N_fraction", "N_bool", "nan_snr",
+            "nan_spread"])
     def test_malformed_scenario_exits_2(self, matched_scenario, tmp_path, capsys, change,
                                         message):
         path = tmp_path / "bad.json"
@@ -366,6 +368,22 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "config error: bits must be below 512" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("var, fixed, to, value", [
+        ("b", ["--k", "2"], "4", "2.5"), ("K", ["--bits", "3"], "2", "1.5"),
+    ], ids=["b", "K"])
+    def test_fractional_count_exits_2(self, matched_scenario, tmp_path, capsys, var, fixed,
+                                      to, value):
+        # --from 1 --to <to> --steps 3 puts a fraction in the middle of the grid
+        code = main([
+            "sweep", "--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
+            "--var", var, "--from", "1", "--to", to, "--steps", "3", "--grid-points", "64",
+            *fixed,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: --var {var} grid value {value} is not a whole number" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_steps_below_one_exits_2(self, matched_scenario, tmp_path, capsys, steps):

@@ -35,7 +35,6 @@ from taskadc.spectra import (
     SpectralMatrixFunction,
     StackedSpectrum,
     constant_spectrum,
-    interleave_re_im,
     psd_sqrt,
     row_runs,
 )
@@ -437,7 +436,6 @@ class TestRankAndIsotropy:
         model = TaskModel(
             task_filter=spectrum(cross_level @ np.linalg.inv(input_level), "filter"),
             input_psd=spectrum(input_level, "psd"),
-            cross_psd=spectrum(cross_level, "cross_psd"),
         )
         cfg = AdcConfig(2, 0.6, 4)
         stack = whitened_task_stack(model, cfg.fs, n_pts)
@@ -498,7 +496,6 @@ def _varying_model(rng, n_pts: int) -> TaskModel:
             grid=grid, values=cross @ np.linalg.inv(input_psd), kind="filter"
         ),
         input_psd=SpectralMatrixFunction(grid=grid, values=input_psd, kind="psd"),
-        cross_psd=SpectralMatrixFunction(grid=grid, values=cross, kind="cross_psd"),
     )
 
 
@@ -547,22 +544,15 @@ class TestDesignJson:
         with pytest.raises(ValueError, match="values length"):
             FilterDesign.from_dict(data)
 
-    def test_version_1_file_loads(self, rng):
-        model = random_flat_model(rng, n=2, m=3, n_points=32)
-        design = design_filters(model, AdcConfig(2, 1.0, 3), 32)
-        v1 = design.to_dict()  # rewritten to the version-1 layout: every grid row
-        for key in ("version", "sigma_h", "sigma_task", "quant_noise_var"):
-            del v1[key]
-        del v1["h_bar"]["rows"]
-        for key, values in (
-            ("h_bar", design.h_bar.blocks), ("g_freq", design.g_freq.values), ("h", design.h.values)
-        ):
-            del v1[key]["run_starts"]
-            v1[key]["values"] = interleave_re_im(values)
-        back = FilterDesign.from_dict(json.loads(json.dumps(v1)))
-        for name in ("h_bar", "g_freq", "h", "nmse", "cfg"):
-            assert _same_bits(getattr(design, name), getattr(back, name)), name
-        assert back.sigma_task is None and back.quant_noise_var is None
+    def test_version_1_file_is_rejected(self, rng):
+        # version 1 (no version key, or 1) never stored sigma_h: no lossless load
+        model = random_flat_model(rng, n=1, m=2, n_points=16)
+        data = design_filters(model, AdcConfig(1, 1.0, 2), 16).to_dict()
+        with pytest.raises(ValueError, match="version 1 is not 2"):
+            FilterDesign.from_dict(dict(data, version=1))
+        del data["version"]
+        with pytest.raises(ValueError, match="version None is not 2"):
+            FilterDesign.from_dict(data)
 
     def test_newer_version_is_rejected(self, rng):
         model = random_flat_model(rng, n=1, m=2, n_points=16)
@@ -662,7 +652,6 @@ class TestNyquistUnstacking:
         model = TaskModel(
             task_filter=constant_spectrum(grid, np.array([[1.0, 0.0]]), kind="filter"),
             input_psd=constant_spectrum(grid, psd),
-            cross_psd=constant_spectrum(grid, np.array([[1.0, 0.0]]), kind="cross_psd"),
         )
         design = design_filters(model, AdcConfig(1, 1.0, 2), 16)
         np.testing.assert_allclose(design.h.values[:, :, 1], 0.0, atol=1e-12)
@@ -675,9 +664,6 @@ class TestNyquistUnstacking:
         model2 = TaskModel(
             task_filter=model.task_filter,
             input_psd=c2,
-            cross_psd=constant_spectrum(
-                model.input_psd.grid, np.array([[4.0]]), kind="cross_psd"
-            ),
         )
         design = design_filters(model2, AdcConfig(1, 1.0, 3), 32)
         np.testing.assert_allclose(

@@ -14,7 +14,7 @@ from taskadc.mmse import (
 from taskadc.scenarios import isotropic_scenario
 from taskadc.spectra import FrequencyGrid, constant_spectrum, psd_sqrt, row_runs
 
-from conftest import piecewise_model, random_flat_model, synthesize_block, unit_scalar_model
+from conftest import piecewise_spectra, random_flat_model, synthesize_block, unit_scalar_model
 
 
 class TestAnalogMmseFilter:
@@ -64,8 +64,7 @@ class TestAnalogMmseFilter:
     def test_matches_dense_pinv_bit_for_bit(self, n_points):
         # one pseudo-inverse per joint run equals one per grid row, exactly,
         # across a rank-deficient PSD run and runs the cross-PSD splits
-        model = piecewise_model(n_points)
-        c_sx, c_x = model.cross_psd, model.input_psd
+        c_sx, c_x = piecewise_spectra(n_points)
         gamma = analog_mmse_filter(c_sx, c_x)
         dense = c_sx.values @ np.linalg.pinv(c_x.values, rcond=PINV_CUTOFF, hermitian=True)
         starts, _ = row_runs(dense)
@@ -80,7 +79,6 @@ class TestTaskEnergy:
         model = TaskModel(
             task_filter=constant_spectrum(grid, np.zeros((1, 1)), kind="filter"),
             input_psd=constant_spectrum(grid, np.eye(1)),
-            cross_psd=constant_spectrum(grid, np.zeros((1, 1)), kind="cross_psd"),
         )
         assert task_energy(whitened_task_stack(model, 1.0, 16)) == 0.0
 
@@ -122,7 +120,6 @@ class TestTaskCovariance:
         model = TaskModel(
             task_filter=constant_spectrum(grid, np.array([[0.5]]), kind="filter"),
             input_psd=constant_spectrum(grid, np.array([[1.0]])),
-            cross_psd=constant_spectrum(grid, np.array([[0.5]]), kind="cross_psd"),
         )
         cov = task_covariance(model)
         assert abs(cov[0, 0] - 2.0 * 0.25) < 1e-12
@@ -132,7 +129,6 @@ class TestTaskCovariance:
         model = TaskModel(
             task_filter=constant_spectrum(grid, np.zeros((2, 2)), kind="filter"),
             input_psd=constant_spectrum(grid, np.eye(2)),
-            cross_psd=constant_spectrum(grid, np.zeros((2, 2)), kind="cross_psd"),
         )
         np.testing.assert_allclose(task_covariance(model), 0.0)
 
@@ -151,26 +147,24 @@ class TestTaskCovariance:
 
 class TestTaskModelValidation:
     def test_inconsistent_filter_rejected(self):
+        # a task filter must match the input PSD in its column count and its
+        # grid; same point count on another band is another grid
         grid = FrequencyGrid(-0.5, 0.5, 8)
-        with pytest.raises(ValueError):
-            TaskModel(
-                task_filter=constant_spectrum(grid, np.array([[1.0]]), kind="filter"),
-                input_psd=constant_spectrum(grid, np.array([[1.0]])),
-                cross_psd=constant_spectrum(grid, np.array([[2.0]]), kind="cross_psd"),
-            )
+        psd = constant_spectrum(grid, np.array([[1.0]]))
+        for task_filter, message in (
+            (constant_spectrum(grid, np.ones((1, 2)), kind="filter"), "M x M"),
+            (constant_spectrum(FrequencyGrid(-0.4, 0.4, 8), np.ones((1, 1)), kind="filter"),
+             "share a grid"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                TaskModel(task_filter=task_filter, input_psd=psd)
 
-    def test_projection_identity(self, rng):
-        # filter @ input_psd @ filter^H equals filter @ cross_psd^H pointwise
-        model = random_flat_model(rng, n=2, m=4, n_points=32)
-        lhs = (
-            model.task_filter.values
-            @ model.input_psd.values
-            @ model.task_filter.values.conj().swapaxes(-1, -2)
-        )
-        rhs = model.task_filter.values @ model.cross_psd.values.conj().swapaxes(-1, -2)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-12)
-
-    def test_round_trip(self, rng):
-        model = random_flat_model(rng, n=2, m=3, n_points=16)
-        back = TaskModel.from_dict(model.to_dict())
-        np.testing.assert_allclose(back.task_filter.values, model.task_filter.values)
+    def test_projection_identity(self):
+        # the MMSE filter of a cross-PSD in the input PSD's row space, here
+        # across a rank-deficient run: filter @ input_psd @ filter^H equals
+        # filter @ cross_psd^H pointwise
+        c_sx, c_x = piecewise_spectra(32)
+        gamma = analog_mmse_filter(c_sx, c_x).values
+        lhs = gamma @ c_x.values @ gamma.conj().swapaxes(-1, -2)
+        rhs = gamma @ c_sx.values.conj().swapaxes(-1, -2)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-10 * np.abs(rhs).max())

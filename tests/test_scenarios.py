@@ -92,7 +92,6 @@ class TestBuildScenario:
     def test_snr_round_trip(self, matched_spec, matched_model):
         # the derived noise level reproduces the requested SNR
         level = matched_model.input_psd.values[0].real
-        cross = matched_model.cross_psd.values[0].real
         # recover F F^T as input level minus the white-noise floor
         n0_half = np.linalg.eigvalsh(level).min()
         gram_tr = np.trace(level - n0_half * np.eye(16))
@@ -100,7 +99,7 @@ class TestBuildScenario:
         assert abs(snr_db - matched_spec.snr_db) < 1e-9
 
     def test_in_band_flatness(self, matched_model):
-        for func in (matched_model.input_psd, matched_model.cross_psd):
+        for func in (matched_model.input_psd, matched_model.task_filter):
             spread = np.abs(func.values - func.values[:1]).max()
             assert spread <= 1e-12 * np.abs(func.values).max()
 
@@ -159,3 +158,14 @@ class TestScenarioConfig:
         path.write_text(json.dumps(config))
         spec = ScenarioSpec.from_file(path)
         np.testing.assert_allclose(spec.channel_matrix, channel)
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"N": True}, "N must be a number, not True"),
+        ({"f_nyq_hz": True}, "f_nyq_hz must be a number, not True"),
+        ({"channel": {"seed": False}}, "channel seed must be a number, not False"),
+    ], ids=["N", "f_nyq_hz", "channel_seed"])
+    def test_json_booleans_rejected(self, entry, message):
+        # bool is an int subclass: N would pass as 1, f_nyq_hz as 1 Hz, a seed as 0
+        config = {"N": 2, "M": 4, "f_nyq_hz": 1e8, "snr_db": 10.0, "channel": {"seed": 3}}
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.from_config(dict(config, **entry))

@@ -402,8 +402,8 @@ class TestTimeAveragedNmse:
         model = random_flat_model(rng, n=2, m=3, n_points=32)
         cfg = AdcConfig(3, 0.5 / 32, 16)
         assert alias_order(cfg.fs, model.band_edge) == 32
-        spec = SearchSpec(rate_budget=cfg.rate, k_range=(3,), b_range=(16,),
-                          architecture="digital_recovery", n_points=32)
+        spec = SearchSpec(rate_budget=cfg.rate, b_range=(16,), architecture="digital_recovery",
+                          n_points=32)
         searched = rate_search(model, spec).table[0]["nmse"]
         task_stack = whitened_task_stack(model, cfg.fs, 32)
         h_bar = stack_aliases(psd_sqrt(model.input_psd), cfg.fs, model.band_edge, 32)
@@ -417,9 +417,9 @@ class TestTimeAveragedNmse:
     def test_equals_search_table(self, rng, arch, k):
         model = random_flat_model(rng, n=2, m=3, n_points=32)
         # alias order 10: a 16-point mean alone misreads the harmonic at 16*fs
-        spec = SearchSpec(rate_budget=k * 3 * 0.05, k_range=(k,), b_range=(3,),
-                          architecture=arch, n_points=32)
-        row = rate_search(model, spec).table[0]
+        spec = SearchSpec(rate_budget=k * 3 * 0.05, b_range=(3,), architecture=arch,
+                          n_points=32)
+        [row] = [r for r in rate_search(model, spec).table if r["k_adcs"] == k]
         cfg = AdcConfig(k, row["fs_hz"], 3)
         assert alias_order(cfg.fs, model.band_edge) == 10
         assert time_averaged_nmse(model, cfg, arch, 32) == row["nmse"]
@@ -440,7 +440,7 @@ class TestRateSearch:
 
     def test_single_cell(self, rng, tmp_path):
         model = random_flat_model(rng, n=1, m=2, n_points=32)
-        spec = SearchSpec(rate_budget=2.0, k_range=(1,), b_range=(2,), n_points=32)
+        spec = SearchSpec(rate_budget=2.0, b_range=(2,), n_points=32)  # N = 1: K = 1 only
         result = rate_search(model, spec)
         assert len(result.table) == 1
         assert result.best_bits == 2
@@ -479,8 +479,6 @@ class TestRateSearch:
         (dict(b_range=(-3,)), "b_range: bits must be at least 1"),
         (dict(b_range=(600,)), "b_range: bits must be below 512"),
         (dict(b_range=(2.5,)), "b_range: bits must be a whole number, got 2.5"),
-        (dict(k_range=(0,)), "k_range: k_adcs must be at least 1"),
-        (dict(k_range=(1.5,)), "k_range: k_adcs must be a whole number, got 1.5"),
     ])
     def test_counts_that_adc_config_rejects(self, rng, ranges, message):
         # not a division by zero, "no feasible configuration" or a table row
@@ -491,8 +489,7 @@ class TestRateSearch:
     def test_cells_infeasible_at_a_valid_eta_are_skipped(self, rng):
         # eta = 3 overloads the dithered 1-bit quantizer but not the 2-bit one
         model = random_flat_model(rng, n=1, m=2, n_points=32)
-        spec = SearchSpec(rate_budget=4.0, k_range=(1,), b_range=(1, 2), eta=3.0,
-                          n_points=32)
+        spec = SearchSpec(rate_budget=4.0, b_range=(1, 2), eta=3.0, n_points=32)
         assert [row["bits"] for row in rate_search(model, spec).table] == [2]
         with pytest.raises(ValueError, match="no feasible configuration"):
             rate_search(model, replace(spec, b_range=(1,)))
