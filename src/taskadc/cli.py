@@ -212,10 +212,9 @@ def cmd_sweep(args) -> int:
     rows = []
     pairs = _sweep_value_configs(args, model)
     if args.var == "t0":
-        cfg = pairs[0][1]  # the shift leaves the configuration fixed
-        base = design_filters(model, cfg, args.grid_points)
+        base = design_filters(model, pairs[0][1], args.grid_points)  # one cfg for every t0
         for t0, _ in pairs:
-            shifted = shifted_task_design(model, t0, cfg, base=base)
+            shifted = shifted_task_design(model, base, t0)
             rows.append([t0, "task_based", shifted.nmse])
     else:
         for value, cfg in pairs:

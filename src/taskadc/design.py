@@ -10,7 +10,8 @@ actual analog filter.
 One modal core (``_waterfilled_modes``: SVD, water level, per-mode gains)
 feeds the analog design, its closed-form MSE and the designed shift kernel;
 one solve (``_solve_output``) feeds every digital filter, solve-based MSE and
-general shift kernel.
+general shift kernel.  One assembler (``_assemble``) builds every
+``FilterDesign`` from its analog filter.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ import numpy as np
 
 from .mmse import TaskModel, _times_pinv, task_energy, whitened_task_stack
 from .quantizer import effective_loading, eta_schedule
-from .spectra import (
-    DEFAULT_GRID_POINTS,
+from .spectra import (  # noqa: F401  auto_grid_points is re-exported
     SpectralMatrixFunction,
     StackedSpectrum,
     _rows_from_dict,
     _rows_to_dict,
-    alias_order,
+    auto_grid_points,
     joint_runs,
     stack_aliases,
     take_rows,
@@ -95,22 +95,28 @@ class MseReport(NamedTuple):
     nmse: float
 
 
+def _report(mse: float, energy: float) -> MseReport:
+    return MseReport(mse=mse, nmse=mse / energy if energy > 0 else 0.0)
+
+
 @dataclass(frozen=True)
 class FilterDesign:
-    """A designed acquisition chain and its predicted error."""
+    """A designed acquisition chain and its predicted error, built by
+    ``_assemble``.  A baseline's fixed filter has no water level and no task
+    singular values (None); the unstacked filter h is None above alias order 0."""
 
     cfg: AdcConfig
     h_bar: StackedSpectrum
     sigma_h: np.ndarray
     water_level: float | None
     task_energy: float
-    sigma_task: np.ndarray | None = None
-    g_freq: SpectralMatrixFunction | None = None
-    h: SpectralMatrixFunction | None = None
-    mse_theory: float | None = None
-    nmse: float | None = None
-    dynamic_range: float | None = None
-    quant_noise_var: float | None = None
+    sigma_task: np.ndarray | None
+    g_freq: SpectralMatrixFunction
+    h: SpectralMatrixFunction | None
+    mse_theory: float
+    nmse: float
+    dynamic_range: float
+    quant_noise_var: float
 
     def to_dict(self) -> dict:
         """design.json, version 2: every grid-sampled field stored as its runs
@@ -131,17 +137,22 @@ class FilterDesign:
             "h_bar": self.h_bar.to_dict(),
             "sigma_h": _rows_to_dict(self.sigma_h),
             "sigma_task": None if self.sigma_task is None else _rows_to_dict(self.sigma_task),
-            "g_freq": None if self.g_freq is None else self.g_freq.to_dict(),
+            "g_freq": self.g_freq.to_dict(),
             "h": None if self.h is None else self.h.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FilterDesign":
         """Inverse of ``to_dict``, bit for bit.  Any version but 2 is a
-        ValueError: version 1 did not store ``sigma_h``."""
+        ValueError: version 1 did not store ``sigma_h``; so is a null in a
+        field every design has."""
         version = data.get("version")
         if version != DESIGN_JSON_VERSION:
             raise ValueError(f"design.json version {version} is not {DESIGN_JSON_VERSION}")
+        required = ("g_freq", "mse", "nmse", "dynamic_range", "quant_noise_var")
+        null = [key for key in required if data[key] is None]
+        if null:
+            raise ValueError(f"design.json has null {', '.join(null)}")
         cfg = AdcConfig(
             k_adcs=data["k_adcs"], fs=data["fs_hz"], bits=data["bits"], eta=data["eta"]
         )
@@ -151,10 +162,7 @@ class FilterDesign:
         sigma_task = data["sigma_task"]
         if sigma_task is not None:
             sigma_task = _rows_from_dict(sigma_task, n, (-1,), float)
-        g_freq, h = (
-            None if data[key] is None else SpectralMatrixFunction.from_dict(data[key])
-            for key in ("g_freq", "h")
-        )
+        h = None if data["h"] is None else SpectralMatrixFunction.from_dict(data["h"])
         return cls(
             cfg=cfg,
             h_bar=h_bar,
@@ -162,22 +170,13 @@ class FilterDesign:
             water_level=data["water_level"],
             task_energy=data["task_energy"],
             sigma_task=sigma_task,
-            g_freq=g_freq,
+            g_freq=SpectralMatrixFunction.from_dict(data["g_freq"]),
             h=h,
             mse_theory=data["mse"],
             nmse=data["nmse"],
             dynamic_range=data["dynamic_range"],
             quant_noise_var=data["quant_noise_var"],
         )
-
-
-def auto_grid_points(fs: float, f_max: float) -> int:
-    """Baseband grid density; shrinks for alias-heavy stackings so the total
-    sample count across the physical band stays roughly constant."""
-    ups = alias_order(fs, f_max)
-    target = DEFAULT_GRID_POINTS
-    n = min(target, max(384, int(round(target * 9 / (2 * ups + 1)))))
-    return n + (n % 2)
 
 
 def solve_waterfill_level(
@@ -296,11 +295,6 @@ def _gauge_fixed(vh: np.ndarray) -> np.ndarray:
     return vh * np.conj(phase)[..., None]
 
 
-def _singular_values(stack: StackedSpectrum) -> np.ndarray:
-    """Singular values of every grid row, one SVD per run of identical rows."""
-    return take_rows(np.linalg.svd(stack.run_blocks, compute_uv=False), stack.run_index)
-
-
 def max_rank_bound(task_stack: StackedSpectrum) -> int:
     """Largest numerical rank of the stacked task response over the grid."""
     s = np.linalg.svd(task_stack.run_blocks, compute_uv=False)
@@ -380,7 +374,8 @@ def _waterfilled_residual(
 
 
 def design_analog_filter(task_stack: StackedSpectrum, cfg: AdcConfig) -> FilterDesign:
-    """MSE-minimizing analog filter for a stacked whitened task response.
+    """Design for a stacked whitened task response: the MSE-minimizing analog
+    filter, its digital filter and closed-form MSE; h is left None.
 
     Per frequency: water-filled singular values on the task's right-singular
     directions, rotated so all quantizer inputs carry equal variance.
@@ -405,13 +400,41 @@ def design_analog_filter(task_stack: StackedSpectrum, cfg: AdcConfig) -> FilterD
         fs=task_stack.fs,
         run_starts=modes.starts,
     )
+    # the designed singular values must saturate the quantizer-support constraint
+    power = float(task_stack.base_grid.weights @ (modes.sigma_h**2).sum(axis=1))
+    lhs = effective_loading(cfg.eta, cfg.bits) * cfg.ts / k * power
+    if abs(lhs - 1.0) > 1e-9:
+        raise DesignError(f"quantizer-support constraint violated: {lhs}")
+    return _assemble(cfg, task_stack, h_bar, None, modes)
+
+
+def _assemble(
+    cfg: AdcConfig,
+    task_stack: StackedSpectrum,
+    h_bar: StackedSpectrum,
+    h: SpectralMatrixFunction | None,
+    modes: _Modes | None = None,
+) -> FilterDesign:
+    """The design behind analog filter h_bar: the MMSE solve gives the digital
+    filter, dynamic range and noise level.  With ``modes``, h_bar is their
+    water-filled filter and the MSE their closed form; without, h_bar is a
+    baseline's fixed filter and the MSE the solve's."""
+    solve = _mmse_solve(h_bar, task_stack, cfg)
+    energy = task_energy(task_stack)
+    if modes is None:
+        report = solve.report(task_stack, cfg.ts)
+        # one SVD per run of identical rows
+        sigma_h = take_rows(np.linalg.svd(h_bar.run_blocks, compute_uv=False), h_bar.run_index)
+        water_level, sigma_task = None, None
+    else:
+        sigma_h, water_level, sigma_task = modes.sigma_h, modes.zeta, modes.s
+        weights = task_stack.base_grid.weights
+        report = _report(_waterfilled_residual(sigma_task, sigma_h, weights, cfg.bits), energy)
     return FilterDesign(
-        cfg=cfg,
-        h_bar=h_bar,
-        sigma_h=modes.sigma_h,
-        water_level=modes.zeta,
-        task_energy=task_energy(task_stack),
-        sigma_task=modes.s,
+        cfg=cfg, h_bar=h_bar, sigma_h=sigma_h, water_level=water_level, task_energy=energy,
+        sigma_task=sigma_task, g_freq=solve.filter(h_bar.base_grid), h=h,
+        mse_theory=report.mse, nmse=report.nmse, dynamic_range=solve.dynamic_range,
+        quant_noise_var=solve.noise_var,
     )
 
 
@@ -453,8 +476,7 @@ class _MmseSolve(NamedTuple):
         gains = np.einsum(
             "jnk,jkn->j", take_rows(self.s_cross, self.index), take_rows(self.x, self.index)
         ).real
-        mse = energy - ts * float(task_stack.base_grid.weights @ gains)
-        return MseReport(mse=mse, nmse=mse / energy if energy > 0 else 0.0)
+        return _report(energy - ts * float(task_stack.base_grid.weights @ gains), energy)
 
 
 def _mmse_solve(
@@ -499,8 +521,7 @@ def theoretical_mse_waterfilled(design: FilterDesign) -> MseReport:
     mse = _waterfilled_residual(
         design.sigma_task, design.sigma_h, design.h_bar.base_grid.weights, design.cfg.bits
     )
-    nmse = mse / design.task_energy if design.task_energy > 0 else 0.0
-    return MseReport(mse=mse, nmse=nmse)
+    return _report(mse, design.task_energy)
 
 
 def nyquist_analog_filter(
@@ -526,37 +547,9 @@ def nyquist_analog_filter(
 def design_filters(
     model: TaskModel, cfg: AdcConfig, n_points: int | None = None
 ) -> FilterDesign:
-    """Full design for a task model: analog filter, digital filter, and MSE."""
-    if n_points is None:
-        n_points = auto_grid_points(cfg.fs, model.band_edge)
-    task_stack = whitened_task_stack(model, cfg.fs, n_points)
-    design = design_analog_filter(task_stack, cfg)
-    _check_support_constraint(design)
-    solve = _mmse_solve(design.h_bar, task_stack, cfg)
-    report = theoretical_mse_waterfilled(design)
-    h = None
+    """Full design for a task model: ``design_analog_filter`` plus, at alias
+    order 0, the unstacked analog filter h."""
+    design = design_analog_filter(whitened_task_stack(model, cfg.fs, n_points), cfg)
     if design.h_bar.alias_order_ == 0:
-        h = nyquist_analog_filter(design, model._input_root)
-    return replace(
-        design,
-        g_freq=solve.filter(design.h_bar.base_grid),
-        h=h,
-        mse_theory=report.mse,
-        nmse=report.nmse,
-        dynamic_range=solve.dynamic_range,
-        quant_noise_var=solve.noise_var,
-    )
-
-
-def _check_support_constraint(design: FilterDesign) -> None:
-    """The designed singular values must saturate the quantizer-support constraint."""
-    cfg = design.cfg
-    kappa = effective_loading(cfg.eta, cfg.bits)
-    lhs = (
-        kappa
-        * cfg.ts
-        / cfg.k_adcs
-        * float(design.h_bar.base_grid.weights @ (design.sigma_h**2).sum(axis=1))
-    )
-    if abs(lhs - 1.0) > 1e-9:
-        raise DesignError(f"quantizer-support constraint violated: {lhs}")
+        design = replace(design, h=nyquist_analog_filter(design, model._input_root))
+    return design

@@ -8,10 +8,10 @@ from functools import cached_property
 import numpy as np
 
 from .spectra import (
-    DEFAULT_GRID_POINTS,
     SpectralMatrixFunction,
     StackedSpectrum,
     _check_shared_grid,
+    auto_grid_points,
     multiply_spectra,
     psd_sqrt,
     stack_aliases,
@@ -99,9 +99,12 @@ def _times_pinv(grid, left, psd) -> SpectralMatrixFunction:
 
 
 def whitened_task_stack(
-    model: TaskModel, fs: float, n_points: int = DEFAULT_GRID_POINTS
+    model: TaskModel, fs: float, n_points: int | None = None
 ) -> StackedSpectrum:
-    """Alias-stacked whitened task response on the baseband [-fs/2, fs/2]."""
+    """Alias-stacked whitened task response on the baseband [-fs/2, fs/2];
+    n_points=None is ``auto_grid_points``, the density of every design."""
+    if n_points is None:
+        n_points = auto_grid_points(fs, model.band_edge)
     return stack_aliases(model._whitened, fs, model.band_edge, n_points)
 
 

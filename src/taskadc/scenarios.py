@@ -36,6 +36,12 @@ class ScenarioSpec:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.f_nyq, self.snr_db, self.sigma_phi))):
             raise ValueError("f_nyq, snr_db and sigma_phi must be finite")
+        try:
+            snr_lin = 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:
+            snr_lin = math.inf
+        if not 0.0 < snr_lin < math.inf:
+            raise ValueError(f"snr_db={self.snr_db!r} has no finite nonzero linear value")
         if self.n_streams < 1 or self.m_antennas < 1:
             raise ValueError("stream and antenna counts must be at least 1")
         if self.f_nyq <= 0:
@@ -134,6 +140,8 @@ def build_scenario(spec: ScenarioSpec, n_points: int = DEFAULT_GRID_POINTS) -> T
     if gram <= 0:
         raise ValueError("channel carries no energy; SNR is infeasible")
     n0 = 2.0 * gram / snr_lin
+    if not math.isfinite(n0):
+        raise ValueError(f"snr_db={spec.snr_db!r} gives a noise level N0 of {n0}")
 
     input_level = f_mat @ f_mat.T + (n0 / 2.0) * np.eye(m)
     cross_level = (f_mat.T @ f_mat) @ f_mat.T

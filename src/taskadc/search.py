@@ -32,13 +32,12 @@ from numpy._core.einsumfunc import _parse_eq_to_batch_matmul, bmm_einsum
 from .design import (
     AdcConfig,
     FilterDesign,
+    _assemble,
     _check_count,
     _mmse_solve,
-    _singular_values,
     _solve_output,
     _waterfilled_modes,
     _waterfilled_residual,
-    auto_grid_points,
     design_filters,
     max_rank_bound,
     quantizer_noise,
@@ -93,14 +92,12 @@ def _arch_chain(model: TaskModel, cfg: AdcConfig, arch: str, n_points: int | Non
     k, h = _baseline_chain(model, arch)
     if cfg.k_adcs != k:
         raise ValueError(f"{arch} needs k_adcs == {k}")
-    if n_points is None:
-        n_points = auto_grid_points(cfg.fs, model.band_edge)
     task_stack = whitened_task_stack(model, cfg.fs, n_points)
     if h is not None:
         # the task filter whitened is the task stack itself
         return task_stack, task_stack
-    h_bar = stack_aliases(model._input_root, cfg.fs, model.band_edge, n_points)
-    return task_stack, h_bar
+    n = task_stack.base_grid.n_points
+    return task_stack, stack_aliases(model._input_root, cfg.fs, model.band_edge, n)
 
 
 def _memory_order(x: np.ndarray) -> list[int]:
@@ -256,20 +253,13 @@ def mse_at_shifts(const: float, kernel: np.ndarray, cfg: AdcConfig, t0s) -> np.n
     return const - recovered
 
 
-def shifted_task_design(
-    model: TaskModel,
-    t0: float,
-    cfg: AdcConfig,
-    base: FilterDesign | None = None,
-    n_points: int | None = None,
-) -> FilterDesign:
+def shifted_task_design(model: TaskModel, base: FilterDesign, t0: float) -> FilterDesign:
     """Re-derive the digital filter and error for a task shifted to time t0.
 
-    The analog hardware is held at the t0=0 design; only the recovery filter
-    and the predicted error change.
+    The analog hardware is held at the t0=0 design ``base`` (its cfg and
+    grid); only the recovery filter and the predicted error change.
     """
-    if base is None:
-        base = design_filters(model, cfg, n_points)
+    cfg = base.cfg
     task_stack = whitened_task_stack(model, cfg.fs, base.h_bar.base_grid.n_points)
     shifted = modulated_stack(task_stack, t0)
     solve = _mmse_solve(base.h_bar, shifted, cfg)
@@ -347,8 +337,6 @@ def _converged_time_average(model, cfg, arch, n_t0, n_points) -> tuple[float, fl
     """(time-averaged nmse, nmse at t0=0), doubling the t0 grid from n_t0
     midpoints until two grids agree."""
     if arch == "task_based":
-        if n_points is None:
-            n_points = auto_grid_points(cfg.fs, model.band_edge)
         task_stack = whitened_task_stack(model, cfg.fs, n_points)
         const, kernel = designed_shift_kernel(task_stack, cfg)
         energy = task_energy(task_stack)
@@ -380,15 +368,14 @@ def rate_search(model: TaskModel, spec: SearchSpec) -> SearchResult:
     """Exhaustive (K, b) grid search with fs = R/(K*b).
 
     The task-based architecture runs K = 1 up to the largest rank of the
-    stacked task response at the Nyquist rate (at most N), each baseline its
+    stacked task response at the Nyquist rate (at most N; a task of rank 0
+    runs K = 1, whose design reports the missing energy), each baseline its
     fixed converter count; ties break toward fewer converters, then higher
     resolution.
     """
     if spec.architecture == "task_based":
-        nyq_stack = whitened_task_stack(
-            model, model.f_nyq, auto_grid_points(model.f_nyq, model.band_edge)
-        )
-        k_values = range(1, max_rank_bound(nyq_stack) + 1)
+        rank = max_rank_bound(whitened_task_stack(model, model.f_nyq))
+        k_values = range(1, max(rank, 1) + 1)
     else:
         k_values = [_baseline_chain(model, spec.architecture)[0]]
 
@@ -436,21 +423,7 @@ def baseline_design(
     if arch == "task_based":
         return design_filters(model, cfg, n_points)
     task_stack, h_bar = _arch_chain(model, cfg, arch, n_points)
-    solve = _mmse_solve(h_bar, task_stack, cfg)
-    report = solve.report(task_stack, cfg.ts)
     h = _baseline_chain(model, arch)[1]
     if h is None:
         h = constant_spectrum(model.input_psd.grid, np.eye(model.m_inputs), kind="filter")
-    return FilterDesign(
-        cfg=cfg,
-        h_bar=h_bar,
-        sigma_h=_singular_values(h_bar),
-        water_level=None,
-        task_energy=task_energy(task_stack),
-        g_freq=solve.filter(h_bar.base_grid),
-        h=h,
-        mse_theory=report.mse,
-        nmse=report.nmse,
-        dynamic_range=solve.dynamic_range,
-        quant_noise_var=solve.noise_var,
-    )
+    return _assemble(cfg, task_stack, h_bar, h)

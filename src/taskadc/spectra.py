@@ -352,6 +352,15 @@ def alias_order(fs: float, f_max: float) -> int:
     return max(0, math.ceil(f_max / fs - 0.5 - 1e-9))
 
 
+def auto_grid_points(fs: float, f_max: float) -> int:
+    """Baseband grid density; shrinks for alias-heavy stackings so the total
+    sample count across the physical band stays roughly constant."""
+    ups = alias_order(fs, f_max)
+    target = DEFAULT_GRID_POINTS
+    n = min(target, max(384, int(round(target * 9 / (2 * ups + 1)))))
+    return n + (n % 2)
+
+
 @dataclass(frozen=True, init=False)
 class StackedSpectrum:
     """Horizontal concatenation of alias blocks on the baseband grid.

@@ -174,6 +174,18 @@ class TestDesignCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
 
+    @pytest.mark.parametrize("snr_db", [3100, -3300, -3100])
+    def test_extreme_snr_exits_2(self, matched_scenario, tmp_path, capsys, snr_db):
+        # an overflowing, a zero and an infinite-noise SNR: none is a traceback
+        path = tmp_path / "snr.json"
+        path.write_text(json.dumps(dict(json.loads(matched_scenario.read_text()), snr_db=snr_db)))
+        code = main([
+            "design", "--scenario", str(path), "--out", str(tmp_path / "o"),
+            "--k", "2", "--bits", "4", "--fs", "1e8", "--grid-points", "16",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: snr_db=")
+
     def test_unallocatable_scenario_exits_2(self, matched_scenario, tmp_path, capsys):
         # numpy refuses the terabyte-sized correlation matrix before touching memory
         path = tmp_path / "huge.json"

@@ -292,6 +292,15 @@ class TestTheoreticalMse:
         diagonal = theoretical_mse_waterfilled(design)
         assert abs(general.mse - diagonal.mse) <= 1e-9 * max(abs(diagonal.mse), 1e-300)
 
+    def test_default_task_stack_shares_the_design_grid(self, matched_model):
+        # whitened_task_stack's default density is the one the design used
+        cfg = AdcConfig(4, 25e6, 4)
+        design = design_filters(matched_model, cfg)
+        stack = whitened_task_stack(matched_model, cfg.fs)
+        assert stack.base_grid == design.h_bar.base_grid
+        general = theoretical_mse(design.h_bar, stack, cfg).mse
+        assert abs(general - design.mse_theory) <= 1e-9 * design.mse_theory
+
     def test_nmse_bounds(self, rng):
         model = random_flat_model(rng, n=2, m=5, n_points=32)
         for bits in (1, 3, 7):
@@ -553,6 +562,15 @@ class TestDesignJson:
         del data["version"]
         with pytest.raises(ValueError, match="version None is not 2"):
             FilterDesign.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "key", ["g_freq", "mse", "nmse", "dynamic_range", "quant_noise_var"]
+    )
+    def test_null_required_field_is_rejected(self, rng, key):
+        model = random_flat_model(rng, n=1, m=2, n_points=16)
+        data = design_filters(model, AdcConfig(1, 1.0, 2), 16).to_dict()
+        with pytest.raises(ValueError, match=f"design.json has null {key}$"):
+            FilterDesign.from_dict(dict(data, **{key: None}))
 
     def test_newer_version_is_rejected(self, rng):
         model = random_flat_model(rng, n=1, m=2, n_points=16)

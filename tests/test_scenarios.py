@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,6 +103,18 @@ class TestBuildScenario:
         for func in (matched_model.input_psd, matched_model.task_filter):
             spread = np.abs(func.values - func.values[:1]).max()
             assert spread <= 1e-12 * np.abs(func.values).max()
+
+    @pytest.mark.parametrize("snr_db", [3100.0, -3300.0])
+    def test_snr_without_a_linear_value_rejected(self, snr_db):
+        # 10^(snr/10) overflows at +3100 dB and underflows to 0 at -3300 dB
+        with pytest.raises(ValueError, match="no finite nonzero linear value"):
+            ScenarioSpec(n_streams=1, m_antennas=2, f_nyq=1.0, snr_db=snr_db, sigma_phi=0.01)
+
+    def test_infinite_noise_level_rejected(self, matched_spec):
+        # -3100 dB is a subnormal linear SNR: N0 = 2*gram/snr overflows
+        spec = replace(matched_spec, snr_db=-3100.0)
+        with pytest.raises(ValueError, match="noise level N0 of inf"):
+            build_scenario(spec, n_points=16)
 
     def test_channel_shape_rejected(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from taskadc.design import (
     quantizer_noise,
     theoretical_mse,
 )
-from taskadc.mmse import task_energy, whitened_task_stack
+from taskadc.mmse import TaskModel, task_energy, whitened_task_stack
 from taskadc.scenarios import ScenarioSpec, build_scenario, isotropic_scenario
 from taskadc.search import (
     ARCHITECTURES,
@@ -34,8 +34,10 @@ from taskadc.search import (
     time_averaged_nmse,
 )
 from taskadc.spectra import (
+    FrequencyGrid,
     StackedSpectrum,
     alias_order,
+    constant_spectrum,
     joint_runs,
     psd_sqrt,
     stack_aliases,
@@ -50,7 +52,7 @@ class TestShiftedTaskDesign:
         model = random_flat_model(rng, n=2, m=4, n_points=64)
         cfg = AdcConfig(2, 0.6, 3)  # sub-Nyquist on the unit band
         base = design_filters(model, cfg, 64)
-        shifted = shifted_task_design(model, 0.0, cfg, base=base)
+        shifted = shifted_task_design(model, base, 0.0)
         assert abs(shifted.mse_theory - base.mse_theory) <= 1e-12 * base.mse_theory
         np.testing.assert_allclose(shifted.g_freq.values, base.g_freq.values, atol=1e-12)
 
@@ -58,8 +60,8 @@ class TestShiftedTaskDesign:
         model = random_flat_model(rng, n=2, m=4, n_points=64)
         cfg = AdcConfig(2, 0.6, 3)
         base = design_filters(model, cfg, 64)
-        at_zero = shifted_task_design(model, 0.0, cfg, base=base)
-        at_period = shifted_task_design(model, cfg.ts, cfg, base=base)
+        at_zero = shifted_task_design(model, base, 0.0)
+        at_period = shifted_task_design(model, base, cfg.ts)
         assert abs(at_period.nmse - at_zero.nmse) <= 1e-9 * at_zero.nmse
 
     def test_nyquist_sampling_is_shift_invariant(self, rng):
@@ -67,7 +69,7 @@ class TestShiftedTaskDesign:
         cfg = AdcConfig(2, 1.25, 8)  # above the unit-band Nyquist rate
         base = design_filters(model, cfg, 64)
         values = [
-            shifted_task_design(model, t0, cfg, base=base).nmse
+            shifted_task_design(model, base, t0).nmse
             for t0 in (0.0, 0.31 * cfg.ts, 0.77 * cfg.ts)
         ]
         assert max(values) - min(values) <= 1e-6 * max(values)
@@ -81,7 +83,7 @@ class TestShiftedTaskDesign:
         t0s = np.array([0.0, 0.2, 0.55, 0.9]) * cfg.ts
         fast = mse_at_shifts(energy, kernel, cfg, t0s)
         slow = np.array(
-            [shifted_task_design(model, float(t), cfg, base=base).mse_theory for t in t0s]
+            [shifted_task_design(model, base, float(t)).mse_theory for t in t0s]
         )
         np.testing.assert_allclose(fast, slow, rtol=1e-10)
 
@@ -493,6 +495,18 @@ class TestRateSearch:
         assert [row["bits"] for row in rate_search(model, spec).table] == [2]
         with pytest.raises(ValueError, match="no feasible configuration"):
             rate_search(model, replace(spec, b_range=(1,)))
+
+    def test_zero_task_reports_its_missing_energy(self):
+        # rank bound 0: K = 1 still runs, and its design names the cause
+        # instead of "no feasible configuration"
+        grid = FrequencyGrid(-0.5, 0.5, 32)
+        model = TaskModel(
+            task_filter=constant_spectrum(grid, np.zeros((2, 3)), kind="filter"),
+            input_psd=constant_spectrum(grid, np.eye(3), kind="psd"),
+        )
+        spec = SearchSpec(rate_budget=6.0, b_range=(2,), n_points=32)
+        with pytest.raises(ValueError, match="all singular values are zero"):
+            rate_search(model, spec)
 
 
 class TestBaselineDesign:

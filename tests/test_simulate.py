@@ -210,7 +210,7 @@ class TestRecoverTask:
         model = unit_scalar_model(fs=1.0, n_points=64)
         cfg = AdcConfig(1, 1.0, bits=3, eta=2.0)
         base = design_filters(model, cfg, 64)
-        shifted = shifted_task_design(model, cfg.ts, cfg, base=base)
+        shifted = shifted_task_design(model, base, cfg.ts)
         rep0 = estimate_mse(SimulationRun("s0", model, base, n_trials=2000, seed=5))
         rep1 = estimate_mse(
             SimulationRun("s1", model, shifted, n_trials=2000, seed=5, t0=cfg.ts)
@@ -279,6 +279,14 @@ class TestEstimateMse:
         assert report.overload_rate < 1e-4
         assert report.orthogonality_residual < 3 * report.orthogonality_pooled_se
 
+    @pytest.mark.parametrize("k, bits", [(4, 4), (2, 3)])
+    def test_mimo_closed_form_matches_monte_carlo(self, matched_model, k, bits):
+        # the 4x16 design at the Nyquist rate: within 3 standard errors
+        cfg = AdcConfig(k, 400e6, bits, eta=4.5)
+        design = design_filters(matched_model, cfg)
+        report = estimate_mse(SimulationRun("mimo", matched_model, design, n_trials=2000, seed=0))
+        assert abs(report.empirical_nmse - design.nmse) <= 3 * report.std_error
+
     def test_trial_count_guard(self):
         model = unit_scalar_model(fs=1.0, n_points=64)
         cfg = AdcConfig(1, 1.0, bits=2, eta=2.0)
@@ -302,7 +310,7 @@ class TestFrequencyDomainChain:
     def test_shifted_design_matches_time_domain_reference(self, matched_model):
         cfg = AdcConfig(2, matched_model.f_nyq, bits=3)
         base = design_filters(matched_model, cfg, 64)
-        shifted = shifted_task_design(matched_model, 1e-9, cfg, base=base)
+        shifted = shifted_task_design(matched_model, base, 1e-9)
         run = SimulationRun("ref", matched_model, shifted, n_trials=120, seed=7, t0=1e-9)
         assert_reports_close(estimate_mse(run), time_domain_reference(run), 1e-11)
 
