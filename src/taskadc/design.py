@@ -120,7 +120,9 @@ class FilterDesign:
 
     def to_dict(self) -> dict:
         """design.json, version 2: every grid-sampled field stored as its runs
-        of identical rows (``spectra._rows_to_dict``)."""
+        of identical rows (``spectra._rows_to_dict``); a complex field whose
+        imaginary parts are all +0.0 (``h_bar`` and ``h`` of a real
+        scenario) keeps only its real parts."""
         return {
             "version": DESIGN_JSON_VERSION,
             "k_adcs": self.cfg.k_adcs,
@@ -143,9 +145,11 @@ class FilterDesign:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FilterDesign":
-        """Inverse of ``to_dict``, bit for bit.  Any version but 2 is a
-        ValueError: version 1 did not store ``sigma_h``; so is a null in a
-        field every design has."""
+        """Inverse of ``to_dict``, bit for bit; a complex field's layout
+        (real parts alone or [re, im] pairs) is read from its values length,
+        so a file that stores every field as pairs loads too.  Any version
+        but 2 is a ValueError: version 1 did not store ``sigma_h``; so is a
+        null in a field every design has."""
         version = data.get("version")
         if version != DESIGN_JSON_VERSION:
             raise ValueError(f"design.json version {version} is not {DESIGN_JSON_VERSION}")

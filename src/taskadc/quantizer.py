@@ -50,23 +50,26 @@ class QuantizerSpec:
 def quantize_midrise(x, spec: QuantizerSpec):
     """Mid-rise quantization; inputs at or beyond the dynamic range saturate.
 
-    Works in place on the output and one cell buffer and leaves x untouched;
-    a scalar input returns a float.
+    The cell midpoint (floor(x/delta) + 1/2)*delta, clipped to the outermost
+    levels +-(gamma - delta/2), computed in place on one output buffer; x is
+    left untouched and a scalar input returns a float.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("quantizer input must be finite")
     gamma = spec.dynamic_range
     delta = spec.step
+    top = gamma - delta / 2.0
     # out= keeps 0-d inputs as arrays, so the in-place steps below hold for them
-    out = np.sign(x, out=np.empty_like(x))
-    out *= gamma - delta / 2.0
-    if delta != 0.0:
-        cells = np.divide(x, delta, out=np.empty_like(x))
-        np.floor(cells, out=cells)
-        cells += 0.5
-        cells *= delta
-        np.copyto(out, cells, where=np.abs(x) < gamma)
+    if delta == 0.0:
+        out = np.sign(x, out=np.empty_like(x))
+        out *= top
+    else:
+        out = np.divide(x, delta, out=np.empty_like(x))
+        np.floor(out, out=out)
+        out += 0.5
+        out *= delta
+        np.clip(out, -top, top, out=out)
     if out.ndim == 0:
         return float(out)
     return out

@@ -146,6 +146,13 @@ def build_scenario(spec: ScenarioSpec, n_points: int = DEFAULT_GRID_POINTS) -> T
     input_level = f_mat @ f_mat.T + (n0 / 2.0) * np.eye(m)
     cross_level = (f_mat.T @ f_mat) @ f_mat.T
     task_level = cross_level @ np.linalg.inv(input_level)
+    # below the smallest normal float the design loses precision silently
+    energy = spec.f_nyq * float(np.trace(task_level @ input_level @ task_level.T))
+    if not energy >= np.finfo(float).tiny:
+        raise ValueError(
+            f"snr_db={spec.snr_db!r} leaves a task energy of {energy:.3g}, "
+            "below the smallest normal float"
+        )
 
     grid = FrequencyGrid(-spec.f_nyq / 2.0, spec.f_nyq / 2.0, n_points)
     return TaskModel(

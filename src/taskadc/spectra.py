@@ -194,7 +194,11 @@ def _rows_to_dict(values: np.ndarray) -> dict:
 
 def _runs_to_dict(starts: np.ndarray, rows: np.ndarray) -> dict:
     """The JSON layout of runs: their first rows, and their values as one
-    flat list in C order with complex entries as [re, im] pairs."""
+    flat list in C order.  Complex entries are [re, im] pairs, unless every
+    imaginary part is +0.0 (bit for bit, so -0.0 keeps the pairs): then
+    only the real parts are written."""
+    if np.iscomplexobj(rows) and not (rows.imag.any() or np.signbit(rows.imag).any()):
+        rows = rows.real
     values = np.ascontiguousarray(rows).view(float).ravel().tolist()
     return {"run_starts": starts.tolist(), "values": values}
 
@@ -203,12 +207,17 @@ def _runs_from_dict(
     data: dict, n_points: int, shape: tuple, dtype: type = complex
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of ``_runs_to_dict``, bit for bit: (run starts, one row of
-    ``shape`` per run).  One -1 in ``shape`` is inferred from the values
-    length."""
+    ``shape`` per run).  Complex values of runs*prod(shape) floats are the
+    real parts alone (the imaginary parts are +0.0), of twice that [re, im]
+    pairs.  One -1 in ``shape`` is inferred from the values length (as
+    pairs, for complex rows)."""
     starts = np.asarray(data["run_starts"], dtype=int)
     _check_run_starts(starts, n_points)
     flat = np.asarray(data["values"], dtype=float)
-    per_row = math.prod(d for d in shape if d != -1) * (2 if dtype is complex else 1)
+    per_row = math.prod(d for d in shape if d != -1)
+    if dtype is complex and flat.size == starts.size * per_row and -1 not in shape:
+        return starts, flat.astype(complex).reshape((starts.size,) + shape)
+    per_row *= 2 if dtype is complex else 1
     count, rest = divmod(flat.size, starts.size * per_row)
     if rest or count == 0 or (-1 not in shape and count != 1):
         raise ValueError("values length does not match the grid, runs and shape")

@@ -29,6 +29,7 @@ from taskadc.search import (
     designed_shift_kernel,
     mse_at_shifts,
     shift_mse_kernel,
+    shifted_task_design,
 )
 from taskadc.spectra import (
     FrequencyGrid,
@@ -493,6 +494,18 @@ def _json_round_trip(design: FilterDesign) -> FilterDesign:
     return FilterDesign.from_dict(json.loads(json.dumps(design.to_dict())))
 
 
+def _as_pairs(data: dict) -> dict:
+    """design.json with ``h_bar`` and ``h`` rewritten from real parts alone
+    to [re, im] pairs with +0.0 imaginary parts."""
+    out = dict(data)
+    for key in ("h_bar", "h"):
+        field = data[key]
+        if field is not None:
+            re = np.asarray(field["values"], dtype=float)
+            out[key] = dict(field, values=np.stack([re, np.zeros_like(re)], -1).ravel().tolist())
+    return out
+
+
 def _varying_model(rng, n_pts: int) -> TaskModel:
     """Smooth, non-flat spectra: every grid row differs from its neighbours."""
     grid = FrequencyGrid(-0.5, 0.5, n_pts)
@@ -544,14 +557,57 @@ class TestDesignJson:
             assert _same_bits(getattr(design, f.name), getattr(back, f.name)), f.name
 
     def test_missing_h_bar_row_is_an_error(self, rng):
-        model = random_flat_model(rng, n=2, m=3, n_points=32)
-        design = design_filters(model, AdcConfig(2, 0.7, 3), 32)
-        data = design.to_dict()
+        self._check_missing_h_bar_row(rng, pairs=False)
+
+    def test_missing_h_bar_row_in_pairs_layout_is_an_error(self, rng):
+        self._check_missing_h_bar_row(rng, pairs=True)
+
+    @staticmethod
+    def _check_missing_h_bar_row(rng, pairs):
+        model = random_flat_model(rng, n=3, m=4, n_points=32)
+        design = design_filters(model, AdcConfig(3, 0.7, 3), 32)
+        data = _as_pairs(design.to_dict()) if pairs else design.to_dict()
+        FilterDesign.from_dict(data)  # whole, it loads
         h_bar = data["h_bar"]
-        one_row = 2 * len(h_bar["run_starts"]) * design.h_bar.stacked_cols
+        one_row = (2 if pairs else 1) * design.h_bar.stacked_cols
         data["h_bar"] = dict(h_bar, values=h_bar["values"][:-one_row])
         with pytest.raises(ValueError, match="values length"):
             FilterDesign.from_dict(data)
+
+    @pytest.mark.parametrize("fs", [400e6, 100e6])  # with h, and aliased without
+    def test_real_spectra_store_real_parts(self, matched_model, fs):
+        design = design_filters(matched_model, AdcConfig(4, fs, 4), 512)
+        data = design.to_dict()
+        for key in ("h_bar", "h"):
+            spectrum = getattr(design, key)
+            if spectrum is None:
+                continue
+            rows = spectrum.run_blocks if key == "h_bar" else spectrum.run_values
+            assert not np.signbit(rows.imag).any() and not rows.imag.any()
+            assert len(data[key]["values"]) == rows.size  # runs * rows * cols
+        # the solve conjugates real values: -0.0 imaginary parts keep the pairs
+        g = design.g_freq.run_values
+        assert np.signbit(g.imag).any()
+        assert len(data["g_freq"]["values"]) == 2 * g.size
+
+    def test_shifted_design_keeps_pairs(self, matched_model):
+        base = design_filters(matched_model, AdcConfig(4, 100e6, 4), 512)
+        design = shifted_task_design(matched_model, base, 0.3 * base.cfg.ts)
+        data = design.to_dict()
+        assert len(data["g_freq"]["values"]) == 2 * design.g_freq.run_values.size
+        back = _json_round_trip(design)
+        for f in fields(design):
+            assert _same_bits(getattr(design, f.name), getattr(back, f.name)), f.name
+
+    def test_pairs_layout_loads(self, matched_model):
+        # every complex field as [re, im] pairs, as older writers stored it
+        design = design_filters(matched_model, AdcConfig(4, 400e6, 4), 512)
+        data = json.loads(json.dumps(design.to_dict()))
+        pairs = _as_pairs(data)
+        assert len(pairs["h_bar"]["values"]) == 2 * len(data["h_bar"]["values"])
+        back = FilterDesign.from_dict(pairs)
+        for f in fields(design):
+            assert _same_bits(getattr(design, f.name), getattr(back, f.name)), f.name
 
     def test_version_1_file_is_rejected(self, rng):
         # version 1 (no version key, or 1) never stored sigma_h: no lossless load

@@ -8,6 +8,7 @@ import pytest
 
 from taskadc.design import (
     AdcConfig,
+    FilterDesign,
     _solve_output,
     _waterfilled_modes,
     auto_grid_points,
@@ -33,6 +34,7 @@ from taskadc.search import (
     shifted_task_design,
     time_averaged_nmse,
 )
+from taskadc.simulate import SimulationRun, estimate_mse
 from taskadc.spectra import (
     FrequencyGrid,
     StackedSpectrum,
@@ -349,16 +351,30 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 class TestBenchmarkReference:
-    """The benchmark's ``search`` cells match ``perfbench/reference.json``
-    at its 1e-9, so reference drift fails here and not only in the benchmark."""
+    """The benchmark's ``search``, ``design_io`` and ``mc`` outputs match
+    ``perfbench/reference.json`` at its 1e-9, so reference drift fails here
+    and not only in the benchmark."""
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_search_cells(self, seed):
-        want = json.loads(REFERENCE.read_text())["seeds"][str(seed)]["search"]
-        model = build_scenario(ScenarioSpec(
+    @staticmethod
+    def _reference(seed, workload):
+        return json.loads(REFERENCE.read_text())["seeds"][str(seed)][workload]
+
+    @staticmethod
+    def _model(seed):
+        return build_scenario(ScenarioSpec(
             n_streams=4, m_antennas=16, f_nyq=400e6, snr_db=10.0,
             sigma_phi=math.radians(1.0), channel_seed=seed,
         ))
+
+    @staticmethod
+    def _assert_close(got, ref):
+        for key, value in got.items():
+            assert abs(value - ref[key]) <= 1e-9 * max(abs(value), abs(ref[key])), key
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_search_cells(self, seed):
+        want = self._reference(seed, "search")
+        model = self._model(seed)
         for arch in ARCHITECTURES:
             spec = SearchSpec(rate_budget=1.6e9, b_range=(1, 16), architecture=arch)
             got = [
@@ -370,6 +386,38 @@ class TestBenchmarkReference:
             for row, ref_row in zip(got, ref):
                 for value, ref_value in zip(row[2:], ref_row[2:]):
                     assert abs(value - ref_value) <= 1e-9 * max(abs(value), abs(ref_value))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_design_round_trips(self, seed):
+        want = self._reference(seed, "design_io")
+        model = self._model(seed)
+        for k, fs, b in ((4, 400e6, 4), (4, 100e6, 4), (2, 100e6, 8)):
+            design = design_filters(model, AdcConfig(k, fs, b))
+            d = FilterDesign.from_dict(json.loads(json.dumps(design.to_dict(), indent=2)))
+            self._assert_close({
+                "nmse": d.nmse,
+                "mse": d.mse_theory,
+                "water_level": d.water_level,
+                "dynamic_range": d.dynamic_range,
+                "task_energy": d.task_energy,
+                "h_bar_fro": float(np.linalg.norm(d.h_bar.blocks)),
+                "g_fro": float(np.linalg.norm(d.g_freq.values)),
+            }, want[f"round_trip/K{k}_fs{fs / 1e6:g}MHz_b{b}"])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mc_report(self, seed):
+        want = self._reference(seed, "mc")[f"estimate_mse/seed{1000 * seed}"]
+        model = self._model(seed)
+        design = design_filters(model, AdcConfig(4, 400e6, 4))
+        rep = estimate_mse(
+            SimulationRun("perfbench", model, design, n_trials=500, seed=1000 * seed)
+        )
+        self._assert_close({
+            "empirical_nmse": rep.empirical_nmse,
+            "std_error": rep.std_error,
+            "overload_rate": rep.overload_rate,
+            "orthogonality_residual": rep.orthogonality_residual,
+        }, want)
 
 
 class TestTimeAveragedNmse:

@@ -267,6 +267,23 @@ class TestInvariants:
         back = SpectralMatrixFunction.from_dict(json.loads(json.dumps(data)))
         assert back.values.tobytes() == f.values.tobytes()
 
+    def test_json_drops_only_plus_zero_imaginary_parts(self, rng):
+        grid = FrequencyGrid(-1.0, 1.0, 16)
+        values = rng.standard_normal((16, 2, 3)).astype(complex)
+        values[:8], values[8:] = values[0], values[8]
+        real = SpectralMatrixFunction(grid=grid, values=values, kind="filter")
+        data = real.to_dict()
+        assert len(data["values"]) == 2 * 2 * 3  # two runs, real parts alone
+        back = SpectralMatrixFunction.from_dict(json.loads(json.dumps(data)))
+        assert back.values.tobytes() == real.values.tobytes()
+        values = values.copy()  # the spectrum froze the first array
+        values[5:, 1, 2] = complex(values[5, 1, 2].real, -0.0)
+        signed = SpectralMatrixFunction(grid=grid, values=values, kind="filter")
+        data = signed.to_dict()
+        assert len(data["values"]) == 2 * 3 * 2 * 3  # three runs, [re, im] pairs
+        back = SpectralMatrixFunction.from_dict(json.loads(json.dumps(data)))
+        assert back.values.tobytes() == signed.values.tobytes()
+
     def test_stacked_json_round_trip_checks_length(self, rng):
         f = SpectralMatrixFunction(
             grid=FrequencyGrid(-2.0, 2.0, 16),
