@@ -122,7 +122,7 @@ class FilterDesign:
         """design.json, version 2: every grid-sampled field stored as its runs
         of identical rows (``spectra._rows_to_dict``); a complex field whose
         imaginary parts are all +0.0 (``h_bar`` and ``h`` of a real
-        scenario) keeps only its real parts."""
+        scenario) keeps only its real parts, under ``real_values``."""
         return {
             "version": DESIGN_JSON_VERSION,
             "k_adcs": self.cfg.k_adcs,
@@ -145,9 +145,9 @@ class FilterDesign:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FilterDesign":
-        """Inverse of ``to_dict``, bit for bit; a complex field's layout
-        (real parts alone or [re, im] pairs) is read from its values length,
-        so a file that stores every field as pairs loads too.  Any version
+        """Inverse of ``to_dict``, bit for bit; a complex field is read from
+        its ``real_values`` (real parts alone) or its ``values`` ([re, im]
+        pairs), so a file that stores every field as pairs loads too.  Any version
         but 2 is a ValueError: version 1 did not store ``sigma_h``; so is a
         null in a field every design has."""
         version = data.get("version")

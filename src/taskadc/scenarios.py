@@ -150,8 +150,8 @@ def build_scenario(spec: ScenarioSpec, n_points: int = DEFAULT_GRID_POINTS) -> T
     energy = spec.f_nyq * float(np.trace(task_level @ input_level @ task_level.T))
     if not energy >= np.finfo(float).tiny:
         raise ValueError(
-            f"snr_db={spec.snr_db!r} leaves a task energy of {energy:.3g}, "
-            "below the smallest normal float"
+            f"task energy {energy:.3g} (from f_nyq_hz={spec.f_nyq!r}, the channel and "
+            f"snr_db={spec.snr_db!r}) is below the smallest normal float"
         )
 
     grid = FrequencyGrid(-spec.f_nyq / 2.0, spec.f_nyq / 2.0, n_points)

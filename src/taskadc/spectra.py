@@ -194,35 +194,39 @@ def _rows_to_dict(values: np.ndarray) -> dict:
 
 def _runs_to_dict(starts: np.ndarray, rows: np.ndarray) -> dict:
     """The JSON layout of runs: their first rows, and their values as one
-    flat list in C order.  Complex entries are [re, im] pairs, unless every
-    imaginary part is +0.0 (bit for bit, so -0.0 keeps the pairs): then
-    only the real parts are written."""
+    flat list in C order.  Complex entries are [re, im] pairs under
+    ``values``, unless every imaginary part is +0.0 (bit for bit, so -0.0
+    keeps the pairs): then only the real parts are written, under
+    ``real_values``."""
+    key = "values"
     if np.iscomplexobj(rows) and not (rows.imag.any() or np.signbit(rows.imag).any()):
-        rows = rows.real
+        rows, key = rows.real, "real_values"
     values = np.ascontiguousarray(rows).view(float).ravel().tolist()
-    return {"run_starts": starts.tolist(), "values": values}
+    return {"run_starts": starts.tolist(), key: values}
 
 
 def _runs_from_dict(
     data: dict, n_points: int, shape: tuple, dtype: type = complex
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of ``_runs_to_dict``, bit for bit: (run starts, one row of
-    ``shape`` per run).  Complex values of runs*prod(shape) floats are the
-    real parts alone (the imaginary parts are +0.0), of twice that [re, im]
-    pairs.  One -1 in ``shape`` is inferred from the values length (as
-    pairs, for complex rows)."""
+    ``shape`` per run).  The key names the layout: complex ``values`` are
+    [re, im] pairs, ``real_values`` (complex rows only) the real parts alone,
+    rebuilt with +0.0 imaginary parts; exactly one of the two is stored.
+    One -1 in ``shape`` is inferred from the values length."""
     starts = np.asarray(data["run_starts"], dtype=int)
     _check_run_starts(starts, n_points)
-    flat = np.asarray(data["values"], dtype=float)
+    real = "real_values" in data
+    if real == ("values" in data) or (real and dtype is not complex):
+        raise ValueError("runs need values, or real_values for complex rows, not both")
+    flat = np.asarray(data["real_values" if real else "values"], dtype=float)
     per_row = math.prod(d for d in shape if d != -1)
-    if dtype is complex and flat.size == starts.size * per_row and -1 not in shape:
-        return starts, flat.astype(complex).reshape((starts.size,) + shape)
-    per_row *= 2 if dtype is complex else 1
+    per_row *= 2 if dtype is complex and not real else 1
     count, rest = divmod(flat.size, starts.size * per_row)
     if rest or count == 0 or (-1 not in shape and count != 1):
         raise ValueError("values length does not match the grid, runs and shape")
     shape = tuple(count if d == -1 else d for d in shape)
-    return starts, flat.view(dtype).reshape((starts.size,) + shape)
+    rows = flat.astype(complex) if real else flat.view(dtype)
+    return starts, rows.reshape((starts.size,) + shape)
 
 
 def _rows_from_dict(

@@ -186,26 +186,30 @@ class TestDesignCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: snr_db=")
 
-    @pytest.mark.parametrize("snr_db, code", [(-300, 0), (-3000, 2), (-3100, 2)])
-    def test_subnormal_task_energy_exits_2(self, tmp_path, capsys, snr_db, code):
+    @pytest.mark.parametrize("snr_db, f_nyq, code", [
+        (-300, 1.0, 0), (-3000, 1.0, 2), (-3100, 1.0, 2), (10, 1e-300, 2),
+    ])
+    def test_subnormal_task_energy_exits_2(self, tmp_path, capsys, snr_db, f_nyq, code):
         # a weak channel: the task energy is 2.8e-309 at -3000 dB and 2.8e-319
-        # at -3100 dB, where the design printed an nmse 0.4% off with exit 0
+        # at -3100 dB, where the design printed an nmse 0.4% off with exit 0;
+        # a tiny band at a valid SNR leaves a subnormal energy too
         path = tmp_path / "weak.json"
         path.write_text(json.dumps({
-            "N": 1, "M": 2, "f_nyq_hz": 1.0, "sigma_phi_deg": 0.5, "snr_db": snr_db,
+            "N": 1, "M": 2, "f_nyq_hz": f_nyq, "sigma_phi_deg": 0.5, "snr_db": snr_db,
             "channel": {"seed": 0},
         }))
         assert main([
             "design", "--scenario", str(path), "--out", str(tmp_path / "o"),
-            "--k", "1", "--fs", "1", "--bits", "4", "--grid-points", "16",
+            "--k", "1", "--fs", str(f_nyq), "--bits", "4", "--grid-points", "16",
         ]) == code
         out, err = capsys.readouterr()
         if code == 0:
             [nmse] = [line for line in out.splitlines() if line.startswith("nmse: ")]
             assert abs(float(nmse[6:]) - 0.029252961560157935) <= 1e-12 * 0.03
         else:
-            assert err.startswith(f"config error: snr_db={float(snr_db)!r} leaves a task energy")
-            assert "below the smallest normal float" in err
+            assert err.startswith("config error: task energy ")
+            assert f"f_nyq_hz={f_nyq!r}, the channel and snr_db={float(snr_db)!r})" in err
+            assert err.rstrip().endswith("is below the smallest normal float")
 
     def test_unallocatable_scenario_exits_2(self, matched_scenario, tmp_path, capsys):
         # numpy refuses the terabyte-sized correlation matrix before touching memory

@@ -495,13 +495,14 @@ def _json_round_trip(design: FilterDesign) -> FilterDesign:
 
 
 def _as_pairs(data: dict) -> dict:
-    """design.json with ``h_bar`` and ``h`` rewritten from real parts alone
-    to [re, im] pairs with +0.0 imaginary parts."""
+    """design.json with ``h_bar`` and ``h`` rewritten from ``real_values`` to
+    ``values`` of [re, im] pairs with +0.0 imaginary parts."""
     out = dict(data)
     for key in ("h_bar", "h"):
         field = data[key]
         if field is not None:
-            re = np.asarray(field["values"], dtype=float)
+            field = dict(field)
+            re = np.asarray(field.pop("real_values"), dtype=float)
             out[key] = dict(field, values=np.stack([re, np.zeros_like(re)], -1).ravel().tolist())
     return out
 
@@ -564,15 +565,29 @@ class TestDesignJson:
 
     @staticmethod
     def _check_missing_h_bar_row(rng, pairs):
-        model = random_flat_model(rng, n=3, m=4, n_points=32)
-        design = design_filters(model, AdcConfig(3, 0.7, 3), 32)
+        # a 2-row h_bar of one run: its pairs one row short are exactly as
+        # many numbers as its real parts, and must still raise
+        model = random_flat_model(rng, n=2, m=3, n_points=32)
+        design = design_filters(model, AdcConfig(2, 0.7, 3), 32)
         data = _as_pairs(design.to_dict()) if pairs else design.to_dict()
         FilterDesign.from_dict(data)  # whole, it loads
+        key = "values" if pairs else "real_values"
         h_bar = data["h_bar"]
-        one_row = (2 if pairs else 1) * design.h_bar.stacked_cols
-        data["h_bar"] = dict(h_bar, values=h_bar["values"][:-one_row])
+        one_row = (2 if pairs else 1) * len(h_bar["run_starts"]) * design.h_bar.stacked_cols
+        assert len(h_bar[key]) == 2 * one_row
+        data["h_bar"] = dict(h_bar, **{key: h_bar[key][:-one_row]})
         with pytest.raises(ValueError, match="values length"):
             FilterDesign.from_dict(data)
+
+    def test_value_layout_keys_are_checked(self, rng):
+        model = random_flat_model(rng, n=2, m=3, n_points=32)
+        data = design_filters(model, AdcConfig(2, 0.7, 3), 32).to_dict()
+        h_bar, sigma_h = data["h_bar"], data["sigma_h"]
+        both = dict(h_bar, values=2 * h_bar["real_values"])
+        real_float = {"run_starts": sigma_h["run_starts"], "real_values": sigma_h["values"]}
+        for key, field in [("h_bar", both), ("sigma_h", real_float)]:
+            with pytest.raises(ValueError, match="real_values for complex rows, not both"):
+                FilterDesign.from_dict(dict(data, **{key: field}))
 
     @pytest.mark.parametrize("fs", [400e6, 100e6])  # with h, and aliased without
     def test_real_spectra_store_real_parts(self, matched_model, fs):
@@ -584,7 +599,8 @@ class TestDesignJson:
                 continue
             rows = spectrum.run_blocks if key == "h_bar" else spectrum.run_values
             assert not np.signbit(rows.imag).any() and not rows.imag.any()
-            assert len(data[key]["values"]) == rows.size  # runs * rows * cols
+            assert "values" not in data[key]
+            assert len(data[key]["real_values"]) == rows.size  # runs * rows * cols
         # the solve conjugates real values: -0.0 imaginary parts keep the pairs
         g = design.g_freq.run_values
         assert np.signbit(g.imag).any()
@@ -604,7 +620,7 @@ class TestDesignJson:
         design = design_filters(matched_model, AdcConfig(4, 400e6, 4), 512)
         data = json.loads(json.dumps(design.to_dict()))
         pairs = _as_pairs(data)
-        assert len(pairs["h_bar"]["values"]) == 2 * len(data["h_bar"]["values"])
+        assert len(pairs["h_bar"]["values"]) == 2 * len(data["h_bar"]["real_values"])
         back = FilterDesign.from_dict(pairs)
         for f in fields(design):
             assert _same_bits(getattr(design, f.name), getattr(back, f.name)), f.name
