@@ -310,6 +310,25 @@ class TestSweepCommand:
         ]
         assert excess[-1] < excess[0]
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+        ("--trials", "99", "n_trials must be at least 100"),
+    ])
+    def test_bad_simulation_flag_exits_2(self, scalar_scenario, tmp_path, capsys, flag,
+                                         value, message):
+        # SimulationRun checks its fields before any trial runs
+        args = {"--trials": "100", "--seed": "0", flag: value}
+        code = main([
+            "sweep", "--scenario", str(scalar_scenario), "--out", str(tmp_path / "o"),
+            "--var", "eta", "--from", "1.4", "--to", "2.4", "--steps", "2",
+            "--k", "1", "--bits", "1", "--fs", "1.0", "--grid-points", "64",
+            "--simulate", *[x for item in args.items() for x in item],
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert "Traceback" not in err
+
     def test_dither_takes_on_off_words(self, scalar_scenario, tmp_path):
         sweep = ["sweep", "--scenario", str(scalar_scenario), "--out", str(tmp_path),
                  "--var", "b", "--from", "1", "--to", "2", "--steps", "2", "--dither"]

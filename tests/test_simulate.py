@@ -1,3 +1,6 @@
+import json
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -383,3 +386,133 @@ class TestFrequencyDomainChain:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2 * 2**20
+
+
+class TestTrialStreams:
+    """Per-trial Philox keys derived in one pass (``sim._child_keys``) against
+    numpy's own ``SeedSequence.spawn``, whose algorithm NEP 19 keeps stable."""
+
+    SEEDS = [0, 1, 123, 2**32 - 1, 2**32 + 5, 2**64 + 12345, 2**106 + 987_654_321]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_match_seed_sequence(self, seed):
+        children = np.random.SeedSequence(seed).spawn(300)
+        want = np.array([child.generate_state(2, np.uint64) for child in children])
+        pool = sim._seed_pool(seed)
+        np.testing.assert_array_equal(sim._child_keys(pool, 0, 300), want)
+        # a block that starts after an offset, as a later chunk's does
+        np.testing.assert_array_equal(sim._child_keys(pool, 157, 241), want[157:241])
+
+    def test_keys_at_the_last_spawn_key(self):
+        # n_trials stays below 2**32, so the last child's spawn key is 2**32 - 1
+        want = [np.random.SeedSequence(9, spawn_key=(i,)).generate_state(2, np.uint64)
+                for i in range(2**32 - 3, 2**32)]
+        got = sim._child_keys(sim._seed_pool(9), 2**32 - 3, 2**32)
+        np.testing.assert_array_equal(got, np.array(want))
+
+    def test_draws_match_spawned_generator(self):
+        # one reused generator, restarted per trial, draws what each child's
+        # own Generator(Philox(child)) draws, whatever it drew before
+        gen = np.random.Generator(np.random.Philox(0))
+        keys = sim._child_keys(sim._seed_pool(42), 0, 5)
+        for key, child in zip(keys, np.random.SeedSequence(42).spawn(5)):
+            gen.integers(0, 7, size=3, dtype=np.uint32)  # leaves buffered (half) words
+            sim._restart(gen.bit_generator, key)
+            own = np.random.Generator(np.random.Philox(child))
+            np.testing.assert_array_equal(gen.standard_normal(1001), own.standard_normal(1001))
+            np.testing.assert_array_equal(gen.random((2, 3, 17)), own.random((2, 3, 17)))
+            assert gen.integers(0, 7, dtype=np.uint32) == own.integers(0, 7, dtype=np.uint32)
+
+
+class TestWorkers:
+    """``estimate_mse`` spreads its chunks over one thread per usable CPU and
+    sums them in trial order."""
+
+    @pytest.mark.parametrize("case", ["4x16_k4", "4x16_k4_undithered", "scalar",
+                                      "digital_sub_nyquist", "shifted"])
+    def test_report_does_not_depend_on_worker_count(self, matched_model, monkeypatch, case):
+        if case.startswith("4x16"):
+            design = design_filters(matched_model, AdcConfig(4, matched_model.f_nyq, 4), 64)
+            run = SimulationRun(case, matched_model, design, n_trials=333, seed=12,
+                                dithered=case == "4x16_k4")
+        elif case == "scalar":
+            model = unit_scalar_model(fs=1.0, n_points=64)
+            design = design_filters(model, AdcConfig(1, 1.0, bits=3, eta=2.0), 64)
+            run = SimulationRun(case, model, design, n_trials=400, seed=13)
+        elif case == "digital_sub_nyquist":
+            # fs = 4 f_nyq / 5 pads the block (2055 samples)
+            cfg = AdcConfig(16, 4 * matched_model.f_nyq / 5, bits=3)
+            design = baseline_design(matched_model, cfg, "digital_recovery", 64)
+            run = SimulationRun(case, matched_model, design, n_trials=120, seed=14)
+        else:
+            base = design_filters(matched_model, AdcConfig(2, matched_model.f_nyq, 3), 64)
+            design = shifted_task_design(matched_model, base, 1e-9)
+            run = SimulationRun(case, matched_model, design, n_trials=150, seed=15, t0=1e-9)
+        chunk = sim._CHUNK_DRAWS // sim._build_chain(run).per_trial
+        assert run.n_trials > 3 * chunk  # every worker count runs several chunks
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads trade the interpreter lock often
+        try:
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(sim, "_usable_cpus", lambda cpus=cpus: cpus)
+                reports.append(json.dumps(estimate_mse(run).to_dict()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
+    def test_worker_failure_reaches_the_caller(self, matched_model, monkeypatch):
+        design = design_filters(matched_model, AdcConfig(4, matched_model.f_nyq, 4), 64)
+        run = SimulationRun("fail", matched_model, design, n_trials=200, seed=1)
+        error = RuntimeError("read-out failed")
+        read_out = sim._read_out
+        raised_in = []
+
+        def failing_read_out(chain, bins, z):
+            if len(raised_in) == 0 and threading.current_thread() is not threading.main_thread():
+                raised_in.append(threading.current_thread())
+                raise error
+            return read_out(chain, bins, z)
+
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sim, "_read_out", failing_read_out)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as excinfo:
+            estimate_mse(run)
+        assert excinfo.value is error
+        assert raised_in  # the failure came from a worker thread
+        assert threading.active_count() == threads
+
+
+class TestRunValidation:
+    """``SimulationRun`` rejects a bad field before any trial runs, naming it."""
+
+    @pytest.fixture()
+    def design_and_model(self):
+        model = unit_scalar_model(fs=1.0, n_points=64)
+        return design_filters(model, AdcConfig(1, 1.0, bits=2, eta=2.0), 64), model
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_trials", 150.5, "n_trials must be a whole number"),
+        ("n_trials", True, "n_trials must be a whole number"),
+        ("n_trials", 99, "n_trials must be at least 100"),
+        ("n_trials", 2**32, "below 2\\*\\*32"),
+        ("seed", -3, "seed must be non-negative"),
+        ("seed", 2.0, "seed must be a whole number"),
+        ("seed", False, "seed must be a whole number"),
+        ("t0", float("nan"), "t0 must be a finite number"),
+        ("t0", float("inf"), "t0 must be a finite number"),
+        ("t0", "0", "t0 must be a finite number"),
+    ])
+    def test_bad_field_raises(self, design_and_model, field, value, message):
+        design, model = design_and_model
+        with pytest.raises(ValueError, match=message):
+            SimulationRun("bad", model, design, **{field: value})
+
+    def test_numpy_integers_are_whole_numbers(self, design_and_model):
+        design, model = design_and_model
+        run = SimulationRun("np", model, design, n_trials=np.int64(100), seed=np.uint64(2**63))
+        assert estimate_mse(run).to_dict() == estimate_mse(
+            SimulationRun("np", model, design, n_trials=100, seed=2**63)
+        ).to_dict()
