@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -335,9 +336,9 @@ def _restart(bitgen: np.random.Philox, key: np.ndarray) -> None:
 # -- the chunk stages ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Chain:
-    """What every chunk of one run shares."""
+class _Chain(NamedTuple):
+    """What every chunk of one run shares (a NamedTuple: a frozen dataclass
+    takes over 1 ms to define, which every import would pay)."""
 
     plan: _BlockPlan
     qspec: QuantizerSpec
