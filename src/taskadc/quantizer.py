@@ -26,7 +26,10 @@ def effective_loading(eta: float, bits: int) -> float:
     denom = 1.0 - 2.0 * eta * eta / (3.0 * 4.0**bits)
     if denom <= 0:
         raise ValueError(f"eta={eta} too large for {bits}-bit dithered operation")
-    return eta * eta / denom
+    loading = eta * eta / denom
+    if loading <= 0:
+        raise ValueError(f"eta={eta} too small: its squared loading underflows to 0")
+    return loading
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,10 @@ def spatial_correlation(m: int, sigma_phi: float) -> np.ndarray:
         raise ValueError("angular spread must be positive")
     idx = np.arange(m)
     sep = idx[:, None] - idx[None, :]
-    scale = 1.0 / (1.0 - math.exp(-math.sqrt(2.0) * math.pi / sigma_phi))
+    gap = 1.0 - math.exp(-math.sqrt(2.0) * math.pi / sigma_phi)
+    if gap == 0:
+        raise ValueError(f"angular spread {sigma_phi} rad is too large for the correlation model")
+    scale = 1.0 / gap
     return scale / (1.0 + 0.5 * sigma_phi**2 * (math.pi * sep) ** 2)
 
 

@@ -259,6 +259,8 @@ def shifted_task_design(model: TaskModel, base: FilterDesign, t0: float) -> Filt
     The analog hardware is held at the t0=0 design ``base`` (its cfg and
     grid); only the recovery filter and the predicted error change.
     """
+    if not np.isfinite(t0):
+        raise ValueError(f"t0 must be a finite number, got {t0!r}")
     cfg = base.cfg
     task_stack = whitened_task_stack(model, cfg.fs, base.h_bar.base_grid.n_points)
     shifted = modulated_stack(task_stack, t0)
@@ -300,6 +302,8 @@ class SearchSpec:
         # a bad eta would fail every cell and read as "no feasible configuration"
         if self.eta is not None and not 0 < self.eta < np.inf:
             raise ValueError("eta must be positive and finite")
+        if self.eta is not None and self.eta * self.eta == 0:
+            raise ValueError(f"eta={self.eta} too small: its squared loading underflows to 0")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
         if len(self.b_range) == 0:

@@ -21,10 +21,14 @@ reference sample is a precomputed FIR: one product with the quantized
 streams.
 
 Trial i draws from the Philox stream that ``Generator(Philox(child))``
-gives for child i of ``SeedSequence(seed)``. ``_child_keys`` derives the
-Philox keys of a chunk's trials in one vectorized pass of SeedSequence's
-own hash, bit for bit (numpy keeps that hash stable under NEP 19, and the
-tests pin it), and a worker restarts one reused generator on each key.
+gives for child i of ``SeedSequence(seed)``. Every child starts from the
+seed's pool, ``SeedSequence(seed).pool``; ``_child_keys`` mixes in each
+child's spawn-key word and hashes the pool as ``generate_state`` does, for a
+whole chunk in one vectorized pass, bit for bit (numpy keeps that hash
+stable under NEP 19, and the tests pin it). A worker restarts one reused
+generator on each key. numpy's own route costs more: a ``SeedSequence``
+child takes about 20 us a trial against 5 us for ``_child_keys``, and a
+``Philox(key=...)`` 22 us against 3.5 us for ``_restart``.
 Chunks run through four stages (``_draw``, ``_shape``, ``_acquire``,
 ``_read_out``) on one worker thread per usable CPU, as many as
 ``os.sched_getaffinity(0)`` lists (``os.cpu_count()`` where that call does
@@ -35,7 +39,7 @@ order, so every reported number is bit-identical at any CPU count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -106,18 +110,7 @@ class SimulationReport:
             raise ValueError("overload_rate must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "empirical_mse": self.empirical_mse,
-            "empirical_nmse": self.empirical_nmse,
-            "std_error": self.std_error,
-            "overload_rate": self.overload_rate,
-            "orthogonality_residual": self.orthogonality_residual,
-            "orthogonality_pooled_se": self.orthogonality_pooled_se,
-            "theory_nmse": self.theory_nmse,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "rng": self.rng,
-        }
+        return asdict(self)
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -243,8 +236,8 @@ def _recovery_filter(g_freq: SpectralMatrixFunction, fs: float, n_out: int, cent
 
 # -- per-trial streams --------------------------------------------------------
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which NEP 19
-# keeps stable: a pool of four 32-bit words is hashed from the seed's words,
-# then from a child's spawn key; generate_state hashes the pool once more
+# keeps stable: a child's pool is its parent's pool with the spawn key mixed
+# in; generate_state hashes the pool once more
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -254,11 +247,10 @@ _ZEROS4 = np.zeros(4, dtype=np.uint64)
 
 
 def _hashmix(value, const, mult=_MULT_A):
-    """SeedSequence's hashmix of ``value`` (a Python int or a uint32 array)
-    under hash constant ``const``, and the constant that follows it."""
-    after = const * mult & _MASK32
-    value = (value ^ const) * after & _MASK32
-    return value ^ value >> 16, after
+    """SeedSequence's hashmix of ``value`` (a uint32 array) under hash
+    constant ``const``."""
+    value = (value ^ const) * (const * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
 
 
 def _mix(x, y):
@@ -275,34 +267,16 @@ def _constants(const: int, mult: int, n: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)
 
 
-def _mix_word(pool: np.ndarray, word: np.ndarray, const: int):
-    """Mix a word into every pool word, as SeedSequence mixes each word past
-    the pool size: pools (..., 4) and words (..., 1) broadcast to the mixed
-    pools, which come back with the next hash constant."""
-    consts = _constants(const, _MULT_A, _POOL_SIZE + 1)
-    hashed, _ = _hashmix(word, consts[:-1])
-    return _mix(pool, hashed), int(consts[-1])
-
-
 def _seed_pool(seed: int):
     """The pool (4,) that every child of ``SeedSequence(seed)`` holds before
-    its spawn key is mixed in, and the hash constant reached there."""
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    # a spawn key pads the seed's words with zeros to the pool size
-    words += [0] * (_POOL_SIZE - len(words))
-    pool, const = [], _INIT_A
-    for word in words[:_POOL_SIZE]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    pool = np.array(pool, dtype=np.uint32)
-    for word in words[_POOL_SIZE:]:
-        pool, const = _mix_word(pool, np.full(1, word, dtype=np.uint32), const)
-    return pool, const
+    its spawn key is mixed in, the parent's own (a spawn key pads the seed's
+    words with zeros to the pool size), and the hash constant reached there:
+    one step per pool word, per ordered pair of them, and per pool word for
+    each seed word past the pool size."""
+    words = max(1, -(-seed.bit_length() // 32))
+    calls = _POOL_SIZE * (_POOL_SIZE + max(0, words - _POOL_SIZE))
+    const = _INIT_A * pow(_MULT_A, calls, 2**32) & _MASK32
+    return np.random.SeedSequence(seed).pool, const
 
 
 def _child_keys(seed_pool, start: int, stop: int) -> np.ndarray:
@@ -313,8 +287,9 @@ def _child_keys(seed_pool, start: int, stop: int) -> np.ndarray:
     key is one 32-bit word."""
     pool, const = seed_pool
     index = np.arange(start, stop, dtype=np.uint32)
-    pool, _ = _mix_word(pool, index[:, None], const)
-    words, _ = _hashmix(pool, _constants(_INIT_B, _MULT_B, _POOL_SIZE), _MULT_B)
+    # the spawn key is the word past the pool size: mixed into every pool word
+    pool = _mix(pool, _hashmix(index[:, None], _constants(const, _MULT_A, _POOL_SIZE)))
+    words = _hashmix(pool, _constants(_INIT_B, _MULT_B, _POOL_SIZE), _MULT_B)
     words = words.astype(np.uint64)
     # each 64-bit key word is a little-endian pair of 32-bit words
     return words[:, 0::2] | words[:, 1::2] << 32
@@ -495,6 +470,12 @@ def _chunk_results(chain: _Chain, bounds: list):
     most one chunk queued behind the one it runs: at most 2 * workers chunks
     are submitted and not yet yielded, and at most ``workers`` hold working
     memory. With one usable CPU, or one chunk, the chunks run in this thread.
+
+    On 2 vCPUs (``mc`` benchmark): without the bound, ``Executor.map`` traced
+    5.0 MB at 2000 trials and 7.6 MB at 20 000, and in windows of 4 * workers
+    chunks it ran 7% slower. A workspace per chunk, not per thread, ran 7%
+    slower. A one-worker pool in place of the inline path raised peak RSS
+    from 47.2 to 49.2 MB.
     """
     chunk = bounds[0][1] - bounds[0][0]
     workers = min(_usable_cpus(), len(bounds))
@@ -533,32 +514,21 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
     """Trial-averaged squared recovery error against the analog MMSE estimate.
 
     Ground truth and acquisition share the same spectral increments (common
-    random numbers). Every trial draws from its own stream, that of child
-    ``i`` of ``SeedSequence(seed)``, with one normal draw (DC normals, then
-    in-band normals) and, when dithered, one uniform draw (its two dither
-    blocks), so the draws do not depend on chunking or on threads. Trials
-    run in chunks of ``_CHUNK_DRAWS // draws per trial`` trials, at least
-    one, so a chunk's working set stays cache-sized and memory does not grow
-    with ``n_trials``; the chunks run on one worker thread per usable CPU
-    and are summed in trial order, so the report does not depend on the
-    CPU count. The chunk size changes only the rounding of the chunk's
+    random numbers), and each trial's draws come from its own stream, so
+    they do not depend on chunking or on threads. Trials run in chunks of
+    ``_CHUNK_DRAWS // draws per trial`` trials, at least one, so a chunk's
+    working set stays cache-sized and memory does not grow with
+    ``n_trials``. The chunk size changes only the rounding of the chunk's
     matrix products and of the orthogonality sums: across chunk sizes
     ``empirical_mse``, ``empirical_nmse``, ``std_error`` and
     ``orthogonality_pooled_se`` agree to 1e-13 relative and the overload
     rate exactly. ``orthogonality_residual``, the norm of a mean that lies
     well inside its standard error, carries that rounding amplified by the
     cancellation: it agrees to 1e-12 of ``orthogonality_pooled_se``, not to
-    1e-13 relative (4e-13 on 4x16, K = 1, b = 8, undithered). Each in-band
-    bin has one stacked (K+N)xM matrix: the analog filter over the task
-    response, times the PSD root. One batched product per bin maps the
-    chunk's normals to the filtered converter spectrum and to the truth's
-    share of that bin; no increment array and no M-channel time block is
-    built. ``_fold`` puts the filtered bins on the n_out-point
-    grid of the sampled streams: at or above the Nyquist rate they lie below
-    n_out/2 and are only zero-padded; below it, as for the baseline designs,
-    they wrap onto each other. One n_out-point inverse FFT then gives the
-    sampled streams, and a precomputed FIR reads the recovered task at the
-    reference sample.
+    1e-13 relative (4e-13 on 4x16, K = 1, b = 8, undithered). Below the
+    Nyquist rate, as for the baseline designs, ``_fold`` wraps the filtered
+    bins onto each other on the sampled streams' grid; at or above it, it
+    only zero-pads them.
     """
     chain = _build_chain(run)
     chunk = max(1, min(run.n_trials, _CHUNK_DRAWS // chain.per_trial))

@@ -362,6 +362,8 @@ def alias_order(fs: float, f_max: float) -> int:
         raise ValueError("fs must be positive")
     if f_max < 0:
         raise ValueError("f_max must be non-negative")
+    if not math.isfinite(f_max / fs):
+        raise ValueError(f"fs={fs} is too small: f_max/fs = {f_max / fs} is not finite")
     return max(0, math.ceil(f_max / fs - 0.5 - 1e-9))
 
 

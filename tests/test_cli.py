@@ -160,8 +160,9 @@ class TestDesignCommand:
         (lambda c: dict(c, N=True), "N must be a number, not True"),
         (lambda c: dict(c, snr_db=math.nan), "must be finite"),
         (lambda c: dict(c, sigma_phi_deg=math.nan), "must be finite"),
+        (lambda c: dict(c, sigma_phi_deg=1e300), "too large for the correlation model"),
     ], ids=["list", "channel_string", "N_list", "N_fraction", "N_bool", "nan_snr",
-            "nan_spread"])
+            "nan_spread", "huge_spread"])
     def test_malformed_scenario_exits_2(self, matched_scenario, tmp_path, capsys, change,
                                         message):
         path = tmp_path / "bad.json"
@@ -263,6 +264,26 @@ def test_unread_flags_are_rejected(matched_scenario, tmp_path, args, flag, value
         main(args + ["--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
                      "--grid-points", "64", flag, value])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    # f_max/fs overflows to inf, whose alias order is no integer
+    (["design", "--k", "2", "--bits", "3", "--fs", "1e-305"], "fs=1e-305 is too small"),
+    (["rate-search", "--budgets", "1e-305"], "is too small: f_max/fs = inf"),
+    (["sweep", "--var", "b", "--from", "1", "--to", "3", "--steps", "3", "--k", "2",
+      "--fs", "1e-305"], "fs=1e-305 is too small"),
+    # eta^2 underflows to 0.0, which the water-fill level would divide by
+    (["design", "--k", "2", "--bits", "3", "--fs", "1e8", "--eta", "1e-300"],
+     "eta=1e-300 too small"),
+    (["rate-search", "--budgets", "1e9", "--eta", "1e-300"], "eta=1e-300 too small"),
+], ids=["design_fs", "rate_search_budget", "sweep_fs", "design_eta", "rate_search_eta"])
+def test_unrepresentable_inputs_exit_2_naming_them(matched_scenario, tmp_path, capsys, args,
+                                                   message):
+    code = main(args + ["--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
+                        "--grid-points", "64"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
 
 
 class TestSweepCommand:
@@ -413,6 +434,18 @@ class TestSweepCommand:
         ])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("start, stop", [("nan", "1e-9"), ("1e-9", "nan")])
+    def test_non_finite_t0_exits_2(self, matched_scenario, tmp_path, capsys, start, stop):
+        # each wrote a row with nmse 0.0, as if the shift were perfect
+        code = main([
+            "sweep", "--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
+            "--var", "t0", "--from", start, "--to", stop, "--steps", "2",
+            "--k", "2", "--bits", "3", "--grid-points", "64",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: t0 must be a finite number")
+        assert not (tmp_path / "o" / "sweep_t0.csv").exists()
 
     def test_bits_overflowing_a_float_exit_2(self, matched_scenario, tmp_path, capsys):
         code = main([

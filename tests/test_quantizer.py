@@ -33,6 +33,12 @@ class TestEffectiveLoading:
         with pytest.raises(ValueError, match="positive and finite"):
             effective_loading(eta, 4)
 
+    def test_rejects_a_loading_that_underflows(self):
+        # eta^2 is 0.0, which would divide by zero in the water-fill level
+        with pytest.raises(ValueError, match="eta=1e-300 too small"):
+            effective_loading(1e-300, 4)
+        assert effective_loading(1e-160, 4) > 0  # a subnormal square still loads
+
     def test_schedule(self):
         assert eta_schedule(1) == 2.0
         assert eta_schedule(4) == 2.75

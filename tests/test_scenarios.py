@@ -42,6 +42,12 @@ class TestSpatialCorrelation:
         with pytest.raises(ValueError):
             spatial_correlation(4, 0.0)
 
+    def test_rejects_a_spread_whose_scale_divides_by_zero(self):
+        # 1 - exp(-sqrt(2)*pi/sigma) rounds to 0.0 above about 4e16 rad
+        with pytest.raises(ValueError, match="too large for the correlation model"):
+            spatial_correlation(4, 1e17)
+        assert np.isfinite(spatial_correlation(4, 1e15)).all()
+
 
 class TestBuildScenario:
     def test_noiseless_scalar_limit(self):

@@ -50,6 +50,14 @@ from conftest import random_flat_model
 
 
 class TestShiftedTaskDesign:
+    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, rng, t0):
+        # a non-finite shift used to read as a perfect design (nmse 0.0)
+        model = random_flat_model(rng, n=2, m=4, n_points=32)
+        base = design_filters(model, AdcConfig(2, 0.6, 3), 32)
+        with pytest.raises(ValueError, match="t0 must be a finite number"):
+            shifted_task_design(model, base, t0)
+
     def test_zero_shift_is_identity(self, rng):
         model = random_flat_model(rng, n=2, m=4, n_points=64)
         cfg = AdcConfig(2, 0.6, 3)  # sub-Nyquist on the unit band
@@ -523,6 +531,10 @@ class TestRateSearch:
     def test_bad_eta_rejected(self, eta):
         with pytest.raises(ValueError, match="eta must be positive and finite"):
             SearchSpec(rate_budget=4e8, eta=eta)
+
+    def test_eta_whose_loading_underflows_rejected(self):
+        with pytest.raises(ValueError, match="eta=1e-300 too small"):
+            SearchSpec(rate_budget=4e8, eta=1e-300)
 
     @pytest.mark.parametrize("ranges, message", [
         (dict(b_range=(0, 4)), "b_range: bits must be at least 1"),

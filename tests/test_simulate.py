@@ -6,12 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import taskadc.simulate as sim
 from taskadc.design import AdcConfig, design_filters
 from taskadc.quantizer import QuantizerSpec, quantize_midrise, sample_dither
 from taskadc.search import baseline_design, shifted_task_design
-from taskadc.simulate import SimulationRun, estimate_mse
+from taskadc.simulate import SimulationReport, SimulationRun, estimate_mse
 from taskadc.spectra import FrequencyGrid, SpectralMatrixFunction, constant_spectrum
 
 from conftest import random_flat_model, synthesize_block, unit_scalar_model
@@ -392,7 +393,10 @@ class TestTrialStreams:
     """Per-trial Philox keys derived in one pass (``sim._child_keys``) against
     numpy's own ``SeedSequence.spawn``, whose algorithm NEP 19 keeps stable."""
 
-    SEEDS = [0, 1, 123, 2**32 - 1, 2**32 + 5, 2**64 + 12345, 2**106 + 987_654_321]
+    # up to four words the seed fills the pool; 129, 201 and 301 bits add
+    # one, three and six words, each mixed into every pool word
+    SEEDS = [0, 1, 123, 2**32 - 1, 2**32 + 5, 2**64 + 12345, 2**106 + 987_654_321,
+             2**128, 2**200 + 7, 2**300 + 3]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_keys_match_seed_sequence(self, seed):
@@ -402,6 +406,16 @@ class TestTrialStreams:
         np.testing.assert_array_equal(sim._child_keys(pool, 0, 300), want)
         # a block that starts after an offset, as a later chunk's does
         np.testing.assert_array_equal(sim._child_keys(pool, 157, 241), want[157:241])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**320), start=st.integers(0, 2**32 - 8),
+           count=st.integers(1, 8))
+    def test_keys_match_spawn_at_any_seed_and_offset(self, seed, start, count):
+        # children start..start+count-1: what spawn gives once start were spawned
+        children = np.random.SeedSequence(seed, n_children_spawned=start).spawn(count)
+        want = np.array([child.generate_state(2, np.uint64) for child in children])
+        got = sim._child_keys(sim._seed_pool(seed), start, start + count)
+        np.testing.assert_array_equal(got, want)
 
     def test_keys_at_the_last_spawn_key(self):
         # n_trials stays below 2**32, so the last child's spawn key is 2**32 - 1
@@ -422,6 +436,25 @@ class TestTrialStreams:
             np.testing.assert_array_equal(gen.standard_normal(1001), own.standard_normal(1001))
             np.testing.assert_array_equal(gen.random((2, 3, 17)), own.random((2, 3, 17)))
             assert gen.integers(0, 7, dtype=np.uint32) == own.integers(0, 7, dtype=np.uint32)
+
+
+def test_report_json_bytes(tmp_path):
+    # the report file is the dataclass's fields in declaration order
+    report = SimulationReport(
+        empirical_mse=0.1234567890123, empirical_nmse=1e-17, std_error=2.5e-3,
+        overload_rate=0.0, orthogonality_residual=3.0000000000000004,
+        orthogonality_pooled_se=0.022, theory_nmse=0.05049043779072543, n_trials=10000,
+        seed=2**130 + 11,
+    )
+    report.to_json(tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_text() == (
+        '{\n  "empirical_mse": 0.1234567890123,\n  "empirical_nmse": 1e-17,\n'
+        '  "std_error": 0.0025,\n  "overload_rate": 0.0,\n'
+        '  "orthogonality_residual": 3.0000000000000004,\n'
+        '  "orthogonality_pooled_se": 0.022,\n  "theory_nmse": 0.05049043779072543,\n'
+        '  "n_trials": 10000,\n  "seed": 1361129467683753853853498429727072845835,\n'
+        '  "rng": "philox"\n}'
+    )
 
 
 class TestWorkers:
