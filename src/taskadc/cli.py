@@ -30,7 +30,7 @@ from .search import (
     rate_search,
     shifted_task_design,
 )
-from .simulate import _OVERSAMPLE, SimulationRun, estimate_mse
+from .simulate import SimulationRun, estimate_mse, snap_to_divisor
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -184,12 +184,6 @@ def _sweep_value_configs(args, model):
     return pairs
 
 
-def _snap_to_divisor(fs: float, f_nyq: float) -> float:
-    """Nearest rate that divides the simulation grid rate (integer decimation)."""
-    sim_rate = _OVERSAMPLE * f_nyq
-    return sim_rate / max(1, round(sim_rate / fs))
-
-
 def _architectures(text: str) -> list[str]:
     """Architecture names from a comma list that may use the short aliases."""
     archs = [_ARCH_ALIASES.get(a, a) for a in text.split(",")]
@@ -202,48 +196,45 @@ def _architectures(text: str) -> list[str]:
 def cmd_sweep(args) -> int:
     _, model = _load_scenario(args.scenario, args.grid_points)
     archs = _architectures(args.arch)
-    if args.var == "K" and set(archs) != {"task_based"}:
-        raise ValueError("a K sweep is only supported for the task-based architecture")
-    if args.var == "t0" and (args.simulate or set(archs) != {"task_based"}):
-        raise ValueError("a t0 sweep supports only --arch task, without --simulate")
+    if args.var in ("K", "t0") and set(archs) != {"task_based"}:
+        # baselines run at a fixed K and have no shifted design
+        raise ValueError(f"a {args.var} sweep supports only --arch task")
     header = ["value", "arch", "theory_nmse"]
     if args.simulate:
         header += ["empirical_nmse", "std_error"]
     rows = []
-    pairs = _sweep_value_configs(args, model)
-    if args.var == "t0":
-        base = design_filters(model, pairs[0][1], args.grid_points)  # one cfg for every t0
-        for t0, _ in pairs:
-            shifted = shifted_task_design(model, base, t0)
-            rows.append([t0, "task_based", shifted.nmse])
-    else:
-        for value, cfg in pairs:
-            if args.simulate:
-                snapped = _snap_to_divisor(cfg.fs, model.f_nyq)
-                if snapped != cfg.fs:
-                    # Monte-Carlo runs need integer decimation; report the snap
-                    print(f"fs {cfg.fs!r} snapped to {snapped!r} for simulation")
-                    cfg = AdcConfig(cfg.k_adcs, snapped, cfg.bits, cfg.eta)
-                    if args.var == "fs":
-                        value = snapped
-            for arch in archs:
+    base = None  # the unshifted design of a t0 sweep, whose cfg every t0 shares
+    for value, cfg in _sweep_value_configs(args, model):
+        if args.simulate:
+            snapped = snap_to_divisor(cfg.fs, model.band_edge)
+            if snapped != cfg.fs:
+                # Monte-Carlo runs need integer decimation; report the snap
+                print(f"fs {cfg.fs!r} snapped to {snapped!r} for simulation")
+                cfg = AdcConfig(cfg.k_adcs, snapped, cfg.bits, cfg.eta)
+                if args.var == "fs":
+                    value = snapped
+        for arch in archs:
+            if args.var == "t0":
+                base = base or design_filters(model, cfg, args.grid_points)
+                design = shifted_task_design(model, base, value)
+            else:
                 cfg_arch = cfg
                 if arch != "task_based":
                     cfg_arch = replace(cfg, k_adcs=_baseline_chain(model, arch)[0])
                 design = baseline_design(model, cfg_arch, arch, args.grid_points)
-                row = [value, arch, design.nmse]
-                if args.simulate:
-                    run = SimulationRun(
-                        scenario_id=os.path.basename(args.scenario),
-                        model=model,
-                        design=design,
-                        n_trials=args.trials,
-                        seed=args.seed,
-                        dithered=args.dither,
-                    )
-                    report = estimate_mse(run)
-                    row += [report.empirical_nmse, report.std_error]
-                rows.append(row)
+            row = [value, arch, design.nmse]
+            if args.simulate:
+                run = SimulationRun(
+                    scenario_id=os.path.basename(args.scenario),
+                    model=model,
+                    design=design,
+                    n_trials=args.trials,
+                    seed=args.seed,
+                    dithered=args.dither,
+                )
+                report = estimate_mse(run)
+                row += [report.empirical_nmse, report.std_error]
+            rows.append(row)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"sweep_{args.var}.csv")
     _write_csv(csv_path, header, rows)

@@ -11,7 +11,9 @@ One modal core (``_waterfilled_modes``: SVD, water level, per-mode gains)
 feeds the analog design, its closed-form MSE and the designed shift kernel;
 one solve (``_solve_output``) feeds every digital filter, solve-based MSE and
 general shift kernel.  One assembler (``_assemble``) builds every
-``FilterDesign`` from its analog filter.
+``FilterDesign`` from its analog filter.  A design records the task shift t0
+that its digital filter and error belong to: 0.0, unless
+``search.shifted_task_design`` shifted it; design.json stores it.
 """
 
 from __future__ import annotations
@@ -90,6 +92,15 @@ def _check_count(name: str, value) -> None:
         raise ValueError("bits must be below 512: 4**bits overflows a float")
 
 
+def _check_t0(t0) -> float:
+    """``t0`` as a float; ValueError unless it is a finite real number (not bool)."""
+    real = isinstance(t0, (int, float, np.integer, np.floating)) and not isinstance(t0, bool)
+    # compared as a Python float: an int past the largest float is refused, not overflowed
+    if not (real and abs(t0) <= float(np.finfo(float).max)):
+        raise ValueError(f"t0 must be a finite number, got {t0!r}")
+    return float(t0)
+
+
 class MseReport(NamedTuple):
     mse: float
     nmse: float
@@ -117,6 +128,7 @@ class FilterDesign:
     nmse: float
     dynamic_range: float
     quant_noise_var: float
+    t0: float  # task shift of g_freq and the error (search.shifted_task_design)
 
     def to_dict(self) -> dict:
         """design.json, version 2: every grid-sampled field stored as its runs
@@ -129,6 +141,7 @@ class FilterDesign:
             "fs_hz": self.cfg.fs,
             "bits": self.cfg.bits,
             "eta": self.cfg.eta,
+            "t0": self.t0,
             "water_level": self.water_level,
             "mse": self.mse_theory,
             "nmse": self.nmse,
@@ -180,6 +193,7 @@ class FilterDesign:
             nmse=data["nmse"],
             dynamic_range=data["dynamic_range"],
             quant_noise_var=data["quant_noise_var"],
+            t0=_check_t0(data.get("t0", 0.0)),  # older files held only unshifted designs
         )
 
 
@@ -438,7 +452,7 @@ def _assemble(
         cfg=cfg, h_bar=h_bar, sigma_h=sigma_h, water_level=water_level, task_energy=energy,
         sigma_task=sigma_task, g_freq=solve.filter(h_bar.base_grid), h=h,
         mse_theory=report.mse, nmse=report.nmse, dynamic_range=solve.dynamic_range,
-        quant_noise_var=solve.noise_var,
+        quant_noise_var=solve.noise_var, t0=0.0,
     )
 
 

@@ -34,6 +34,7 @@ from .design import (
     FilterDesign,
     _assemble,
     _check_count,
+    _check_t0,
     _mmse_solve,
     _solve_output,
     _waterfilled_modes,
@@ -256,18 +257,19 @@ def mse_at_shifts(const: float, kernel: np.ndarray, cfg: AdcConfig, t0s) -> np.n
 def shifted_task_design(model: TaskModel, base: FilterDesign, t0: float) -> FilterDesign:
     """Re-derive the digital filter and error for a task shifted to time t0.
 
-    The analog hardware is held at the t0=0 design ``base`` (its cfg and
-    grid); only the recovery filter and the predicted error change.
+    The analog hardware is held at the design ``base`` (its cfg and grid);
+    only the recovery filter, the predicted error and ``t0`` change.  The shift
+    is absolute: a shifted ``base`` is shifted to t0, not by it.
     """
-    if not np.isfinite(t0):
-        raise ValueError(f"t0 must be a finite number, got {t0!r}")
+    t0 = _check_t0(t0)
     cfg = base.cfg
     task_stack = whitened_task_stack(model, cfg.fs, base.h_bar.base_grid.n_points)
     shifted = modulated_stack(task_stack, t0)
     solve = _mmse_solve(base.h_bar, shifted, cfg)
     report = solve.report(shifted, cfg.ts)
     return replace(
-        base, g_freq=solve.filter(base.h_bar.base_grid), mse_theory=report.mse, nmse=report.nmse
+        base, g_freq=solve.filter(base.h_bar.base_grid), mse_theory=report.mse,
+        nmse=report.nmse, t0=t0,
     )
 
 

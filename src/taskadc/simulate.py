@@ -4,10 +4,12 @@ Trials synthesize bandlimited Gaussian blocks with a prescribed matrix PSD by
 drawing complex spectral increments on the block DFT grid (circular, so
 filtering and decimation are exact for the periodic surrogate), run the
 acquisition chain with real mid-rise quantizers, and compare the recovered
-task against the analog MMSE estimate computed from the same increments.
+task against the analog MMSE estimate computed from the same increments, at
+the task shift the design carries (``FilterDesign.t0``).
 
 Every block lives on one simulation grid at ``_OVERSAMPLE`` times the
-Nyquist rate; a sampling rate must divide it so decimation is integer.
+Nyquist rate; a sampling rate must divide it so decimation is integer
+(``snap_to_divisor`` gives the nearest one that does).
 
 The acquisition chain runs on half spectra. ``estimate_mse`` never builds the
 M-channel time block: each trial only draws its normals from its own stream.
@@ -64,7 +66,6 @@ class SimulationRun:
     n_trials: int = 10_000
     seed: int = 0
     dithered: bool = True
-    t0: float = 0.0  # task time shift carried by the design's digital filter
 
     def __post_init__(self):
         # checked here, before any trial runs: the streams take n_trials and
@@ -80,10 +81,6 @@ class SimulationRun:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not isinstance(self.t0, (int, float, np.integer, np.floating)) or not np.isfinite(
-            self.t0
-        ):
-            raise ValueError(f"t0 must be a finite number, got {self.t0!r}")
 
     @property
     def cfg(self) -> AdcConfig:
@@ -137,12 +134,25 @@ class _BlockPlan:
         return np.arange(1, self.n_pos_bins + 1) * self.df
 
 
+def _decimation(band_edge: float, fs: float) -> tuple[float, int]:
+    """The simulation rate ``_OVERSAMPLE`` times Nyquist, and the whole
+    decimation (at least 1) nearest to taking it down to fs."""
+    sim_rate = _OVERSAMPLE * 2.0 * band_edge
+    if not np.isfinite(sim_rate / fs):
+        raise ValueError(f"fs={fs!r} is too small: simulation rate / fs is not finite")
+    return sim_rate, max(1, round(sim_rate / fs))
+
+
+def snap_to_divisor(fs: float, band_edge: float) -> float:
+    """The rate nearest fs that divides the simulation rate, as
+    ``estimate_mse`` needs: fs itself, up to rounding, when it divides."""
+    sim_rate, decim = _decimation(band_edge, fs)
+    return sim_rate / decim
+
+
 def _plan_block(band_edge: float, fs: float) -> _BlockPlan:
-    f_nyq = 2.0 * band_edge
-    sim_rate = _OVERSAMPLE * f_nyq
-    ratio = sim_rate / fs
-    decim = int(round(ratio))
-    if abs(ratio - decim) > 1e-9 or decim < 1:
+    sim_rate, decim = _decimation(band_edge, fs)
+    if abs(sim_rate / fs - decim) > 1e-9:
         raise ValueError(
             "fs must divide the simulation rate so decimation is integer"
         )
@@ -355,14 +365,14 @@ def _build_chain(run: SimulationRun) -> _Chain:
     # n_out/L with the Ts gain decimates them onto the sampled stream's grid
     h_half = design.h.sample(sim_freqs) * (cfg.ts * plan.n_out)
     fir = _recovery_filter(design.g_freq, cfg.fs, plan.n_out, plan.center)
-    # t = 0 reference sits at the center output sample; a design modulated by
-    # e^{-j2*pi*f*t0} estimates the analog response at center - t0 (the error
-    # statistics are even in the shift)
+    # t = 0 reference sits at the center output sample; a design shifted to t0
+    # (modulated by e^{-j2*pi*f*t0}) estimates the analog response at
+    # center - t0 (the error statistics are even in the shift)
     center_time = plan.center * plan.decim / plan.sim_rate
     duration = plan.n_samples / plan.sim_rate
-    if abs(run.t0) > 0.4 * duration:
+    if abs(design.t0) > 0.4 * duration:
         raise ValueError("t0 falls outside the block interior")
-    task_phases = np.exp(2j * np.pi * plan.pos_freqs * (center_time - run.t0))
+    task_phases = np.exp(2j * np.pi * plan.pos_freqs * (center_time - design.t0))
     # task response at bins 0..m with the reference delay and the
     # conjugate-pair weight folded in: truth is the real part of its bin sum
     task_weights = np.concatenate(([1.0], 2.0 * task_phases))

@@ -511,8 +511,14 @@ def stack_aliases(
     # past the band edge would just sample zeros
     half = fs / 2.0 if ups > 0 else min(fs / 2.0, f_max)
     base = FrequencyGrid(-half, half, n_points)
-    shifts = np.arange(-ups, ups + 1)
-    idx, inside = _cell_lookup(grid, base.points[:, None] - shifts * fs)
+    try:
+        shifts = np.arange(-ups, ups + 1)
+        idx, inside = _cell_lookup(grid, base.points[:, None] - shifts * fs)
+    except (MemoryError, ValueError) as exc:  # numpy refuses the allocation
+        raise ValueError(
+            f"fs={fs!r} is too small: alias order {ups} needs {2 * ups + 1} alias "
+            f"blocks per grid point, more than numpy can allocate ({exc})"
+        ) from exc
     # source run of every (base point, shift); the extra run -1 is zero
     ids = np.where(inside, f.run_index[idx], -1)
     new_run = np.ones(n_points, dtype=bool)

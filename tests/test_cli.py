@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from taskadc.cli import build_parser, main
-from taskadc.design import AdcConfig, FilterDesign
+from taskadc.design import AdcConfig, FilterDesign, design_filters
 from taskadc.scenarios import ScenarioSpec, build_scenario
-from taskadc.search import baseline_design
+from taskadc.search import baseline_design, shifted_task_design
+from taskadc.simulate import SimulationRun, estimate_mse
 
 
 @pytest.fixture()
@@ -272,11 +273,23 @@ def test_unread_flags_are_rejected(matched_scenario, tmp_path, args, flag, value
     (["rate-search", "--budgets", "1e-305"], "is too small: f_max/fs = inf"),
     (["sweep", "--var", "b", "--from", "1", "--to", "3", "--steps", "3", "--k", "2",
       "--fs", "1e-305"], "fs=1e-305 is too small"),
+    # the simulation's decimation 4 f_nyq / fs overflows before any design
+    (["sweep", "--var", "b", "--from", "1", "--to", "3", "--steps", "3", "--k", "2",
+      "--fs", "1e-305", "--simulate"], "fs=1e-305 is too small: simulation rate"),
     # eta^2 underflows to 0.0, which the water-fill level would divide by
     (["design", "--k", "2", "--bits", "3", "--fs", "1e8", "--eta", "1e-300"],
      "eta=1e-300 too small"),
     (["rate-search", "--budgets", "1e9", "--eta", "1e-300"], "eta=1e-300 too small"),
-], ids=["design_fs", "rate_search_budget", "sweep_fs", "design_eta", "rate_search_eta"])
+    # a finite alias order whose alias blocks numpy cannot allocate (over 128 TiB, past
+    # any address space) or whose count it refuses outright
+    (["design", "--k", "2", "--bits", "3", "--fs", "1e-6"],
+     "fs=1e-06 is too small: alias order 50000000000000"),
+    (["rate-search", "--budgets", "1e-6"], "fs=1e-06 is too small: alias order"),
+    (["design", "--k", "2", "--bits", "3", "--fs", "1e-300"],
+     "fs=1e-300 is too small: alias order"),
+], ids=["design_fs", "rate_search_budget", "sweep_fs", "sweep_fs_simulate", "design_eta",
+        "rate_search_eta", "design_alias_blocks", "rate_search_alias_blocks",
+        "design_alias_count"])
 def test_unrepresentable_inputs_exit_2_naming_them(matched_scenario, tmp_path, capsys, args,
                                                    message):
     code = main(args + ["--scenario", str(matched_scenario), "--out", str(tmp_path / "o"),
@@ -422,10 +435,8 @@ class TestSweepCommand:
             cfg = AdcConfig(k_of[arch], model.f_nyq, int(value))
             assert float(nmse) == baseline_design(model, cfg, arch, 64).nmse
 
-    @pytest.mark.parametrize(
-        "extra", [["--simulate", "--trials", "200"], ["--arch", "analog"], ["--arch", "task,digital"]]
-    )
-    def test_t0_sweep_rejects_simulate_and_baselines(self, matched_scenario, tmp_path, extra):
+    @pytest.mark.parametrize("extra", [["--arch", "analog"], ["--arch", "task,digital"]])
+    def test_t0_sweep_rejects_baselines(self, matched_scenario, tmp_path, extra):
         out = tmp_path / "out"
         code = main([
             "sweep", "--scenario", str(matched_scenario), "--out", str(out),
@@ -446,6 +457,26 @@ class TestSweepCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: t0 must be a finite number")
         assert not (tmp_path / "o" / "sweep_t0.csv").exists()
+
+    def test_t0_sweep_simulates_each_shifted_design(self, matched_scenario, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--scenario", str(matched_scenario), "--out", str(out),
+            "--var", "t0", "--from", "0", "--to", "2e-9", "--steps", "3",
+            "--k", "2", "--bits", "3", "--grid-points", "64",
+            "--simulate", "--trials", "200", "--seed", "4",
+        ])
+        assert code == 0
+        model = build_scenario(ScenarioSpec.from_file(matched_scenario), n_points=64)
+        base = design_filters(model, AdcConfig(2, model.f_nyq, 3), 64)
+        rows = (out / "sweep_t0.csv").read_text().strip().splitlines()[1:]
+        t0s = [float(v) for v in np.linspace(0.0, 2e-9, 3)]
+        assert len(rows) == len(t0s)
+        for row, t0 in zip(rows, t0s):
+            design = shifted_task_design(model, base, t0)
+            report = estimate_mse(SimulationRun("s", model, design, n_trials=200, seed=4))
+            numbers = (t0, design.nmse, report.empirical_nmse, report.std_error)
+            assert row == "{!r},task_based,{!r},{!r},{!r}".format(*numbers)
 
     def test_bits_overflowing_a_float_exit_2(self, matched_scenario, tmp_path, capsys):
         code = main([

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -643,6 +644,26 @@ class TestDesignJson:
         data = design_filters(model, AdcConfig(1, 1.0, 2), 16).to_dict()
         with pytest.raises(ValueError, match=f"design.json has null {key}$"):
             FilterDesign.from_dict(dict(data, **{key: None}))
+
+    def test_file_without_t0_loads_unshifted(self, rng):
+        # design.json before the shift was stored: every saved design was unshifted
+        model = random_flat_model(rng, n=1, m=2, n_points=16)
+        design = design_filters(model, AdcConfig(1, 1.0, 2), 16)
+        data = design.to_dict()
+        assert data.pop("t0") == 0.0
+        back = FilterDesign.from_dict(data)
+        for f in fields(design):
+            assert _same_bits(getattr(design, f.name), getattr(back, f.name)), f.name
+
+    @pytest.mark.parametrize("t0", ["0", True, math.nan, math.inf])
+    def test_bad_t0_is_rejected(self, rng, t0):
+        # "0" raised numpy's TypeError and True read as a 1 s shift
+        model = random_flat_model(rng, n=1, m=2, n_points=16)
+        base = design_filters(model, AdcConfig(1, 1.0, 2), 16)
+        with pytest.raises(ValueError, match="t0 must be a finite number"):
+            FilterDesign.from_dict(dict(base.to_dict(), t0=t0))
+        with pytest.raises(ValueError, match="t0 must be a finite number"):
+            shifted_task_design(model, base, t0)
 
     def test_newer_version_is_rejected(self, rng):
         model = random_flat_model(rng, n=1, m=2, n_points=16)

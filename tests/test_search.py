@@ -50,13 +50,24 @@ from conftest import random_flat_model
 
 
 class TestShiftedTaskDesign:
-    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf, pytest.param(10**400, id="1e400")])
     def test_non_finite_shift_rejected(self, rng, t0):
         # a non-finite shift used to read as a perfect design (nmse 0.0)
         model = random_flat_model(rng, n=2, m=4, n_points=32)
         base = design_filters(model, AdcConfig(2, 0.6, 3), 32)
         with pytest.raises(ValueError, match="t0 must be a finite number"):
             shifted_task_design(model, base, t0)
+
+    def test_shift_is_absolute(self, rng):
+        # shifting a shifted design gives the design shifted from the base
+        model = random_flat_model(rng, n=2, m=4, n_points=32)
+        base = design_filters(model, AdcConfig(2, 0.6, 3), 32)
+        assert base.t0 == 0.0
+        twice = shifted_task_design(model, shifted_task_design(model, base, 0.4), 0.9)
+        once = shifted_task_design(model, base, 0.9)
+        assert twice.t0 == once.t0 == 0.9
+        assert np.array_equal(twice.g_freq.values, once.g_freq.values)
+        assert twice.mse_theory == once.mse_theory
 
     def test_zero_shift_is_identity(self, rng):
         model = random_flat_model(rng, n=2, m=4, n_points=64)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import taskadc.simulate as sim
-from taskadc.design import AdcConfig, design_filters
+from taskadc.design import AdcConfig, FilterDesign, design_filters
 from taskadc.quantizer import QuantizerSpec, quantize_midrise, sample_dither
 from taskadc.search import baseline_design, shifted_task_design
 from taskadc.simulate import SimulationReport, SimulationRun, estimate_mse
@@ -48,7 +48,7 @@ def time_domain_reference(run):
     g_half = design.g_freq.sample(out_freqs)
     out_phases = read_out_phases(plan.n_out, plan.center)
     center_time = plan.center * plan.decim / plan.sim_rate
-    task_phases = np.exp(2j * np.pi * plan.pos_freqs * (center_time - run.t0))
+    task_phases = np.exp(2j * np.pi * plan.pos_freqs * (center_time - design.t0))
     sq_errors, outers, overloads = [], [], []
     for child in np.random.SeedSequence(run.seed).spawn(run.n_trials):
         rng = np.random.Generator(np.random.Philox(child))
@@ -216,22 +216,36 @@ class TestRecoverTask:
         base = design_filters(model, cfg, 64)
         shifted = shifted_task_design(model, base, cfg.ts)
         rep0 = estimate_mse(SimulationRun("s0", model, base, n_trials=2000, seed=5))
-        rep1 = estimate_mse(
-            SimulationRun("s1", model, shifted, n_trials=2000, seed=5, t0=cfg.ts)
-        )
+        rep1 = estimate_mse(SimulationRun("s1", model, shifted, n_trials=2000, seed=5))
         # identical closed-form error and overlapping Monte-Carlo bands
         assert abs(shifted.nmse - base.nmse) <= 1e-9 * base.nmse
         gap = abs(rep1.empirical_nmse - rep0.empirical_nmse)
         assert gap < 3 * (rep0.std_error + rep1.std_error)
 
     def test_t0_outside_block_rejected(self):
-        # estimate_mse refuses |t0| beyond 0.4 of the block duration
+        # estimate_mse refuses a design shifted beyond 0.4 of the block duration
         model = unit_scalar_model(fs=1.0, n_points=64)
-        design = design_filters(model, AdcConfig(1, 1.0, bits=2, eta=2.0), 64)
+        base = design_filters(model, AdcConfig(1, 1.0, bits=2, eta=2.0), 64)
         plan = sim._plan_block(model.band_edge, 1.0)
         for t0 in np.array([0.41, -0.41]) * plan.n_samples / plan.sim_rate:
+            design = shifted_task_design(model, base, t0)
             with pytest.raises(ValueError, match="t0 falls outside"):
-                estimate_mse(SimulationRun("t0", model, design, n_trials=100, t0=t0))
+                estimate_mse(SimulationRun("t0", model, design, n_trials=100))
+
+    def test_shifted_design_survives_design_json(self, matched_model):
+        # the shift travels with the design: the loaded design simulates the
+        # same trials against the same shifted truth, close to its theory
+        base = design_filters(matched_model, AdcConfig(2, matched_model.f_nyq, 3), 64)
+        shifted = shifted_task_design(matched_model, base, 1e-9)
+        back = FilterDesign.from_dict(json.loads(json.dumps(shifted.to_dict())))
+        assert back.t0 == shifted.t0 == 1e-9
+        reports = [
+            estimate_mse(SimulationRun("json", matched_model, d, n_trials=400, seed=3))
+            for d in (shifted, back)
+        ]
+        assert json.dumps(reports[0].to_dict()) == json.dumps(reports[1].to_dict())
+        gap = abs(reports[0].empirical_nmse - shifted.nmse)
+        assert gap < 4 * reports[0].std_error
 
 
 class TestEstimateMse:
@@ -315,7 +329,7 @@ class TestFrequencyDomainChain:
         cfg = AdcConfig(2, matched_model.f_nyq, bits=3)
         base = design_filters(matched_model, cfg, 64)
         shifted = shifted_task_design(matched_model, base, 1e-9)
-        run = SimulationRun("ref", matched_model, shifted, n_trials=120, seed=7, t0=1e-9)
+        run = SimulationRun("ref", matched_model, shifted, n_trials=120, seed=7)
         assert_reports_close(estimate_mse(run), time_domain_reference(run), 1e-11)
 
     @pytest.mark.parametrize("arch, k", [("analog_recovery", 4), ("digital_recovery", 16)])
@@ -480,7 +494,7 @@ class TestWorkers:
         else:
             base = design_filters(matched_model, AdcConfig(2, matched_model.f_nyq, 3), 64)
             design = shifted_task_design(matched_model, base, 1e-9)
-            run = SimulationRun(case, matched_model, design, n_trials=150, seed=15, t0=1e-9)
+            run = SimulationRun(case, matched_model, design, n_trials=150, seed=15)
         chunk = sim._CHUNK_DRAWS // sim._build_chain(run).per_trial
         assert run.n_trials > 3 * chunk  # every worker count runs several chunks
         reports = []
@@ -534,9 +548,6 @@ class TestRunValidation:
         ("seed", -3, "seed must be non-negative"),
         ("seed", 2.0, "seed must be a whole number"),
         ("seed", False, "seed must be a whole number"),
-        ("t0", float("nan"), "t0 must be a finite number"),
-        ("t0", float("inf"), "t0 must be a finite number"),
-        ("t0", "0", "t0 must be a finite number"),
     ])
     def test_bad_field_raises(self, design_and_model, field, value, message):
         design, model = design_and_model

@@ -9,8 +9,9 @@ run the parent first, odd pairs the change. The record keeps every run's
 metrics, each side's per-metric median and quartiles, how many pairs the
 change wins per metric (the direction and bound come from the change's
 BENCHMARK.json), whether every run was correct and how many operations
-failed, and the machine. ``--out`` gains or replaces this workload's entry,
-so one file can hold several workloads; without it the record is printed.
+failed (a run that exits non-zero is kept as not correct), and the machine.
+``--out`` gains or replaces this workload's entry, so one file can hold
+several workloads; without it the record is printed.
 Standard library only; numpy's version and BLAS are read in a subprocess.
 """
 
@@ -33,9 +34,16 @@ print(json.dumps({"numpy": np.__version__, "blas": blas.get("name"),
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run's record. A run that exits non-zero (a set-up error, a kill) is
+    kept as not correct, with no metrics, its exit code and last stderr line,
+    so the pairs already measured are not lost."""
     cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        stderr = out.stderr.strip().splitlines()
+        return {"seed": seed, "correct": False, "attempted": 0, "failed": 0, "metrics": {},
+                "exit_code": out.returncode, "stderr": stderr[-1] if stderr else ""}
     result = json.loads(out.stdout.strip().splitlines()[-1])
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
@@ -49,22 +57,32 @@ def quartiles(values: list) -> dict:
 
 
 def compare(parent: list, change: list, declared: dict) -> dict:
-    """Per metric: each side's quartiles, the change's pair wins and a verdict
-    against the metric's bound (a relative change of the median)."""
+    """Per metric: each side's quartiles over the runs that measured it, the
+    change's wins over the pairs where both runs did, and a verdict against
+    the metric's bound (a relative change of the median). A parent quartile
+    spread wider than the bound leaves the verdict unresolved, unless every
+    run of the change reads better than every run of the parent."""
     out = {}
-    for name in parent[0]["metrics"]:
-        a = [r["metrics"][name] for r in parent]
-        b = [r["metrics"][name] for r in change]
+    names = [name for r in parent + change for name in r["metrics"]]
+    for name in dict.fromkeys(names):
+        a = [r["metrics"][name] for r in parent if name in r["metrics"]]
+        b = [r["metrics"][name] for r in change if name in r["metrics"]]
+        if not a or not b:
+            out[name] = {"verdict": "unresolved: one side measured it in no run"}
+            continue
         entry = {"parent": quartiles(a), "change": quartiles(b)}
         spec = declared.get(name)
         if spec:
             sign = 1 if spec["better"] == "higher" else -1
             med_a, med_b = entry["parent"]["median"], entry["change"]["median"]
             worse = sign * (med_a - med_b) / med_a if med_a else 0.0
+            pairs = [(x["metrics"][name], y["metrics"][name]) for x, y in zip(parent, change)
+                     if name in x["metrics"] and name in y["metrics"]]
             entry["better"], entry["bound"] = spec["better"], spec["bound"]
-            entry["change_better_in_pairs"] = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+            entry["change_better_in_pairs"] = sum(sign * (y - x) > 0 for x, y in pairs)
             entry["relative_worsening"] = worse
-            if entry["parent"]["spread"] > spec["bound"]:
+            every_run_better = all(sign * (y - x) > 0 for x in a for y in b)
+            if entry["parent"]["spread"] > spec["bound"] and not every_run_better:
                 entry["verdict"] = "unresolved: parent quartile spread exceeds the bound"
             else:
                 entry["verdict"] = "worse beyond bound" if worse > spec["bound"] else "within bound"
@@ -97,7 +115,7 @@ def main(argv=None) -> int:
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
             runs[side].append(run_once(sides[side], args.workload, args.seed0 + i, args.seconds))
-            print(f"pair {i} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
+            print(f"pair {i} {side}: {runs[side][-1]}", file=sys.stderr)
 
     declared = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     record = {
