@@ -114,7 +114,8 @@ def _report(mse: float, energy: float) -> MseReport:
 class FilterDesign:
     """A designed acquisition chain and its predicted error, built by
     ``_assemble``.  A baseline's fixed filter has no water level and no task
-    singular values (None); the unstacked filter h is None above alias order 0."""
+    singular values (None).  h is the unstacked analog filter that design.json
+    gives users, None above alias order 0; Monte-Carlo reads ``h_bar``."""
 
     cfg: AdcConfig
     h_bar: StackedSpectrum

@@ -13,14 +13,15 @@ Nyquist rate; a sampling rate must divide it so decimation is integer
 
 The acquisition chain runs on half spectra. ``estimate_mse`` never builds the
 M-channel time block: each trial only draws its normals from its own stream.
-One stacked (K+N)xM matrix per in-band bin 0..m composes the PSD root with
-the analog filter and the task response, so one batched product per bin
-turns a chunk's normals into the filtered converter spectra and the analog
-truth together. Decimation folds the filtered bins onto the n_out-point grid
-of the sampled stream, and one n_out-point inverse FFT returns to the time
-domain for dither and quantization. The digital filter's read-out at the
-reference sample is a precomputed FIR: one product with the quantized
-streams.
+One stacked (K+N)xM matrix per in-band bin 0..m holds the design's whitened
+analog filter ``h_bar`` over the model's whitened task response, both read at
+the bin (``StackedSpectrum.sample`` undoes the alias stacking), so one batched
+product per bin turns a chunk's normals into the filtered converter spectra
+and the analog truth together. Decimation folds the filtered bins onto the
+n_out-point grid of the sampled stream, and one n_out-point inverse FFT
+returns to the time domain for dither and quantization. The digital filter's
+read-out at the reference sample is a precomputed FIR: one product with the
+quantized streams.
 
 Trial i draws from the Philox stream that ``Generator(Philox(child))``
 gives for child i of ``SeedSequence(seed)``. Every child starts from the
@@ -129,10 +130,6 @@ class _BlockPlan:
     def df(self) -> float:
         return self.sim_rate / self.n_samples
 
-    @property
-    def pos_freqs(self) -> np.ndarray:
-        return np.arange(1, self.n_pos_bins + 1) * self.df
-
 
 def _decimation(band_edge: float, fs: float) -> tuple[float, int]:
     """The simulation rate ``_OVERSAMPLE`` times Nyquist, and the whole
@@ -174,11 +171,6 @@ def _plan_block(band_edge: float, fs: float) -> _BlockPlan:
         n_out=n_out,
         center=center,
     )
-
-
-def _sample_dc_and_bins(spectrum: SpectralMatrixFunction, plan: _BlockPlan):
-    """A spectrum at DC and at the block's positive in-band DFT bins."""
-    return spectrum.sample(np.zeros(1))[0], spectrum.sample(plan.pos_freqs)
 
 
 def _pair_weights(p: int, n: int) -> np.ndarray:
@@ -327,8 +319,7 @@ class _Chain(NamedTuple):
 
     plan: _BlockPlan
     qspec: QuantizerSpec
-    comp_dc: np.ndarray  # (K+N, M): bin 0, analog filter over task response
-    comp_pos: np.ndarray  # (m, K+N, M): bins 1..m
+    comp: np.ndarray  # (m+1, K+N, M): bins 0..m, whitened analog filter over whitened task
     fir: np.ndarray  # (K*n_out, N) read-out at the reference sample
     k_adcs: int
     dithered: bool
@@ -336,7 +327,7 @@ class _Chain(NamedTuple):
 
     @property
     def m_ch(self) -> int:
-        return self.comp_dc.shape[1]
+        return self.comp.shape[2]
 
     @property
     def n_normals(self) -> int:
@@ -351,19 +342,8 @@ class _Chain(NamedTuple):
 
 def _build_chain(run: SimulationRun) -> _Chain:
     model, design, cfg = run.model, run.design, run.cfg
-    if design.h is None:
-        raise ValueError("simulation needs a design with unstacked h")
     plan = _plan_block(model.band_edge, cfg.fs)
     qspec = QuantizerSpec(bits=cfg.bits, dynamic_range=design.dynamic_range)
-
-    roots_dc, roots_pos = _sample_dc_and_bins(model._input_root, plan)
-    gamma_dc, gamma_pos = _sample_dc_and_bins(model.task_filter, plan)
-
-    in_band = plan.n_pos_bins + 1
-    sim_freqs = np.fft.rfftfreq(plan.n_samples, d=1.0 / plan.sim_rate)[:in_band]
-    # the factor L turns spectral increments into rfft bins of the block, and
-    # n_out/L with the Ts gain decimates them onto the sampled stream's grid
-    h_half = design.h.sample(sim_freqs) * (cfg.ts * plan.n_out)
     fir = _recovery_filter(design.g_freq, cfg.fs, plan.n_out, plan.center)
     # t = 0 reference sits at the center output sample; a design shifted to t0
     # (modulated by e^{-j2*pi*f*t0}) estimates the analog response at
@@ -372,21 +352,24 @@ def _build_chain(run: SimulationRun) -> _Chain:
     duration = plan.n_samples / plan.sim_rate
     if abs(design.t0) > 0.4 * duration:
         raise ValueError("t0 falls outside the block interior")
-    task_phases = np.exp(2j * np.pi * plan.pos_freqs * (center_time - design.t0))
-    # task response at bins 0..m with the reference delay and the
-    # conjugate-pair weight folded in: truth is the real part of its bin sum
-    task_weights = np.concatenate(([1.0], 2.0 * task_phases))
-    gamma_w = np.concatenate((gamma_dc[None], gamma_pos)) * task_weights[:, None, None]
-    # [analog filter; task response] times the PSD root per bin; the
-    # increments' sqrt(df), and the 1/sqrt(2) that makes the (re, im) normal
-    # pairs unit-variance circular, ride on it
-    stacked = np.concatenate((h_half, gamma_w), axis=1)
-    scale = np.sqrt(plan.df)
+    freqs = np.arange(plan.n_pos_bins + 1) * plan.df
+    # the factor L turns spectral increments into rfft bins of the block, and
+    # n_out/L with the Ts gain decimates them onto the sampled stream's grid
+    h_half = design.h_bar.sample(freqs) * (cfg.ts * plan.n_out)
+    # the reference delay and the conjugate-pair weight folded into the task
+    # response: truth is the real part of its bin sum
+    task_weights = _pair_weights(freqs.size, plan.n_samples) * np.exp(
+        2j * np.pi * freqs * (center_time - design.t0)
+    )
+    gamma_w = model._whitened.sample(freqs) * task_weights[:, None, None]
+    # the whitened analog filter over the whitened task response per bin; the
+    # increments' sqrt(df), and at bins 1..m the 1/sqrt(2) that makes the
+    # (re, im) normal pairs unit-variance circular, ride on it
+    scale = np.sqrt(plan.df) / np.where(freqs > 0, np.sqrt(2.0), 1.0)
     return _Chain(
         plan=plan,
         qspec=qspec,
-        comp_dc=stacked[0] @ roots_dc.real * scale,
-        comp_pos=np.matmul(stacked[1:], roots_pos) * (scale / np.sqrt(2.0)),
+        comp=np.concatenate((h_half, gamma_w), axis=1) * scale[:, None, None],
         fir=fir,
         k_adcs=cfg.k_adcs,
         dithered=run.dithered and qspec.step > 0,
@@ -432,9 +415,9 @@ def _shape(chain: _Chain, normals: np.ndarray) -> np.ndarray:
     size, m_ch = normals.shape[0], chain.m_ch
     circ = normals[:, m_ch:].reshape(size, chain.plan.n_pos_bins, m_ch, 2)
     circ = circ.view(complex)[..., 0]
-    bins = np.empty((chain.plan.n_pos_bins + 1, chain.comp_dc.shape[0], size), dtype=complex)
-    bins[0] = chain.comp_dc @ normals[:, :m_ch].T
-    np.matmul(chain.comp_pos, circ.transpose(1, 2, 0), out=bins[1:])
+    bins = np.empty(chain.comp.shape[:2] + (size,), dtype=complex)
+    bins[0] = chain.comp[0] @ normals[:, :m_ch].T
+    np.matmul(chain.comp[1:], circ.transpose(1, 2, 0), out=bins[1:])
     return bins
 
 
@@ -536,9 +519,8 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
     well inside its standard error, carries that rounding amplified by the
     cancellation: it agrees to 1e-12 of ``orthogonality_pooled_se``, not to
     1e-13 relative (4e-13 on 4x16, K = 1, b = 8, undithered). Below the
-    Nyquist rate, as for the baseline designs, ``_fold`` wraps the filtered
-    bins onto each other on the sampled streams' grid; at or above it, it
-    only zero-pads them.
+    Nyquist rate ``_fold`` wraps the filtered bins onto each other on the
+    sampled streams' grid; at or above it, it only zero-pads them.
     """
     chain = _build_chain(run)
     chunk = max(1, min(run.n_trials, _CHUNK_DRAWS // chain.per_trial))
@@ -547,7 +529,7 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
     sq_errors = []
     overload_total = 0
     sample_total = 0
-    orth_sum = np.zeros((chain.comp_dc.shape[0] - chain.k_adcs, chain.k_adcs))
+    orth_sum = np.zeros((chain.comp.shape[1] - chain.k_adcs, chain.k_adcs))
     orth_sq = np.zeros_like(orth_sum)
     for chunk_sq, overloads, samples, outer in _chunk_results(chain, bounds):
         sq_errors.append(chunk_sq)

@@ -451,6 +451,19 @@ class StackedSpectrum:
         this stack's runs, such as ``joint_runs``."""
         return _rows_at(self.run_starts, self.run_blocks, starts)
 
+    def sample(self, freqs: np.ndarray) -> np.ndarray:
+        """Inverse of ``stack_aliases``: for nu = f + s*fs, s the nearest whole
+        shift, the block of the row at f that sampled the source at nu; zero
+        matrices where |s| exceeds the alias order or f is off the base grid."""
+        freqs = np.asarray(freqs, dtype=float)
+        shift = np.rint(freqs / self.fs)
+        idx, inside = _cell_lookup(self.base_grid, freqs - shift * self.fs)
+        inside &= np.abs(shift) <= self.alias_order_
+        out = np.zeros(freqs.shape + (self.rows, self.block_cols), dtype=complex)
+        block = (self.alias_order_ - shift[inside]).astype(int)
+        out[inside] = self.block_view(self.run_blocks)[self.run_index[idx[inside]], :, block]
+        return out
+
     def to_dict(self) -> dict:
         """Grid, row count, block width and the blocks' runs; the alias order
         and fs are kept by the owner of the stack (``FilterDesign.to_dict``)."""
@@ -512,8 +525,11 @@ def stack_aliases(
     half = fs / 2.0 if ups > 0 else min(fs / 2.0, f_max)
     base = FrequencyGrid(-half, half, n_points)
     try:
-        shifts = np.arange(-ups, ups + 1)
-        idx, inside = _cell_lookup(grid, base.points[:, None] - shifts * fs)
+        # the lookup first: numpy refuses an impossible one before any shift is written
+        lookup = np.empty((n_points, 2 * ups + 1))
+        np.subtract(base.points[:, None], np.arange(-ups, ups + 1) * fs, out=lookup)
+        idx, inside = _cell_lookup(grid, lookup)
+        del lookup  # freed here, as the temporary it replaces was
     except (MemoryError, ValueError) as exc:  # numpy refuses the allocation
         raise ValueError(
             f"fs={fs!r} is too small: alias order {ups} needs {2 * ups + 1} alias "

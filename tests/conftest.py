@@ -71,6 +71,17 @@ def piecewise_model(n_points: int, seed: int = 0) -> TaskModel:
     return TaskModel(task_filter=analog_mmse_filter(cross, psd), input_psd=psd)
 
 
+def bin_freqs(plan):
+    """A block plan's in-band DFT bins 0..m."""
+    return np.arange(plan.n_pos_bins + 1) * plan.df
+
+
+def sample_dc_and_bins(spectrum, plan):
+    """A spectrum at DC and at a block plan's positive in-band DFT bins."""
+    freqs = bin_freqs(plan)
+    return spectrum.sample(freqs[:1])[0], spectrum.sample(freqs[1:])
+
+
 def synthesize_block(roots_dc, roots_pos, plan, rng):
     """One trial's spectral increments and M-channel time block on a block plan.
 

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -299,6 +301,46 @@ def test_unrepresentable_inputs_exit_2_naming_them(matched_scenario, tmp_path, c
     assert err.startswith("config error: ") and message in err
 
 
+@pytest.fixture()
+def readme_scenario(tmp_path):
+    config = {
+        "N": 4, "M": 16, "f_nyq_hz": 4e8, "snr_db": 10.0,
+        "sigma_phi_deg": 1.0, "channel": {"seed": 0},
+    }
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+# design --fs 8 on the 4x16 scenario: alias order 2.5e7, so a 400 MB shift array
+# and a 154 GB (base point, shift) lookup; the address space is capped 1 GiB
+# above the interpreter's, which the shifts fit and the lookup does not. The
+# peak RSS is VmHWM: getrusage's maxrss would count the forking test process
+CAPPED_DESIGN = """
+import re, resource, sys
+from taskadc.cli import main
+size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (size + 2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+code = main(sys.argv[1:])
+print(code, int(re.search(r"VmHWM:\\s*(\\d+) kB", open("/proc/self/status").read())[1]) * 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+def test_small_fs_is_refused_before_the_shifts_are_written(readme_scenario, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run(
+        [sys.executable, "-c", CAPPED_DESIGN, "design", "--scenario", str(readme_scenario),
+         "--out", str(tmp_path / "o"), "--k", "4", "--bits", "4", "--fs", "8"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, peak_rss = map(int, child.stdout.split())
+    assert code == 2
+    assert "config error: fs=8.0 is too small: alias order 25000000 needs" in child.stderr
+    shift_bytes = (2 * 25_000_000 + 1) * 8
+    assert peak_rss < shift_bytes / 2
+
+
 class TestSweepCommand:
     def test_k_sweep_monotone(self, matched_scenario, tmp_path):
         out = tmp_path / "out"
@@ -457,6 +499,22 @@ class TestSweepCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: t0 must be a finite number")
         assert not (tmp_path / "o" / "sweep_t0.csv").exists()
+
+    def test_fs_sweep_simulates_below_nyquist(self, readme_scenario, tmp_path, capsys):
+        # 100 and 200 MHz sample below the 400 MHz Nyquist rate (alias orders
+        # 2 and 1); 300 MHz snaps to 320 MHz, the nearest divisor of 1.6 GHz
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--scenario", str(readme_scenario), "--out", str(out),
+            "--var", "fs", "--from", "1e8", "--to", "4e8", "--steps", "4",
+            "--k", "4", "--bits", "4", "--grid-points", "64",
+            "--simulate", "--trials", "100",
+        ])
+        assert code == 0
+        assert "fs 300000000.0 snapped to 320000000.0" in capsys.readouterr().out
+        rows = (out / "sweep_fs.csv").read_text().strip().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [1e8, 2e8, 3.2e8, 4e8]
+        assert all(float(row.split(",")[3]) > 0 for row in rows)
 
     def test_t0_sweep_simulates_each_shifted_design(self, matched_scenario, tmp_path):
         out = tmp_path / "out"

@@ -14,7 +14,9 @@ from taskadc.mmse import (
 from taskadc.scenarios import isotropic_scenario
 from taskadc.spectra import FrequencyGrid, constant_spectrum, psd_sqrt, row_runs
 
-from conftest import piecewise_spectra, random_flat_model, synthesize_block, unit_scalar_model
+from conftest import (
+    piecewise_spectra, random_flat_model, sample_dc_and_bins, synthesize_block, unit_scalar_model,
+)
 
 
 class TestAnalogMmseFilter:
@@ -93,7 +95,7 @@ class TestTaskEnergy:
         energy = task_energy(whitened_task_stack(model, 1.0, 128))
         plan = sim._plan_block(model.band_edge, model.f_nyq)
         root = psd_sqrt(model.input_psd)
-        roots_dc, roots_pos = root.sample(np.zeros(1))[0], root.sample(plan.pos_freqs)
+        roots_dc, roots_pos = sample_dc_and_bins(root, plan)
         n = plan.n_samples
         freqs = np.fft.rfftfreq(n, d=1.0 / plan.sim_rate)
         gamma = model.task_filter.sample(freqs)

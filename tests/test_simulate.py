@@ -15,7 +15,9 @@ from taskadc.search import baseline_design, shifted_task_design
 from taskadc.simulate import SimulationReport, SimulationRun, estimate_mse
 from taskadc.spectra import FrequencyGrid, SpectralMatrixFunction, constant_spectrum
 
-from conftest import random_flat_model, synthesize_block, unit_scalar_model
+from conftest import (
+    bin_freqs, random_flat_model, sample_dc_and_bins, synthesize_block, unit_scalar_model,
+)
 
 
 def read_out_phases(n_out, center):
@@ -41,14 +43,14 @@ def time_domain_reference(run):
     model, design, cfg = run.model, run.design, run.cfg
     plan = sim._plan_block(model.band_edge, cfg.fs)
     spec = QuantizerSpec(bits=cfg.bits, dynamic_range=design.dynamic_range)
-    roots_dc, roots_pos = sim._sample_dc_and_bins(model._input_root, plan)
-    gamma_dc, gamma_pos = sim._sample_dc_and_bins(model.task_filter, plan)
+    roots_dc, roots_pos = sample_dc_and_bins(model._input_root, plan)
+    gamma_dc, gamma_pos = sample_dc_and_bins(model.task_filter, plan)
     h_half = design.h.sample(np.fft.rfftfreq(plan.n_samples, d=1.0 / plan.sim_rate))
     out_freqs = np.fft.rfftfreq(plan.n_out, d=1.0 / cfg.fs)
     g_half = design.g_freq.sample(out_freqs)
     out_phases = read_out_phases(plan.n_out, plan.center)
     center_time = plan.center * plan.decim / plan.sim_rate
-    task_phases = np.exp(2j * np.pi * plan.pos_freqs * (center_time - design.t0))
+    task_phases = np.exp(2j * np.pi * bin_freqs(plan)[1:] * (center_time - design.t0))
     sq_errors, outers, overloads = [], [], []
     for child in np.random.SeedSequence(run.seed).spawn(run.n_trials):
         rng = np.random.Generator(np.random.Philox(child))
@@ -297,10 +299,15 @@ class TestEstimateMse:
         assert report.overload_rate < 1e-4
         assert report.orthogonality_residual < 3 * report.orthogonality_pooled_se
 
-    @pytest.mark.parametrize("k, bits", [(4, 4), (2, 3)])
-    def test_mimo_closed_form_matches_monte_carlo(self, matched_model, k, bits):
-        # the 4x16 design at the Nyquist rate: within 3 standard errors
-        cfg = AdcConfig(k, 400e6, bits, eta=4.5)
+    @pytest.mark.parametrize("k, bits, decim", [
+        (4, 4, 4), (2, 3, 4),
+        # below the Nyquist rate (alias order 1): 266.7 MHz keeps the
+        # 2052-sample block, 200 MHz pads it
+        (4, 4, 6), (2, 3, 6), (4, 4, 8), (2, 3, 8),
+    ], ids=["4-4", "2-3", "4-4-fs267M", "2-3-fs267M", "4-4-fs200M", "2-3-fs200M"])
+    def test_mimo_closed_form_matches_monte_carlo(self, matched_model, k, bits, decim):
+        # the 4x16 design at fs = 4 f_nyq / decim: within 3 standard errors
+        cfg = AdcConfig(k, 4 * matched_model.f_nyq / decim, bits, eta=4.5)
         design = design_filters(matched_model, cfg)
         report = estimate_mse(SimulationRun("mimo", matched_model, design, n_trials=2000, seed=0))
         assert abs(report.empirical_nmse - design.nmse) <= 3 * report.std_error
@@ -347,6 +354,29 @@ class TestFrequencyDomainChain:
         report = estimate_mse(run)
         assert report.overload_rate > 0
         assert_reports_close(report, time_domain_reference(run), 1e-11)
+
+    def test_h_bar_is_the_filter_times_the_psd_root(self, matched_model):
+        # what the chain reads (h_bar) against what it used to compose (h R)
+        # at the Monte-Carlo bins of the 4x16 design at the Nyquist rate
+        design = design_filters(matched_model, AdcConfig(4, matched_model.f_nyq, 4))
+        freqs = bin_freqs(sim._plan_block(matched_model.band_edge, design.cfg.fs))
+        composed = design.h.sample(freqs) @ matched_model._input_root.sample(freqs)
+        got = design.h_bar.sample(freqs)
+        np.testing.assert_allclose(got, composed, rtol=0, atol=1e-12 * np.abs(got).max())
+
+    @pytest.mark.parametrize("fs, shortfall", [(400e6, 0.0), (320e6, 0.00146), (200e6, 0.00195)])
+    def test_truth_power_against_task_energy(self, matched_model, fs, shortfall):
+        # the truth's power is the squared norm of the chain's task rows, which
+        # carry the conjugate-pair weights and df; a padded plan's bins reach
+        # only (m + 1/2) df, short of the band edge, so the truth of the flat
+        # 4x16 scenario misses that share of the task energy
+        design = design_filters(matched_model, AdcConfig(2, fs, 3))
+        chain = sim._build_chain(SimulationRun("power", matched_model, design, n_trials=100))
+        task = slice(chain.k_adcs, None)
+        power = np.sum(chain.comp[0, task].real ** 2) + np.sum(np.abs(chain.comp[1:, task]) ** 2)
+        covered = (chain.plan.n_pos_bins + 0.5) * chain.plan.df / matched_model.band_edge
+        assert abs(power / design.task_energy - covered) < 1e-12
+        assert abs(1.0 - covered - shortfall) < 5e-6
 
     def test_report_does_not_depend_on_chunking(self, matched_model, monkeypatch):
         def reports(run):

@@ -424,6 +424,27 @@ class TestRunNativeStack:
         for form in both_forms(f):
             assert form.sample(SAMPLE_FREQS).tobytes() == reference
 
+    @pytest.mark.parametrize("source", sorted(SOURCES) + ["random_flat"])
+    @pytest.mark.parametrize("fs, f_max, n_points", RATES + [(0.45, None, 20)])
+    def test_sample_inverts_stacking(self, source, fs, f_max, n_points):
+        # every base cell centre shifted by s*fs: the source's own lookup, bit
+        # for bit, within the alias order; zero past it
+        rng = np.random.default_rng(11)
+        if source == "random_flat":
+            f = random_flat_model(rng, n=2, m=3, n_points=40, f_nyq=2.0)._whitened
+        else:
+            f = SOURCES[source](rng)
+        stack = stack_aliases(f, fs, f_max, n_points)
+        ups = stack.alias_order_
+        for s in range(-ups - 2, ups + 3):
+            freqs = stack.base_grid.points + s * fs
+            got = stack.sample(freqs)
+            assert got.shape == freqs.shape + f.shape
+            if abs(s) <= ups:
+                assert got.tobytes() == f.sample(freqs).tobytes()
+            else:
+                assert not got.any()
+
     @pytest.mark.parametrize("source", ["flat", "smooth", "signed_zero"])
     def test_spectrum_stores_maximal_runs(self, source):
         f = SOURCES[source](np.random.default_rng(5))
