@@ -108,10 +108,8 @@ def _environment() -> dict:
     }
 
 
-def _load_scenario(path: str, n_points: int | None):
-    spec = ScenarioSpec.from_file(path)
-    kwargs = {} if n_points is None else {"n_points": n_points}
-    return spec, build_scenario(spec, **kwargs)
+def _load_scenario(path: str):
+    return build_scenario(ScenarioSpec.from_file(path))
 
 
 def _cfg_from_args(args) -> AdcConfig:
@@ -121,7 +119,7 @@ def _cfg_from_args(args) -> AdcConfig:
 
 
 def cmd_design(args) -> int:
-    _, model = _load_scenario(args.scenario, args.grid_points)
+    model = _load_scenario(args.scenario)
     cfg = _cfg_from_args(args)
     design = design_filters(model, cfg, args.grid_points)
     os.makedirs(args.out, exist_ok=True)
@@ -186,7 +184,7 @@ def _sweep_value_configs(args, model):
 
 def _architectures(text: str) -> list[str]:
     """Architecture names from a comma list that may use the short aliases."""
-    archs = [_ARCH_ALIASES.get(a, a) for a in text.split(",")]
+    archs = [_ARCH_ALIASES.get(a, a) for a in map(str.strip, text.split(","))]
     for arch in archs:
         if arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {arch!r}")
@@ -194,7 +192,7 @@ def _architectures(text: str) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    _, model = _load_scenario(args.scenario, args.grid_points)
+    model = _load_scenario(args.scenario)
     archs = _architectures(args.arch)
     if args.var in ("K", "t0") and set(archs) != {"task_based"}:
         # baselines run at a fixed K and have no shifted design
@@ -244,7 +242,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_rate_search(args) -> int:
-    _, model = _load_scenario(args.scenario, args.grid_points)
+    model = _load_scenario(args.scenario)
     budgets = [float(b) for b in args.budgets.split(",") if b.strip()]
     if not budgets:
         raise ValueError("empty budgets list")

@@ -124,12 +124,14 @@ def _psd_matrix_sqrt(a: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def build_scenario(spec: ScenarioSpec, n_points: int = DEFAULT_GRID_POINTS) -> TaskModel:
+def build_scenario(spec: ScenarioSpec) -> TaskModel:
     """Task model for estimating noiseless matched-filter outputs.
 
     In-band levels: input PSD F F^T + (N0/2) I and task filter cross-PSD @
     inv(input PSD), with cross-PSD (F^T F) F^T and the noise level N0
-    derived from the requested SNR.
+    derived from the requested SNR. Both spectra are one flat run on a
+    ``DEFAULT_GRID_POINTS`` grid; designs resample them on their own grid,
+    so the source grid's density enters no result.
     """
     n, m = spec.n_streams, spec.m_antennas
     if spec.channel_matrix is not None:
@@ -157,30 +159,27 @@ def build_scenario(spec: ScenarioSpec, n_points: int = DEFAULT_GRID_POINTS) -> T
             f"snr_db={spec.snr_db!r}) is below the smallest normal float"
         )
 
-    grid = FrequencyGrid(-spec.f_nyq / 2.0, spec.f_nyq / 2.0, n_points)
+    grid = FrequencyGrid(-spec.f_nyq / 2.0, spec.f_nyq / 2.0, DEFAULT_GRID_POINTS)
     return TaskModel(
         task_filter=constant_spectrum(grid, task_level, kind="filter"),
         input_psd=constant_spectrum(grid, input_level, kind="psd"),
     )
 
 
-def isotropic_scenario(
-    n: int,
-    fs: float,
-    n_points: int = DEFAULT_GRID_POINTS,
-    task_gains: np.ndarray | None = None,
-) -> TaskModel:
+def isotropic_scenario(n: int, fs: float, task_gains: np.ndarray | None = None) -> TaskModel:
     """Identity-input scenario whose analog estimate has covariance c*I.
 
     With task_gains supplied, the per-stream responses are scaled and the
-    covariance is diag(gains^2) * c instead, breaking the isotropy.
+    covariance is diag(gains^2) * c instead, breaking the isotropy. As in
+    ``build_scenario``, the spectra are one flat run on a
+    ``DEFAULT_GRID_POINTS`` grid, whose density enters no result.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     gains = np.ones(n) if task_gains is None else np.asarray(task_gains, dtype=float)
     if gains.shape != (n,):
         raise ValueError("task_gains must have length n")
-    grid = FrequencyGrid(-fs / 2.0, fs / 2.0, n_points)
+    grid = FrequencyGrid(-fs / 2.0, fs / 2.0, DEFAULT_GRID_POINTS)
     task_level = np.diag(gains)
     return TaskModel(
         task_filter=constant_spectrum(grid, task_level, kind="filter"),

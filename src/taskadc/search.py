@@ -152,8 +152,6 @@ def _run_einsum(subscripts: str, run_operands, index: np.ndarray, lo: int, hi: i
     first, stop = index[lo], index[hi - 1] + 1
     ops = [x[first:stop] for x in run_operands]
     n_runs, n_rows = stop - first, hi - lo
-    if n_runs == n_rows:  # one run per row: the runs are the dense rows
-        return np.einsum(subscripts, *ops, optimize=True)
     counts = np.bincount(index[lo:hi] - first)
     if n_runs == 1:
         ops = [_expand(x, 0, [2], _memory_order(x)) for x in ops]

@@ -29,14 +29,14 @@ seed's pool, ``SeedSequence(seed).pool``; ``_child_keys`` mixes in each
 child's spawn-key word and hashes the pool as ``generate_state`` does, for a
 whole chunk in one vectorized pass, bit for bit (numpy keeps that hash
 stable under NEP 19, and the tests pin it). A worker restarts one reused
-generator on each key. numpy's own route costs more: a ``SeedSequence``
-child takes about 20 us a trial against 5 us for ``_child_keys``, and a
-``Philox(key=...)`` 22 us against 3.5 us for ``_restart``.
+generator on each key. numpy's own per-trial keys,
+``SeedSequence(seed, spawn_key=(i,))``, give the same bits and cost the
+``mc`` benchmark 4-7% of its trials/s.
 Chunks run through four stages (``_draw``, ``_shape``, ``_acquire``,
 ``_read_out``) on one worker thread per usable CPU, as many as
 ``os.sched_getaffinity(0)`` lists (``os.cpu_count()`` where that call does
-not exist); there is no option for it. The results are summed in trial
-order, so every reported number is bit-identical at any CPU count.
+not exist); there is no option for it. The chunks' results are added in
+chunk order, so every reported number is bit-identical at any CPU count.
 """
 
 from __future__ import annotations
@@ -424,25 +424,26 @@ def _shape(chain: _Chain, normals: np.ndarray) -> np.ndarray:
 def _read_out(chain: _Chain, bins: np.ndarray, z: np.ndarray):
     """Stage 4: each trial's squared error between the analog truth (the real
     part of the task rows' bin sum) and the FIR read-out of the quantized
-    streams z (T, K, n_out), and the error's outer product (T, N, K) with z
-    at the reference sample."""
+    streams z (T, K, n_out), and the chunk's orthogonality sums (N, K): of
+    the error's outer product with z at the reference sample, and of its
+    square."""
     truth = bins[:, chain.k_adcs:].sum(axis=0).real.T
     err = truth - z.reshape(z.shape[0], -1) @ chain.fir
-    outer = np.einsum("tn,tk->tnk", err, z[:, :, chain.plan.center])
-    return np.sum(err * err, axis=1), outer
+    ref = z[:, :, chain.plan.center]
+    return np.sum(err * err, axis=1), err.T @ ref, (err * err).T @ (ref * ref)
 
 
 def _run_chunk(chain: _Chain, space: _Workspace, start: int, stop: int):
     """Trials start..stop-1 through draw, shape, acquire (stage 3) and
     read-out: their squared errors, the overload and sample counts, and
-    their orthogonality outer products."""
+    the chunk's two orthogonality sums."""
     normals, dither = _draw(chain, space, start, stop)
     bins = _shape(chain, normals)
     z, overloads = _acquire(
         bins[:, : chain.k_adcs].transpose(2, 1, 0), chain.plan.n_samples, chain.qspec, dither
     )
-    sq_errors, outer = _read_out(chain, bins, z)
-    return sq_errors, int(overloads.sum()), overloads.size, outer
+    sq_errors, orth, orth_sq = _read_out(chain, bins, z)
+    return sq_errors, int(overloads.sum()), overloads.size, orth, orth_sq
 
 
 def _usable_cpus() -> int:
@@ -462,21 +463,17 @@ def _chunk_results(chain: _Chain, bounds: list):
     overlap. Each worker keeps one workspace for all its chunks and has at
     most one chunk queued behind the one it runs: at most 2 * workers chunks
     are submitted and not yet yielded, and at most ``workers`` hold working
-    memory. With one usable CPU, or one chunk, the chunks run in this thread.
+    memory. One usable CPU, or one chunk, runs a one-thread pool.
 
     On 2 vCPUs (``mc`` benchmark): without the bound, ``Executor.map`` traced
     5.0 MB at 2000 trials and 7.6 MB at 20 000, and in windows of 4 * workers
     chunks it ran 7% slower. A workspace per chunk, not per thread, ran 7%
-    slower. A one-worker pool in place of the inline path raised peak RSS
-    from 47.2 to 49.2 MB.
+    slower. A one-thread pool raised peak RSS from 47.2 to 49.2 MB against
+    running the chunks in the calling thread: the accepted cost, on one-CPU
+    hosts, of one code path.
     """
     chunk = bounds[0][1] - bounds[0][0]
     workers = min(_usable_cpus(), len(bounds))
-    if workers == 1:
-        space = _Workspace(chain, chunk)
-        for start, stop in bounds:
-            yield _run_chunk(chain, space, start, stop)
-        return
     # imported here, not with the module: concurrent.futures takes ~8 ms to
     # import, which every user of the package would pay
     import threading
@@ -518,7 +515,11 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
     rate exactly. ``orthogonality_residual``, the norm of a mean that lies
     well inside its standard error, carries that rounding amplified by the
     cancellation: it agrees to 1e-12 of ``orthogonality_pooled_se``, not to
-    1e-13 relative (4e-13 on 4x16, K = 1, b = 8, undithered). Below the
+    1e-13 relative (4e-13 on 4x16, K = 1, b = 8, undithered). Each chunk
+    sums its trials' orthogonality products in one matrix product, and the
+    chunk sums are added in chunk order, an order that enters only those two
+    orthogonality fields: against adding the trials one by one, it moved
+    them by at most 6.8e-16 relative on 1000-trial runs. Below the
     Nyquist rate ``_fold`` wraps the filtered bins onto each other on the
     sampled streams' grid; at or above it, it only zero-pads them.
     """
@@ -531,14 +532,12 @@ def estimate_mse(run: SimulationRun) -> SimulationReport:
     sample_total = 0
     orth_sum = np.zeros((chain.comp.shape[1] - chain.k_adcs, chain.k_adcs))
     orth_sq = np.zeros_like(orth_sum)
-    for chunk_sq, overloads, samples, outer in _chunk_results(chain, bounds):
+    for chunk_sq, overloads, samples, chunk_orth, chunk_orth_sq in _chunk_results(chain, bounds):
         sq_errors.append(chunk_sq)
         overload_total += overloads
         sample_total += samples
-        # a sum over axis 0 adds row after row: with the running sum as row 0
-        # the trials are added in order, whatever the chunk size
-        orth_sum = np.concatenate((orth_sum[None], outer)).sum(axis=0)
-        orth_sq = np.concatenate((orth_sq[None], outer * outer)).sum(axis=0)
+        orth_sum += chunk_orth
+        orth_sq += chunk_orth_sq
 
     sq_errors = np.concatenate(sq_errors)
     mse = float(sq_errors.mean())

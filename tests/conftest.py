@@ -119,8 +119,7 @@ def matched_spec():
 
 @pytest.fixture(scope="session")
 def matched_model(matched_spec):
-    # coarse grid keeps the unit tests quick; flat spectra are grid-exact
-    return build_scenario(matched_spec, n_points=512)
+    return build_scenario(matched_spec)
 
 
 @pytest.fixture()

@@ -57,7 +57,7 @@ def scalar_model():
         n_streams=1, m_antennas=1, f_nyq=F_NYQ, snr_db=10.0,
         sigma_phi=math.radians(1.0), channel_seed=0,
     )
-    return build_scenario(spec, n_points=GRID)
+    return build_scenario(spec)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ def mimo_model():
         n_streams=4, m_antennas=16, f_nyq=F_NYQ, snr_db=10.0,
         sigma_phi=math.radians(1.0), channel_seed=0,
     )
-    return build_scenario(spec, n_points=GRID)
+    return build_scenario(spec)
 
 
 @pytest.fixture(scope="module")
@@ -306,14 +306,12 @@ def test_criterion_09_asymptotics(mimo_model):
 
 
 def test_criterion_10_isotropic_construction():
-    iso = isotropic_scenario(3, fs=1.0, n_points=512)
+    iso = isotropic_scenario(3, fs=1.0)
     cfg = AdcConfig(3, 1.0, 3)
     task = baseline_design(iso, cfg, "task_based", 512).nmse
     analog = baseline_design(iso, cfg, "analog_recovery", 512).nmse
     equal = abs(task - analog) <= 1e-9 * task
-    bent = isotropic_scenario(
-        3, fs=1.0, n_points=512, task_gains=np.array([math.sqrt(1.1), 1.0, 1.0])
-    )
+    bent = isotropic_scenario(3, fs=1.0, task_gains=np.array([math.sqrt(1.1), 1.0, 1.0]))
     task_b = baseline_design(bent, cfg, "task_based", 512).nmse
     analog_b = baseline_design(bent, cfg, "analog_recovery", 512).nmse
     broken = (analog_b - task_b) / task_b > 1e-4

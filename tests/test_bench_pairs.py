@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: quartiles, the per-metric verdict, and a crashed run."""
+"""tools/bench_pairs.py: quartiles, the per-metric verdict, and a crashed run
+or one that prints no result."""
 
 import importlib.util
 from pathlib import Path
@@ -78,4 +79,16 @@ def test_crashed_run_is_recorded(bench, tmp_path):
     assert record["correct"] is False
     assert record["exit_code"] == 1
     assert record["stderr"] == "set-up failed: no scenario"
+    assert record["metrics"] == {}
+
+
+@pytest.mark.parametrize("printed", ["done", ""])
+def test_run_without_a_result_is_recorded(bench, tmp_path, printed):
+    # a checkout whose benchmark exits 0 with no JSON result on its last line
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(f"print({printed!r})\n")
+    record = bench.run_once(tmp_path, "mc", 3, 1.0)
+    assert record["correct"] is False
+    assert record["exit_code"] == 0
+    assert record["stdout"] == printed
     assert record["metrics"] == {}

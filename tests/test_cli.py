@@ -468,7 +468,7 @@ class TestSweepCommand:
             "--arch", "task,analog,digital", "--grid-points", "64",
         ])
         assert code == 0
-        model = build_scenario(ScenarioSpec.from_file(matched_scenario), n_points=64)
+        model = build_scenario(ScenarioSpec.from_file(matched_scenario))
         k_of = {"task_based": 3, "analog_recovery": 2, "digital_recovery": 4}
         rows = (out / "sweep_b.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 6
@@ -525,7 +525,7 @@ class TestSweepCommand:
             "--simulate", "--trials", "200", "--seed", "4",
         ])
         assert code == 0
-        model = build_scenario(ScenarioSpec.from_file(matched_scenario), n_points=64)
+        model = build_scenario(ScenarioSpec.from_file(matched_scenario))
         base = design_filters(model, AdcConfig(2, model.f_nyq, 3), 64)
         rows = (out / "sweep_t0.csv").read_text().strip().splitlines()[1:]
         t0s = [float(v) for v in np.linspace(0.0, 2e-9, 3)]
@@ -590,6 +590,17 @@ class TestRateSearchCommand:
         assert len(rows) > 2
         best = (out / "rate_search_best.csv").read_text().strip().splitlines()
         assert len(best) == 2
+
+    def test_spaced_architecture_list(self, matched_scenario, tmp_path):
+        # spaces after the commas, as --budgets "4e8, 1e9" already takes
+        out = tmp_path / "out"
+        code = main([
+            "rate-search", "--scenario", str(matched_scenario), "--out", str(out),
+            "--budgets", "4e8", "--arch", "task, analog", "--grid-points", "64",
+        ])
+        assert code == 0
+        assert (out / "rate_search_task_based.csv").exists()
+        assert (out / "rate_search_analog_recovery.csv").exists()
 
     def test_infeasible_budget_exits_2(self, matched_scenario, tmp_path):
         code = main([

@@ -181,7 +181,7 @@ class TestAnalogDesign:
         assert np.array_equal(active, sig > 1e-12 * sig.max())
 
     def test_isotropic_power_pattern(self):
-        model = isotropic_scenario(3, fs=1.0, n_points=32)
+        model = isotropic_scenario(3, fs=1.0)
         cfg = AdcConfig(k_adcs=3, fs=1.0, bits=3)
         stack = whitened_task_stack(model, 1.0, 32)
         design = design_analog_filter(stack, cfg)

@@ -135,7 +135,7 @@ class TestTaskCovariance:
         np.testing.assert_allclose(task_covariance(model), 0.0)
 
     def test_isotropic_construction(self):
-        model = isotropic_scenario(3, fs=1.0, n_points=64)
+        model = isotropic_scenario(3, fs=1.0)
         cov = task_covariance(model)
         assert analog_recovery_is_optimal(cov)
 

@@ -55,7 +55,7 @@ class TestBuildScenario:
             n_streams=1, m_antennas=1, f_nyq=1.0, snr_db=200.0,
             sigma_phi=math.radians(1.0), channel_matrix=np.array([[1.0]]),
         )
-        model = build_scenario(spec, n_points=32)
+        model = build_scenario(spec)
         assert abs(model.task_filter.values[0, 0, 0].real - 1.0) < 1e-9
 
     def test_two_antenna_closed_form(self):
@@ -68,7 +68,7 @@ class TestBuildScenario:
             n_streams=1, m_antennas=2, f_nyq=1.0, snr_db=snr_db,
             sigma_phi=sigma, channel_matrix=h_ch,
         )
-        model = build_scenario(spec, n_points=16)
+        model = build_scenario(spec)
 
         scale = 1.0 / (1.0 - math.exp(-math.sqrt(2) * math.pi / sigma))
         rho = scale / (1.0 + 0.5 * sigma**2 * math.pi**2)
@@ -120,7 +120,7 @@ class TestBuildScenario:
         # -3100 dB is a subnormal linear SNR: N0 = 2*gram/snr overflows
         spec = replace(matched_spec, snr_db=-3100.0)
         with pytest.raises(ValueError, match="noise level N0 of inf"):
-            build_scenario(spec, n_points=16)
+            build_scenario(spec)
 
     def test_channel_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -132,23 +132,22 @@ class TestBuildScenario:
 
 class TestIsotropicScenario:
     def test_single_stream(self):
-        model = isotropic_scenario(1, fs=1.0, n_points=16)
+        model = isotropic_scenario(1, fs=1.0)
         assert analog_recovery_is_optimal(task_covariance(model))
 
     def test_three_streams_optimal(self):
-        model = isotropic_scenario(3, fs=1.0, n_points=32)
+        model = isotropic_scenario(3, fs=1.0)
         assert analog_recovery_is_optimal(task_covariance(model))
 
     def test_analog_matches_task_based(self):
-        model = isotropic_scenario(3, fs=1.0, n_points=32)
+        model = isotropic_scenario(3, fs=1.0)
         cfg = AdcConfig(3, 1.0, 3)
         task = baseline_design(model, cfg, "task_based", 32)
         analog = baseline_design(model, cfg, "analog_recovery", 32)
         assert abs(task.nmse - analog.nmse) <= 1e-9 * task.nmse
 
     def test_gain_perturbation_breaks_isotropy(self):
-        model = isotropic_scenario(3, fs=1.0, n_points=32,
-                                   task_gains=np.array([1.1, 1.0, 1.0]))
+        model = isotropic_scenario(3, fs=1.0, task_gains=np.array([1.1, 1.0, 1.0]))
         assert not analog_recovery_is_optimal(task_covariance(model))
 
 
@@ -163,7 +162,7 @@ class TestScenarioConfig:
         spec = ScenarioSpec.from_file(path)
         assert spec.sigma_phi == pytest.approx(math.radians(1.0))
         assert spec.channel_seed == 3
-        build_scenario(spec, n_points=16)
+        build_scenario(spec)
 
     def test_channel_from_file(self, tmp_path, rng):
         channel = rng.standard_normal((4, 2))

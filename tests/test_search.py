@@ -591,7 +591,7 @@ class TestBaselineDesign:
             baseline_design(model, AdcConfig(2, 1.0, 2), "no_such_arch", 32)
 
     def test_isotropic_equality(self):
-        model = isotropic_scenario(3, fs=1.0, n_points=32)
+        model = isotropic_scenario(3, fs=1.0)
         cfg = AdcConfig(3, 1.0, 2)
         task = baseline_design(model, cfg, "task_based", 32)
         analog = baseline_design(model, cfg, "analog_recovery", 32)
@@ -603,8 +603,7 @@ class TestBaselineDesign:
         assert design.nmse < 1e-6
 
     def test_unequal_task_variances_penalize_analog(self):
-        model = isotropic_scenario(3, fs=1.0, n_points=32,
-                                   task_gains=np.array([2.0, 1.0, 0.5]))
+        model = isotropic_scenario(3, fs=1.0, task_gains=np.array([2.0, 1.0, 0.5]))
         cfg = AdcConfig(3, 1.0, 3)
         task = baseline_design(model, cfg, "task_based", 32)
         analog = baseline_design(model, cfg, "analog_recovery", 32)

@@ -33,18 +33,27 @@ print(json.dumps({"numpy": np.__version__, "blas": blas.get("name"),
                   "blas_version": blas.get("version")}))"""
 
 
+def _last_line(text: str) -> str:
+    lines = text.strip().splitlines()
+    return lines[-1] if lines else ""
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One run's record. A run that exits non-zero (a set-up error, a kill) is
     kept as not correct, with no metrics, its exit code and last stderr line,
-    so the pairs already measured are not lost."""
+    and so is a run that exits 0 with no JSON result on its last stdout line,
+    with that line, so the pairs already measured are not lost."""
     cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    no_result = {"seed": seed, "correct": False, "attempted": 0, "failed": 0, "metrics": {}}
     if out.returncode != 0:
-        stderr = out.stderr.strip().splitlines()
-        return {"seed": seed, "correct": False, "attempted": 0, "failed": 0, "metrics": {},
-                "exit_code": out.returncode, "stderr": stderr[-1] if stderr else ""}
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+        return {**no_result, "exit_code": out.returncode, "stderr": _last_line(out.stderr)}
+    last = _last_line(out.stdout)
+    try:
+        result = json.loads(last)
+    except json.JSONDecodeError:
+        return {**no_result, "exit_code": 0, "stdout": last}
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
