@@ -133,9 +133,11 @@ class FilterDesign:
 
     def to_dict(self) -> dict:
         """design.json, version 2: every grid-sampled field stored as its runs
-        of identical rows (``spectra._rows_to_dict``); a complex field whose
-        imaginary parts are all +0.0 (``h_bar`` and ``h`` of a real
-        scenario) keeps only its real parts, under ``real_values``."""
+        of identical rows (``spectra._rows_to_dict``), and ``h_bar`` also as
+        the runs of identical alias blocks within each row run
+        (``StackedSpectrum.to_dict``); a complex field whose imaginary parts
+        are all +0.0 (``h_bar`` and ``h`` of a real scenario) keeps only its
+        real parts, under ``real_values``."""
         return {
             "version": DESIGN_JSON_VERSION,
             "k_adcs": self.cfg.k_adcs,

@@ -11,6 +11,7 @@ from .spectra import (
     SpectralMatrixFunction,
     StackedSpectrum,
     _check_shared_grid,
+    _expand_runs,
     auto_grid_points,
     multiply_spectra,
     psd_sqrt,
@@ -115,9 +116,14 @@ def task_energy(task_stack: StackedSpectrum) -> float:
 
 
 def task_covariance(model: TaskModel) -> np.ndarray:
-    """Covariance of the analog MMSE estimate over the full signal band."""
-    gamma = model.task_filter.values
-    prod = gamma @ model.input_psd.values @ gamma.conj().swapaxes(-1, -2)
-    cov = np.einsum("i,ijk->jk", model.task_filter.grid.weights, prod)
+    """Covariance of the analog MMSE estimate over the full signal band:
+    gamma C gamma^H once per joint run of the two spectra, summed over every
+    grid row in grid order."""
+    grid = model.task_filter.grid
+    starts = np.union1d(model.task_filter.run_starts, model.input_psd.run_starts)
+    gamma = model.task_filter.rows_at(starts)
+    prod = gamma @ model.input_psd.rows_at(starts) @ gamma.conj().swapaxes(-1, -2)
+    prod = _expand_runs(prod, starts, grid.n_points)
+    cov = np.einsum("i,ijk->jk", grid.weights, prod)
     cov = 0.5 * (cov + cov.conj().T)
     return cov.real

@@ -209,24 +209,37 @@ def _runs_from_dict(
     data: dict, n_points: int, shape: tuple, dtype: type = complex
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of ``_runs_to_dict``, bit for bit: (run starts, one row of
-    ``shape`` per run).  The key names the layout: complex ``values`` are
-    [re, im] pairs, ``real_values`` (complex rows only) the real parts alone,
-    rebuilt with +0.0 imaginary parts; exactly one of the two is stored.
-    One -1 in ``shape`` is inferred from the values length."""
+    ``shape`` per run).  One -1 in ``shape`` is inferred from the values
+    length."""
     starts = np.asarray(data["run_starts"], dtype=int)
     _check_run_starts(starts, n_points)
+    values = _stored_values(data, dtype)
+    per_row = math.prod(d for d in shape if d != -1)
+    count, rest = divmod(values.size, starts.size * per_row)
+    if rest or count == 0 or (-1 not in shape and count != 1):
+        raise _length_mismatch()
+    shape = tuple(count if d == -1 else d for d in shape)
+    return starts, values.reshape((starts.size,) + shape)
+
+
+def _stored_values(data: dict, dtype: type = complex) -> np.ndarray:
+    """The flat values of ``_runs_to_dict``, bit for bit.  The key names the
+    layout: complex ``values`` are [re, im] pairs, ``real_values`` (complex
+    rows only) the real parts alone, rebuilt with +0.0 imaginary parts;
+    exactly one of the two is stored."""
     real = "real_values" in data
     if real == ("values" in data) or (real and dtype is not complex):
         raise ValueError("runs need values, or real_values for complex rows, not both")
     flat = np.asarray(data["real_values" if real else "values"], dtype=float)
-    per_row = math.prod(d for d in shape if d != -1)
-    per_row *= 2 if dtype is complex and not real else 1
-    count, rest = divmod(flat.size, starts.size * per_row)
-    if rest or count == 0 or (-1 not in shape and count != 1):
-        raise ValueError("values length does not match the grid, runs and shape")
-    shape = tuple(count if d == -1 else d for d in shape)
-    rows = flat.astype(complex) if real else flat.view(dtype)
-    return starts, rows.reshape((starts.size,) + shape)
+    if real:
+        return flat.astype(complex)
+    if dtype is complex and flat.size % 2:
+        raise _length_mismatch()
+    return flat.view(dtype)
+
+
+def _length_mismatch() -> ValueError:
+    return ValueError("values length does not match the grid, runs and shape")
 
 
 def _rows_from_dict(
@@ -237,9 +250,9 @@ def _rows_from_dict(
     return _expand_runs(rows, starts, n_points)
 
 
-def _check_run_starts(starts: np.ndarray, n_points: int) -> None:
+def _check_run_starts(starts: np.ndarray, n_points: int, name: str = "run_starts") -> None:
     if starts.size == 0 or starts[0] != 0 or np.any(np.diff(starts, append=n_points) <= 0):
-        raise ValueError("run_starts must rise strictly from 0 within the grid")
+        raise ValueError(f"{name} must rise strictly from 0 within the grid")
 
 
 def _expand_runs(rows: np.ndarray, starts: np.ndarray, n_points: int) -> np.ndarray:
@@ -465,24 +478,61 @@ class StackedSpectrum:
         return out
 
     def to_dict(self) -> dict:
-        """Grid, row count, block width and the blocks' runs; the alias order
-        and fs are kept by the owner of the stack (``FilterDesign.to_dict``)."""
-        return {
+        """Grid, row count, block width and the blocks' runs, in two axes:
+        the row runs (``run_starts``) and, within each, the runs of
+        bit-identical neighbouring alias blocks (``block_starts``, one list
+        per row run of the blocks at which its runs begin; written only when
+        some row run has fewer block runs than blocks).  The values hold each
+        row run's row cut to the blocks that begin a block run, in C order,
+        so without ``block_starts`` they are the rows themselves.  The alias
+        order and fs are kept by the owner of the stack
+        (``FilterDesign.to_dict``)."""
+        blocks = self.block_view(self.run_blocks)
+        first = _block_run_firsts(blocks)
+        stored = blocks[np.broadcast_to(first[:, None, :, None], blocks.shape)]
+        data = {
             "grid": _grid_to_dict(self.base_grid),
             "rows": self.rows,
             "block_cols": self.block_cols,
-            **_runs_to_dict(self.run_starts, self.run_blocks),
+            **_runs_to_dict(self.run_starts, stored),
         }
+        if not first.all():
+            data["block_starts"] = [np.flatnonzero(row).tolist() for row in first]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict, alias_order_: int, fs: float) -> "StackedSpectrum":
-        """Inverse of ``to_dict``."""
+        """Inverse of ``to_dict``, bit for bit; without ``block_starts``
+        every block is its own run."""
         grid = _grid_from_dict(data["grid"])
-        cols = (2 * alias_order_ + 1) * data["block_cols"]
-        starts, rows = _runs_from_dict(data, grid.n_points, (data["rows"], cols))
+        rows, cols, n_blocks = data["rows"], data["block_cols"], 2 * alias_order_ + 1
+        starts = np.asarray(data["run_starts"], dtype=int)
+        _check_run_starts(starts, grid.n_points)
+        block_starts = data.get("block_starts")
+        if block_starts is None:  # every block its own run
+            n_stored = starts.size * n_blocks
+            block_starts = [range(n_blocks)] * starts.size
+        else:
+            block_starts = [np.asarray(firsts, dtype=int) for firsts in block_starts]
+            if len(block_starts) != starts.size:
+                raise ValueError("block_starts needs one list per row run")
+            for firsts in block_starts:
+                _check_run_starts(firsts, n_blocks, "block_starts")
+            n_stored = sum(firsts.size for firsts in block_starts)
+        values = _stored_values(data)
+        if values.size != rows * cols * n_stored:
+            raise _length_mismatch()
+        blocks = np.empty((starts.size, rows, n_blocks, cols), dtype=complex)
+        offset = 0
+        for run, firsts in zip(blocks, block_starts):
+            stored = values[offset : offset + rows * len(firsts) * cols]
+            stored = stored.reshape(rows, len(firsts), cols)
+            run[:] = np.repeat(stored, np.diff(firsts, append=n_blocks), axis=1)
+            offset += stored.size
         return cls(
-            base_grid=grid, alias_order_=alias_order_, blocks=rows,
-            block_cols=data["block_cols"], fs=fs, run_starts=starts,
+            base_grid=grid, alias_order_=alias_order_,
+            blocks=blocks.reshape(starts.size, rows, -1), block_cols=cols, fs=fs,
+            run_starts=starts,
         )
 
     def outer_integral(self) -> np.ndarray:
@@ -490,6 +540,17 @@ class StackedSpectrum:
         b = self.run_blocks
         prod = take_rows(b @ b.conj().swapaxes(-1, -2), self.run_index)
         return np.einsum("i,ijk->jk", self.base_grid.weights, prod)
+
+
+def _block_run_firsts(blocks: np.ndarray) -> np.ndarray:
+    """(row runs, blocks) mask of the alias blocks of (runs, rows, blocks,
+    cols) that begin a run of bit-identical neighbouring blocks within their
+    row run; bit patterns are compared, as in ``row_runs``, so -0.0 and 0.0
+    differ."""
+    words = np.ascontiguousarray(blocks).view(np.uint64)
+    first = np.ones((blocks.shape[0], blocks.shape[2]), dtype=bool)
+    first[:, 1:] = (words[:, :, 1:] != words[:, :, :-1]).any(axis=(1, 3))
+    return first
 
 
 def joint_runs(*stacks: StackedSpectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -512,9 +573,13 @@ def stack_aliases(
     """Fold a spectrum onto the baseband [-fs/2, fs/2] as concatenated alias blocks.
 
     Out-of-band shifts sample to zero matrices.  f_max defaults to the source
-    band edge.  Every (base point, shift) pair is looked up in the source as
-    ``sample`` does; base points whose lookups fall in the same source runs
-    share one stacked row, which is built once.
+    band edge.  Each (base point, shift) pair samples the source run that
+    ``sample`` looks up, but few pairs are looked up: at each shift that run
+    is non-decreasing in the base point, so a shift whose first and last base
+    points sample the same run samples it at every base point.  Only the
+    shifts that straddle a source run boundary, found by bisection, are
+    looked up at every base point; base points whose lookups agree share one
+    stacked row, which is built once.
     """
     grid = f.grid
     if f_max is None:
@@ -524,26 +589,76 @@ def stack_aliases(
     # past the band edge would just sample zeros
     half = fs / 2.0 if ups > 0 else min(fs / 2.0, f_max)
     base = FrequencyGrid(-half, half, n_points)
+    rows, cols = f.shape
     try:
-        # the lookup first: numpy refuses an impossible one before any shift is written
-        lookup = np.empty((n_points, 2 * ups + 1))
-        np.subtract(base.points[:, None], np.arange(-ups, ups + 1) * fs, out=lookup)
-        idx, inside = _cell_lookup(grid, lookup)
-        del lookup  # freed here, as the temporary it replaces was
-    except (MemoryError, ValueError) as exc:  # numpy refuses the allocation
-        raise ValueError(
-            f"fs={fs!r} is too small: alias order {ups} needs {2 * ups + 1} alias "
-            f"blocks per grid point, more than numpy can allocate ({exc})"
-        ) from exc
-    # source run of every (base point, shift); the extra run -1 is zero
-    ids = np.where(inside, f.run_index[idx], -1)
+        # one stacked row first: numpy refuses an impossible stack before any
+        # shift is looked up, and np.empty touches no page of a possible one
+        np.empty((rows, 2 * ups + 1, cols), dtype=complex)
+    except (MemoryError, ValueError) as exc:
+        raise _too_small(fs, ups, exc) from exc
+    n_runs = f.run_starts.size
+
+    def source_run(points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        """Source run sampled at base points ``points`` shifted by ``shifts``
+        (broadcast): -1 below the band and n_runs above it, so non-decreasing
+        in the base point and non-increasing in the shift."""
+        freqs = base.points[points] - shifts * fs
+        idx, inside = _cell_lookup(grid, freqs)
+        runs = np.searchsorted(f.run_starts, idx, side="right") - 1
+        return np.where(inside, runs, np.where(freqs < grid.f_lo, -1, n_runs))
+
+    ends = np.array([[0], [n_points - 1]])
+    breaks, end_runs = _monotone_steps(lambda shifts: source_run(ends, shifts), -ups, ups)
+    # the first and last base point's run at every shift, from their breaks
+    end_runs = np.repeat(end_runs, np.diff(breaks, append=ups + 1), axis=1)
+    active = np.flatnonzero(end_runs[0] != end_runs[1])
+    # the zero row ends the padded runs, so -1 and n_runs both index it
+    ids = source_run(np.arange(n_points)[:, None], active - ups) % (n_runs + 1)
     new_run = np.ones(n_points, dtype=bool)
     new_run[1:] = (ids[1:] != ids[:-1]).any(axis=1)
     starts = np.flatnonzero(new_run)
+    run_ids = np.repeat(end_runs[:1] % (n_runs + 1), starts.size, axis=0)
+    run_ids[:, active] = ids[starts]
     padded = np.concatenate([f.run_values, np.zeros((1,) + f.shape, dtype=complex)])
-    rows, cols = f.shape
-    blocks = padded[ids[starts]].transpose(0, 2, 1, 3)  # (runs, rows, shift, cols)
+    try:  # gathered straight into (runs, rows, shift, cols)
+        blocks = padded.transpose(1, 0, 2)[np.arange(rows)[:, None], run_ids[:, None, :]]
+    except MemoryError as exc:
+        raise _too_small(fs, ups, exc) from exc
     return StackedSpectrum(
         base_grid=base, alias_order_=ups, blocks=blocks.reshape(starts.size, rows, -1),
         block_cols=cols, fs=fs, run_starts=starts,
     )
+
+
+def _too_small(fs: float, ups: int, exc: Exception) -> ValueError:
+    return ValueError(
+        f"fs={fs!r} is too small: alias order {ups} needs {2 * ups + 1} alias "
+        f"blocks per grid point, more than numpy can allocate ({exc})"
+    )
+
+
+def _monotone_steps(key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s, key(s)) at ``lo`` and at every s in lo+1..hi where some row of
+    ``key(s)``, a 2-D integer array monotone in s along axis 1, differs from
+    ``key(s - 1)``.  Bisection: a monotone key equal at two shifts is
+    constant between them."""
+    ends = key(np.array([lo, hi]))
+    a, b, key_a, key_b = np.array([lo]), np.array([hi]), ends[:, :1], ends[:, 1:]
+    steps, values = [a], [key_a]
+    while True:
+        differ = (key_a != key_b).any(axis=0)
+        adjacent = differ & (b - a == 1)
+        steps.append(b[adjacent])
+        values.append(key_b[:, adjacent])
+        split = differ & ~adjacent
+        if not split.any():
+            break
+        a, b, key_a, key_b = a[split], b[split], key_a[:, split], key_b[:, split]
+        mid = (a + b) // 2
+        key_mid = key(mid)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        key_a = np.concatenate([key_a, key_mid], axis=1)
+        key_b = np.concatenate([key_mid, key_b], axis=1)
+    steps = np.concatenate(steps)
+    order = np.argsort(steps)
+    return steps[order], np.concatenate(values, axis=1)[:, order]

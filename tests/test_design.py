@@ -558,6 +558,17 @@ class TestDesignJson:
         for f in fields(design):
             assert _same_bits(getattr(design, f.name), getattr(back, f.name)), f.name
 
+    def test_aliased_varying_psd_round_trip(self, rng):
+        # alias order 2: no two neighbouring blocks agree, so every block is
+        # stored as its own run, without block_starts
+        n_pts = 32
+        design = design_filters(_varying_model(rng, n_pts), AdcConfig(2, 0.3, 4), n_pts)
+        assert design.h_bar.alias_order_ == 2
+        assert "block_starts" not in design.to_dict()["h_bar"]
+        back = _json_round_trip(design)
+        for f in fields(design):
+            assert _same_bits(getattr(design, f.name), getattr(back, f.name)), f.name
+
     def test_missing_h_bar_row_is_an_error(self, rng):
         self._check_missing_h_bar_row(rng, pairs=False)
 
@@ -567,14 +578,16 @@ class TestDesignJson:
     @staticmethod
     def _check_missing_h_bar_row(rng, pairs):
         # a 2-row h_bar of one run: its pairs one row short are exactly as
-        # many numbers as its real parts, and must still raise
+        # many numbers as its real parts, and must still raise; a row holds
+        # the stored blocks of every row run
         model = random_flat_model(rng, n=2, m=3, n_points=32)
         design = design_filters(model, AdcConfig(2, 0.7, 3), 32)
         data = _as_pairs(design.to_dict()) if pairs else design.to_dict()
         FilterDesign.from_dict(data)  # whole, it loads
         key = "values" if pairs else "real_values"
         h_bar = data["h_bar"]
-        one_row = (2 if pairs else 1) * len(h_bar["run_starts"]) * design.h_bar.stacked_cols
+        stored_blocks = sum(map(len, h_bar["block_starts"]))
+        one_row = (2 if pairs else 1) * stored_blocks * design.h_bar.block_cols
         assert len(h_bar[key]) == 2 * one_row
         data["h_bar"] = dict(h_bar, **{key: h_bar[key][:-one_row]})
         with pytest.raises(ValueError, match="values length"):
@@ -601,7 +614,12 @@ class TestDesignJson:
             rows = spectrum.run_blocks if key == "h_bar" else spectrum.run_values
             assert not np.signbit(rows.imag).any() and not rows.imag.any()
             assert "values" not in data[key]
-            assert len(data[key]["real_values"]) == rows.size  # runs * rows * cols
+            # h_bar stores the blocks that begin its block runs, h every run row
+            stored = rows.size
+            if key == "h_bar" and spectrum.alias_order_ > 0:
+                stored_blocks = sum(map(len, data[key]["block_starts"]))
+                stored = stored_blocks * spectrum.rows * spectrum.block_cols
+            assert len(data[key]["real_values"]) == stored
         # the solve conjugates real values: -0.0 imaginary parts keep the pairs
         g = design.g_freq.run_values
         assert np.signbit(g.imag).any()

@@ -139,6 +139,17 @@ class TestTaskCovariance:
         cov = task_covariance(model)
         assert analog_recovery_is_optimal(cov)
 
+    @pytest.mark.parametrize("n_points", [40, 1000])
+    def test_runs_match_dense_rows(self, n_points):
+        # the task filter and input PSD change at different rows
+        cross, psd = piecewise_spectra(n_points)
+        model = TaskModel(task_filter=analog_mmse_filter(cross, psd), input_psd=psd)
+        gamma = model.task_filter.values
+        prod = gamma @ psd.values @ gamma.conj().swapaxes(-1, -2)
+        dense = np.einsum("i,ijk->jk", psd.grid.weights, prod)
+        dense = (0.5 * (dense + dense.conj().T)).real
+        assert task_covariance(model).tobytes() == dense.tobytes()
+
     def test_trace_matches_energy(self, rng):
         model = random_flat_model(rng, n=3, m=5, n_points=128, f_nyq=2.0)
         cov = task_covariance(model)

@@ -13,6 +13,7 @@ from taskadc.spectra import (
     StackedSpectrum,
     _grid_from_dict,
     _grid_to_dict,
+    _runs_to_dict,
     alias_order,
     constant_spectrum,
     integrate_matrix,
@@ -400,6 +401,113 @@ RATES = [
 ]
 
 
+def _json(data: dict) -> dict:
+    return json.loads(json.dumps(data))
+
+
+def _block_run_reference(stack: StackedSpectrum) -> list:
+    """Each row run's block runs, found by ``row_runs`` over its alias axis."""
+    return [row_runs(np.moveaxis(row, 1, 0))[0].tolist()
+            for row in stack.block_view(stack.run_blocks)]
+
+
+def _dense_layout(stack: StackedSpectrum) -> dict:
+    """A stack written with every alias block stored, as before block runs."""
+    return {
+        "grid": _grid_to_dict(stack.base_grid), "rows": stack.rows,
+        "block_cols": stack.block_cols, **_runs_to_dict(stack.run_starts, stack.run_blocks),
+    }
+
+
+class TestStackedJson:
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("ups, n_points", [(1, 16), (2, 16), (8, 12), (2000, 6)])
+    def test_round_trip_is_exact(self, source, ups, n_points):
+        f = SOURCES[source](np.random.default_rng(2))
+        f_max = max(abs(f.grid.f_lo), abs(f.grid.f_hi))
+        stack = stack_aliases(f, f_max / (ups + 0.25), n_points=n_points)
+        assert stack.alias_order_ == ups
+        data = _json(stack.to_dict())
+        firsts = _block_run_reference(stack)
+        if all(len(row) == 2 * ups + 1 for row in firsts):
+            assert "block_starts" not in data
+        else:
+            assert data["block_starts"] == firsts
+        values = data.get("values", data.get("real_values"))
+        stored = sum(map(len, firsts)) * stack.rows * stack.block_cols
+        assert len(values) == stored * (2 if "values" in data else 1)
+        back = StackedSpectrum.from_dict(data, ups, stack.fs)
+        np.testing.assert_array_equal(back.run_starts, stack.run_starts)
+        assert back.run_blocks.tobytes() == stack.run_blocks.tobytes()
+        assert back.base_grid == stack.base_grid
+
+    def test_flat_source_stores_few_blocks(self):
+        # one in-band block between zeros past the band: three block runs
+        f = SOURCES["flat"](np.random.default_rng(2))
+        stack = stack_aliases(f, 1.0 / 2000.25, n_points=6)
+        data = stack.to_dict()
+        assert all(len(firsts) <= 3 for firsts in data["block_starts"])
+        assert len(data["real_values"]) <= 3 * stack.run_starts.size * 2 * 3
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_file_without_block_starts_loads(self, source):
+        f = SOURCES[source](np.random.default_rng(4))
+        stack = stack_aliases(f, 0.45, n_points=16)
+        assert source != "flat" or "block_starts" in stack.to_dict()
+        data = _json(_dense_layout(stack))
+        back = StackedSpectrum.from_dict(data, stack.alias_order_, stack.fs)
+        np.testing.assert_array_equal(back.run_starts, stack.run_starts)
+        assert back.run_blocks.tobytes() == stack.run_blocks.tobytes()
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_alias_order_0_has_no_block_starts(self, source):
+        f = SOURCES[source](np.random.default_rng(4))
+        stack = stack_aliases(f, 3.0, n_points=16)
+        assert stack.alias_order_ == 0
+        assert json.dumps(stack.to_dict()) == json.dumps(_dense_layout(stack))
+
+    @pytest.mark.parametrize("block_starts, message", [
+        ([[1, 3], [0, 2]], "block_starts must rise strictly from 0"),  # not from 0
+        ([[0, 3, 3], [0, 2]], "block_starts must rise strictly from 0"),  # repeated
+        ([[0, 3, 2], [0, 2]], "block_starts must rise strictly from 0"),  # falling
+        ([[0, 5], [0, 2]], "block_starts must rise strictly from 0"),  # past 2u + 1
+        ([[], [0, 2]], "block_starts must rise strictly from 0"),  # empty
+        ([[0, 2]], "one list per row run"),
+        ([[0, 2], [0, 2], [0, 2]], "one list per row run"),
+    ])
+    def test_malformed_block_starts_are_rejected(self, block_starts, message):
+        data, ups, fs = self._two_runs()
+        with pytest.raises(ValueError, match=message):
+            StackedSpectrum.from_dict(dict(data, block_starts=block_starts), ups, fs)
+
+    def test_short_values_are_rejected(self):
+        data, ups, fs = self._two_runs()
+        StackedSpectrum.from_dict(data, ups, fs)  # whole, it loads
+        for cut in (1, 2, 2 * 3):  # half a pair, one entry, one block row
+            with pytest.raises(ValueError, match="values length"):
+                StackedSpectrum.from_dict(dict(data, values=data["values"][:-cut]), ups, fs)
+        # one stored block too few, and the same values read as one too many
+        fewer = [data["block_starts"][0][:-1], data["block_starts"][1]]
+        more = [data["block_starts"][0] + [4], data["block_starts"][1]]
+        for block_starts in (fewer, more):
+            with pytest.raises(ValueError, match="values length"):
+                StackedSpectrum.from_dict(dict(data, block_starts=block_starts), ups, fs)
+
+    @staticmethod
+    def _two_runs():
+        """A 2x3 stack at alias order 2 with two row runs of block runs [0, 2]
+        and [0, 2]: blocks 0, 1 equal and 2, 3, 4 equal within each row run."""
+        grid = FrequencyGrid(-0.5, 0.5, 8)
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((2, 2, 2, 3)) + 1j * rng.standard_normal((2, 2, 2, 3))
+        rows = np.stack([np.stack([a[0], a[0], a[1], a[1], a[1]], axis=1),
+                         np.stack([b[0], b[0], b[1], b[1], b[1]], axis=1)])
+        stack = StackedSpectrum(grid, 2, rows.reshape(2, 2, 15), 3, fs=1.0, run_starts=[0, 5])
+        data = _json(stack.to_dict())
+        assert data["block_starts"] == [[0, 2], [0, 2]]
+        return data, 2, 1.0
+
+
 class TestRunNativeStack:
     @pytest.mark.parametrize("source", sorted(SOURCES))
     @pytest.mark.parametrize("fs, f_max, n_points", RATES)
@@ -416,6 +524,19 @@ class TestRunNativeStack:
             again = stack_aliases(form, fs, f_max, n_points)
             np.testing.assert_array_equal(again.run_starts, stack.run_starts)
             assert again.run_blocks.tobytes() == stack.run_blocks.tobytes()
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("fs, f_max, n_points", [
+        (1.0 / 200.25, None, 24),  # alias order 200 (300 on the wider complex band)
+        (2.0 / 1001.0, 1.0, 7),  # alias order 500 at f_max = (ups + 1/2) fs
+        (0.004, 3.0, 16),  # alias order 750: most shifts fall past the source band
+        # alias order 1 on a base band wider than the source band: at shift 0 the
+        # first base point samples below the band, the last above it
+        (3.0, 3.0, 16),
+    ])
+    def test_more_rates_match_dense_reference(self, source, fs, f_max, n_points):
+        # a few shifts straddle a source run boundary, the rest sample one run
+        self.test_matches_dense_reference_bitwise(source, fs, f_max, n_points)
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_runs_sample_like_the_dense_spectrum(self, source):
