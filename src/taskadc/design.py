@@ -7,13 +7,23 @@ input variances.  The digital side is the linear MMSE recovery filter for the
 additive quantization-noise model, with the noise level derived from the
 actual analog filter.
 
-One modal core (``_waterfilled_modes``: SVD, water level, per-mode gains)
-feeds the analog design, its closed-form MSE and the designed shift kernel;
-one solve (``_solve_output``) feeds every digital filter, solve-based MSE and
-general shift kernel.  One assembler (``_assemble``) builds every
-``FilterDesign`` from its analog filter.  A design records the task shift t0
-that its digital filter and error belong to: 0.0, unless
-``search.shifted_task_design`` shifted it; design.json stores it.
+One modal core (``_waterfilled_modes``: SVD, water level, per-mode gains,
+each once per run of identical task rows) feeds the analog design, its
+closed-form MSE and the designed shift kernel; one solve (``_solve_output``)
+feeds every digital filter, solve-based MSE and general shift kernel.  One
+assembler (``_assemble``) builds every ``FilterDesign`` from its analog
+filter.  A design records the task shift t0 that its digital filter and
+error belong to: 0.0, unless ``search.shifted_task_design`` shifted it;
+design.json stores it.
+
+Every band integral on the design path (the quantizer noise, the
+support-constraint power, the closed-form residual) forms its per-row terms
+once per run of identical rows and sums them over the dense grid in grid
+order, so it is bit-identical to the sum over every grid row; the water
+level sorts one value per run and mode, and its cumulative sums run over
+the dense sorted profile.  A sum per run weighted by the run's width would
+move the results, by up to 1.8e-6 relative in the cancellation-limited
+``nmse_t0_0`` of ``search``.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from .spectra import (  # noqa: F401  auto_grid_points is re-exported
     _rows_to_dict,
     auto_grid_points,
     joint_runs,
+    row_runs,
     stack_aliases,
     take_rows,
 )
@@ -212,16 +223,32 @@ def solve_waterfill_level(
     s = np.asarray(singvals, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
-    w = np.broadcast_to(np.asarray(weights, dtype=float)[:, None], s.shape)
-    s_max = s.max(initial=0.0)
+    w = np.broadcast_to(np.asarray(weights, dtype=float), s.shape[:1])
+    # one column per array, as row_runs is slow on rows of a few values
+    starts, _ = row_runs(w, *s.T)
+    return _waterfill_level(s[starts], w[starts], np.diff(starts, append=s.shape[0]), cfg)
+
+
+def _waterfill_level(
+    run_s: np.ndarray, run_w: np.ndarray, lengths: np.ndarray, cfg: AdcConfig
+) -> float:
+    """``solve_waterfill_level`` for a profile given as its runs: one row of
+    values ``run_s`` and one weight ``run_w`` per run of ``lengths`` rows.
+
+    The runs' values are sorted once and repeated over their runs; the
+    cumulative sums run over that dense sorted profile, in order.  Ties may
+    sit in another order than a sort of every value would leave them, so the
+    level is bit-identical to that sort's whenever tied values carry equal
+    weights, as on every ``FrequencyGrid``.
+    """
+    s_max = run_s.max(initial=0.0)
     if s_max <= 0.0:
         raise ValueError("all singular values are zero: task carries no energy")
-    keep = s > ACTIVE_TOL * s_max
-    flat_s = s[keep]
-    flat_w = w[keep]
-    order = np.argsort(flat_s)[::-1]
-    flat_s = flat_s[order]
-    flat_w = flat_w[order]
+    keep = run_s > ACTIVE_TOL * s_max
+    order = np.argsort(run_s[keep])[::-1]
+    counts = np.broadcast_to(lengths[:, None], run_s.shape)[keep][order]
+    flat_s = np.repeat(run_s[keep][order], counts)
+    flat_w = np.repeat(np.broadcast_to(run_w[:, None], run_s.shape)[keep][order], counts)
 
     kappa = effective_loading(cfg.eta, cfg.bits)
     target = cfg.k_adcs * 4.0**cfg.bits / (kappa * cfg.ts)
@@ -344,8 +371,9 @@ def quantizer_noise(h_bar: StackedSpectrum, cfg: AdcConfig) -> tuple[float, floa
     The dynamic range is calibrated to the largest sampled-output variance of
     this filter, so the additive-noise level is self-consistent with it.
     """
-    c_y0 = cfg.ts**2 * h_bar.outer_integral()
-    peak = float(np.diag(c_y0).real.max(initial=0.0))
+    # the largest diagonal entry of c_y0 = Ts^2 * integral of h_bar h_bar^H;
+    # scaling by Ts^2 > 0 after the max rounds alike, as rounding is monotone
+    peak = cfg.ts**2 * float(h_bar.outer_diagonal_integral().real.max(initial=0.0))
     peak = max(peak, 0.0)
     kappa = effective_loading(cfg.eta, cfg.bits)
     gamma_sq = kappa * peak
@@ -354,44 +382,54 @@ def quantizer_noise(h_bar: StackedSpectrum, cfg: AdcConfig) -> tuple[float, floa
 
 
 class _Modes(NamedTuple):
-    s: np.ndarray  # task singular values on the dense grid
-    vh: np.ndarray  # right vectors per run, LAPACK's phase; the design fixes it
+    """The water-filled modes of a task stack, one row per run of its rows."""
+
+    s: np.ndarray  # task singular values
+    vh: np.ndarray  # right vectors, LAPACK's phase; the design fixes it
     starts: np.ndarray  # the task stack's runs
-    index: np.ndarray
-    gain: np.ndarray  # (zeta*s - 1)^+ per grid point and converter slot
+    index: np.ndarray  # the run of every grid row
+    gain: np.ndarray  # (zeta*s - 1)^+ per converter slot
     sigma_h: np.ndarray  # designed singular values sqrt(gain) / 2^b
     zeta: float
 
 
 def _waterfilled_modes(task_stack: StackedSpectrum, cfg: AdcConfig) -> _Modes:
-    """SVD once per run of identical rows; the water level and the per-mode
-    gains on the dense grid over the K largest singular values."""
-    index = task_stack.run_index
-    _, s_runs, vh = np.linalg.svd(task_stack.run_blocks, full_matrices=False)
-    s = take_rows(s_runs, index)
+    """SVD, water level and per-mode gains over the K largest singular
+    values, once per run of identical rows."""
+    starts = task_stack.run_starts
+    _, s, vh = np.linalg.svd(task_stack.run_blocks, full_matrices=False)
     k_eff = min(cfg.k_adcs, task_stack.stacked_cols)
     r = min(s.shape[1], k_eff)
     waterfill_input = np.zeros((s.shape[0], k_eff))
     waterfill_input[:, :r] = s[:, :r]
-    zeta = solve_waterfill_level(waterfill_input, task_stack.base_grid.weights, cfg)
+    # grid weights are equal, so every run carries its first row's weight
+    lengths = np.diff(starts, append=task_stack.base_grid.n_points)
+    weights = take_rows(task_stack.base_grid.weights, starts)
+    zeta = _waterfill_level(waterfill_input, weights, lengths, cfg)
     gain = np.maximum(zeta * waterfill_input - 1.0, 0.0)
     return _Modes(
-        s, vh, task_stack.run_starts, index, gain, np.sqrt(gain) / 2.0**cfg.bits, zeta
+        s, vh, starts, task_stack.run_index, gain, np.sqrt(gain) / 2.0**cfg.bits, zeta
     )
 
 
-def _waterfilled_residual(
-    sigma_task: np.ndarray, sigma_h: np.ndarray, weights: np.ndarray, bits: int
-) -> float:
-    """Band integral of sigma^2 4^-b / (sigma_h^2 + 4^-b) per filled mode plus the
-    energy of the unfilled ones: small positive terms, never energy minus
-    recovered, so it stays accurate far below the task energy."""
+def _band_integral(row_terms: np.ndarray, weights: np.ndarray, index: np.ndarray) -> float:
+    """Band integral of per-row terms held one per run (``index`` is the run
+    of every grid row): the sum over frequency is the dense weighted sum in
+    grid order, as if every grid row had been computed."""
+    return float(weights @ take_rows(row_terms, index))
+
+
+def _waterfilled_residual(sigma_task: np.ndarray, sigma_h: np.ndarray, bits: int) -> np.ndarray:
+    """Per row, sigma^2 4^-b / (sigma_h^2 + 4^-b) summed over the filled modes
+    plus the energy of the unfilled ones: small positive terms, never energy
+    minus recovered, so their band integral stays accurate far below the
+    task energy."""
     q = 4.0 ** (-bits)
     r_act = min(sigma_h.shape[1], sigma_task.shape[1])
     s2 = sigma_h[:, :r_act] ** 2
     residual = sigma_task[:, :r_act] ** 2 * q / (s2 + q)
     leak = (sigma_task[:, r_act:] ** 2).sum(axis=1)
-    return float(weights @ (residual.sum(axis=1) + leak))
+    return residual.sum(axis=1) + leak
 
 
 def design_analog_filter(task_stack: StackedSpectrum, cfg: AdcConfig) -> FilterDesign:
@@ -409,10 +447,9 @@ def design_analog_filter(task_stack: StackedSpectrum, cfg: AdcConfig) -> FilterD
     # h_bar keeps those runs, the arrays FilterDesign stores are dense.  Rows
     # beyond the task rank stay zero.
     r = min(modes.s.shape[1], modes.sigma_h.shape[1])
-    sigma_runs = take_rows(modes.sigma_h, modes.starts)
-    core = sigma_runs[:, :r, None] * _gauge_fixed(modes.vh[:, :r, :])
+    core = modes.sigma_h[:, :r, None] * _gauge_fixed(modes.vh[:, :r, :])
     # one equalizer per run; sigma_h has k columns, as k <= M
-    u_h = np.stack([equalize_diagonal(np.diag(d.astype(complex))) for d in sigma_runs**2])
+    u_h = np.stack([equalize_diagonal(np.diag(d.astype(complex))) for d in modes.sigma_h**2])
     h_bar = StackedSpectrum(
         base_grid=task_stack.base_grid,
         alias_order_=task_stack.alias_order_,
@@ -422,7 +459,9 @@ def design_analog_filter(task_stack: StackedSpectrum, cfg: AdcConfig) -> FilterD
         run_starts=modes.starts,
     )
     # the designed singular values must saturate the quantizer-support constraint
-    power = float(task_stack.base_grid.weights @ (modes.sigma_h**2).sum(axis=1))
+    power = _band_integral(
+        (modes.sigma_h**2).sum(axis=1), task_stack.base_grid.weights, modes.index
+    )
     lhs = effective_loading(cfg.eta, cfg.bits) * cfg.ts / k * power
     if abs(lhs - 1.0) > 1e-9:
         raise DesignError(f"quantizer-support constraint violated: {lhs}")
@@ -448,9 +487,12 @@ def _assemble(
         sigma_h = take_rows(np.linalg.svd(h_bar.run_blocks, compute_uv=False), h_bar.run_index)
         water_level, sigma_task = None, None
     else:
-        sigma_h, water_level, sigma_task = modes.sigma_h, modes.zeta, modes.s
+        # the profiles FilterDesign stores are dense
+        sigma_h, sigma_task = (take_rows(a, modes.index) for a in (modes.sigma_h, modes.s))
+        water_level = modes.zeta
+        residual = _waterfilled_residual(modes.s, modes.sigma_h, cfg.bits)
         weights = task_stack.base_grid.weights
-        report = _report(_waterfilled_residual(sigma_task, sigma_h, weights, cfg.bits), energy)
+        report = _report(_band_integral(residual, weights, modes.index), energy)
     return FilterDesign(
         cfg=cfg, h_bar=h_bar, sigma_h=sigma_h, water_level=water_level, task_energy=energy,
         sigma_task=sigma_task, g_freq=solve.filter(h_bar.base_grid), h=h,
@@ -539,10 +581,8 @@ def theoretical_mse_waterfilled(design: FilterDesign) -> MseReport:
     """Closed-form MSE of the designed filter from its singular-value profile."""
     if design.sigma_task is None:
         raise ValueError("design lacks the task singular values")
-    mse = _waterfilled_residual(
-        design.sigma_task, design.sigma_h, design.h_bar.base_grid.weights, design.cfg.bits
-    )
-    return _report(mse, design.task_energy)
+    residual = _waterfilled_residual(design.sigma_task, design.sigma_h, design.cfg.bits)
+    return _report(float(design.h_bar.base_grid.weights @ residual), design.task_energy)
 
 
 def nyquist_analog_filter(

@@ -1,4 +1,8 @@
-"""Analog MMSE filtering: the task filter, task energy, and task covariance."""
+"""Analog MMSE filtering: the task filter, task energy, and task covariance.
+
+The task energy and covariance are band integrals: their per-row products
+run once per run of identical rows, and their sums over frequency run over
+the dense grid in grid order."""
 
 from __future__ import annotations
 
@@ -110,8 +114,9 @@ def whitened_task_stack(
 
 
 def task_energy(task_stack: StackedSpectrum) -> float:
-    """Variance of the analog MMSE estimate: band integral of the stacked outer product."""
-    energy = float(np.trace(task_stack.outer_integral()).real)
+    """Variance of the analog MMSE estimate: the trace of the band integral
+    of the stacked outer product, summed from its diagonal alone."""
+    energy = float(task_stack.outer_diagonal_integral().sum().real)
     return max(energy, 0.0)
 
 

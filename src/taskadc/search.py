@@ -35,6 +35,7 @@ from .design import (
     _assemble,
     _check_count,
     _check_t0,
+    _band_integral,
     _mmse_solve,
     _solve_output,
     _waterfilled_modes,
@@ -46,7 +47,6 @@ from .design import (
 from .mmse import TaskModel, task_energy, whitened_task_stack
 from .spectra import (
     StackedSpectrum,
-    _rows_at,
     constant_spectrum,
     joint_runs,
     stack_aliases,
@@ -214,29 +214,30 @@ def designed_shift_kernel(task_stack: StackedSpectrum, cfg: AdcConfig):
     accuracy is only about eps * const / mse, and any change to the summation
     order of const or kernel moves it by that much.
 
-    So const is summed on the dense grid, and gv = G V and the kernel sum
-    go through ``_run_einsum``: gv and the per-row steps of the kernel sum
-    run once per run of identical task rows, and the sum over frequency is
-    the dense one, bit for bit.
+    So const takes its per-row sums once per run and sums them over the
+    dense grid in grid order, and gv = G V and the kernel sum go through
+    ``_run_einsum``: gv and the per-row steps of the kernel sum run once per
+    run of identical task rows, and the sum over frequency is the dense one,
+    bit for bit.
     """
     w = task_stack.base_grid.weights
     modes = _waterfilled_modes(task_stack, cfg)
-    s = modes.s
+    s, starts, index = modes.s, modes.starts, modes.index
     if task_stack.alias_order_ == 0:
         # no aliasing: the shift phases drop out
-        return _waterfilled_residual(s, modes.sigma_h, w, cfg.bits), np.zeros((1, 1))
+        residual = _waterfilled_residual(s, modes.sigma_h, cfg.bits)
+        return _band_integral(residual, w, index), np.zeros((1, 1))
     r_act = min(modes.gain.shape[1], s.shape[1])
     q = 4.0 ** (-cfg.bits)
     alpha = q * modes.gain[:, :r_act]
     d = alpha / (alpha + q)
-    const = float(w @ (s**2).sum(axis=1))
+    const = _band_integral((s**2).sum(axis=1), w, index)
     n_blocks = 2 * task_stack.alias_order_ + 1
-    starts, index = joint_runs(task_stack)
-    g = task_stack.block_view(task_stack.rows_at(starts))
-    vh = _rows_at(task_stack.run_starts, modes.vh[:, :r_act, :], starts).conj()
+    g = task_stack.block_view(task_stack.run_blocks)
+    vh = modes.vh[:, :r_act, :].conj()
     v_blocks = vh.reshape(starts.size, r_act, n_blocks, task_stack.block_cols)
     gv = _run_einsum("jnpm,jrpm->jpnr", (g, v_blocks), index, 0, w.size)
-    operands = (take_rows(w, starts), take_rows(d, starts), gv, gv.conj())
+    operands = (take_rows(w, starts), d, gv, gv.conj())
     kernel = _run_einsum("j,jr,jpnr,jqnr->pq", operands, index, 0, w.size)
     return const, kernel
 

@@ -14,7 +14,10 @@ both held that way, and per-frequency work (eigendecompositions, products,
 alias stacking, cell lookups) runs once per run.  The dense grid
 (``values``, ``blocks``) is expanded on first use, for the consumers whose
 results depend on the batch they are computed in or that need every grid
-row in order.
+row in order.  Sums over frequency stay dense and in grid order: a band
+integral forms its per-row terms once per run and gathers only them to the
+grid (``StackedSpectrum.outer_diagonal_integral``), so its bits are those of
+the sum over every grid row.
 """
 
 from __future__ import annotations
@@ -535,11 +538,20 @@ class StackedSpectrum:
             run_starts=starts,
         )
 
-    def outer_integral(self) -> np.ndarray:
-        """Band integral of blocks(f) @ blocks(f)^H, a rows x rows matrix."""
+    def outer_diagonal_integral(self) -> np.ndarray:
+        """Band integral of the diagonal of blocks(f) @ blocks(f)^H: the
+        (rows,) complex energies of the stacked rows.  The Gram product
+        runs once per run and only its diagonal is gathered to the grid, so
+        the sum over frequency is the grid-order sum of the full product's
+        ``np.einsum("i,ijk->jk", ...)`` restricted to its diagonal, bit for
+        bit."""
         b = self.run_blocks
-        prod = take_rows(b @ b.conj().swapaxes(-1, -2), self.run_index)
-        return np.einsum("i,ijk->jk", self.base_grid.weights, prod)
+        gram = b @ b.conj().swapaxes(-1, -2)
+        diagonal = np.diagonal(gram, axis1=1, axis2=2).copy()
+        diagonal = _expand_runs(diagonal, self.run_starts, self.base_grid.n_points)
+        # complex weights, as einsum would cast them, spare it a buffered loop
+        weights = self.base_grid.weights.astype(complex)
+        return np.einsum("i,ij->j", weights, diagonal)
 
 
 def _block_run_firsts(blocks: np.ndarray) -> np.ndarray:

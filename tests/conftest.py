@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from taskadc.design import ACTIVE_TOL, DesignError
 from taskadc.mmse import TaskModel, analog_mmse_filter
+from taskadc.quantizer import effective_loading
 from taskadc.scenarios import ScenarioSpec, build_scenario
 from taskadc.spectra import (
     FrequencyGrid,
     SpectralMatrixFunction,
     constant_spectrum,
     multiply_spectra,
+    take_rows,
 )
 
 
@@ -102,6 +105,95 @@ def synthesize_block(roots_dc, roots_pos, plan, rng):
     half[:, 1 : plan.n_pos_bins + 1] = xi_pos.T
     block = np.fft.irfft(half, n=plan.n_samples) * plan.n_samples
     return xi_dc, xi_pos, block
+
+
+# Dense references: the band integrals and the water-fill level computed on
+# every grid row, as the design path did before its per-row terms ran once per
+# run.  The run-native code must match them bit for bit.
+
+
+def dense_outer_integral(stack) -> np.ndarray:
+    """The full rows x rows band integral of blocks(f) @ blocks(f)^H: the
+    Gram product of every run, gathered to the grid and summed in grid order."""
+    b = stack.run_blocks
+    prod = take_rows(b @ b.conj().swapaxes(-1, -2), stack.run_index)
+    return np.einsum("i,ijk->jk", stack.base_grid.weights, prod)
+
+
+def dense_task_energy(task_stack) -> float:
+    """``mmse.task_energy`` as the trace of the full Gram integral."""
+    return max(float(np.trace(dense_outer_integral(task_stack)).real), 0.0)
+
+
+def dense_quantizer_noise(h_bar, cfg) -> tuple[float, float]:
+    """``design.quantizer_noise`` from the diagonal of Ts^2 times the full
+    Gram integral."""
+    c_y0 = cfg.ts**2 * dense_outer_integral(h_bar)
+    peak = max(float(np.diag(c_y0).real.max(initial=0.0)), 0.0)
+    gamma_sq = effective_loading(cfg.eta, cfg.bits) * peak
+    return gamma_sq / 4.0**cfg.bits, float(np.sqrt(gamma_sq))
+
+
+def argsort_waterfill_level(singvals, weights, cfg) -> float:
+    """``design.solve_waterfill_level`` with every value of the profile sorted."""
+    s = np.asarray(singvals, dtype=float)
+    if s.ndim == 1:
+        s = s[:, None]
+    w = np.broadcast_to(np.asarray(weights, dtype=float)[:, None], s.shape)
+    s_max = s.max(initial=0.0)
+    if s_max <= 0.0:
+        raise ValueError("all singular values are zero: task carries no energy")
+    keep = s > ACTIVE_TOL * s_max
+    order = np.argsort(s[keep])[::-1]
+    flat_s, flat_w = s[keep][order], w[keep][order]
+    kappa = effective_loading(cfg.eta, cfg.bits)
+    target = cfg.k_adcs * 4.0**cfg.bits / (kappa * cfg.ts)
+    w_cum = np.cumsum(flat_w)
+    ws_cum = np.cumsum(flat_w * flat_s)
+    cand = (target + w_cum) / ws_cum
+    ok_lo = cand * flat_s >= 1.0 - 1e-9
+    ok_hi = np.empty_like(ok_lo)
+    ok_hi[:-1] = cand[:-1] * flat_s[1:] <= 1.0 + 1e-9
+    ok_hi[-1] = True
+    valid = np.flatnonzero(ok_lo & ok_hi)
+    if valid.size == 0:
+        raise DesignError("water-filling level bracketing failed")
+    zeta = float(cand[valid[0]])
+    achieved = float(np.sum(flat_w * np.maximum(zeta * flat_s - 1.0, 0.0)))
+    if abs(achieved - target) > 1e-12 * target:
+        raise DesignError("water-filling constraint residual exceeds tolerance")
+    return zeta
+
+
+def dense_waterfill_level(run_s, run_w, lengths, cfg) -> float:
+    """``design._waterfill_level``: the argsort level of the runs repeated
+    over every grid row."""
+    dense_s = np.repeat(run_s, lengths, axis=0)
+    return argsort_waterfill_level(dense_s, np.repeat(run_w, lengths), cfg)
+
+
+def dense_band_integral(row_terms, weights, index) -> float:
+    """``design._band_integral``: the per-run terms gathered to every grid
+    row and summed in grid order."""
+    return float(weights @ row_terms[index])
+
+
+def dense_row_sums(rows, weights, index) -> float:
+    """The support-constraint power and the designed shift kernel's const
+    as computed on every grid row: the rows gathered to the grid before they
+    are summed."""
+    return float(weights @ take_rows(rows, index).sum(axis=1))
+
+
+def dense_waterfilled_residual(sigma_task, sigma_h, weights, bits, index) -> float:
+    """The closed-form residual as computed on every grid row: the profiles
+    gathered to the grid before the per-row terms."""
+    sigma_task, sigma_h = take_rows(sigma_task, index), take_rows(sigma_h, index)
+    q = 4.0 ** (-bits)
+    r_act = min(sigma_h.shape[1], sigma_task.shape[1])
+    residual = sigma_task[:, :r_act] ** 2 * q / (sigma_h[:, :r_act] ** 2 + q)
+    leak = (sigma_task[:, r_act:] ** 2).sum(axis=1)
+    return float(weights @ (residual.sum(axis=1) + leak))
 
 
 @pytest.fixture(scope="session")

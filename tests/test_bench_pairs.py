@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: quartiles, the per-metric verdict, and a crashed run
-or one that prints no result."""
+"""tools/bench_pairs.py: quartiles, the per-metric and gain verdicts, and a
+crashed run or one that prints no result."""
 
 import importlib.util
 from pathlib import Path
@@ -92,3 +92,69 @@ def test_run_without_a_result_is_recorded(bench, tmp_path, printed):
     assert record["exit_code"] == 0
     assert record["stdout"] == printed
     assert record["metrics"] == {}
+
+
+class TestGainVerdict:
+    """The gain verdict of a declared metric: 9/10 pair wins, ties for
+    neither side, a median gap beyond the parent's quartile distance, and no
+    more failed operations than the parent."""
+
+    PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+    def entry(self, bench, change, name="ops_per_s"):
+        return bench.compare(runs(self.PARENT, name), runs(change, name), DECLARED)[name]
+
+    def test_gain_shown(self, bench):
+        entry = self.entry(bench, [v + 20 for v in self.PARENT])
+        assert entry["gain"] == "gain shown"
+        assert entry["change_better_in_pairs"] == 10
+        assert entry["median_gap"] == 20.0
+        assert entry["parent_iqr"] == pytest.approx(5.5)
+
+    def test_eight_of_ten_wins(self, bench):
+        change = [v + 20 for v in self.PARENT[:8]] + [v - 1 for v in self.PARENT[8:]]
+        entry = self.entry(bench, change)
+        assert entry["change_better_in_pairs"] == 8
+        assert entry["median_gap"] > entry["parent_iqr"]
+        assert entry["gain"] == "gain not shown"
+
+    def test_ties_count_for_neither_side(self, bench):
+        one_tie = [v + 20 for v in self.PARENT[:9]] + self.PARENT[9:]
+        assert self.entry(bench, one_tie)["change_better_in_pairs"] == 9
+        assert self.entry(bench, one_tie)["gain"] == "gain shown"
+        two_ties = [v + 20 for v in self.PARENT[:8]] + self.PARENT[8:]
+        entry = self.entry(bench, two_ties)
+        assert entry["change_better_in_pairs"] == 8
+        assert entry["gain"] == "gain not shown"
+
+    def test_gap_within_parent_iqr(self, bench):
+        # every pair won, by less than the parent's own quartile distance
+        entry = self.entry(bench, [v + 2 for v in self.PARENT])
+        assert entry["change_better_in_pairs"] == 10
+        assert entry["median_gap"] == 2.0 <= entry["parent_iqr"]
+        assert entry["gain"] == "gain not shown"
+
+    def test_lower_is_better(self, bench):
+        entry = self.entry(bench, [v - 20 for v in self.PARENT], "peak_rss_mb")
+        assert entry["median_gap"] == 20.0
+        assert entry["gain"] == "gain shown"
+        worse = self.entry(bench, [v + 20 for v in self.PARENT], "peak_rss_mb")
+        assert worse["change_better_in_pairs"] == 0
+
+    def test_more_failed_operations(self, bench):
+        parent = [{"failed": 0, **r} for r in runs(self.PARENT)]
+        change = [{"failed": 0, **r} for r in runs([v + 20 for v in self.PARENT])]
+        assert bench.compare(parent, change, DECLARED)["ops_per_s"]["gain"] == "gain shown"
+        change[3]["failed"] = 1
+        assert bench.compare(parent, change, DECLARED)["ops_per_s"]["gain"] == "gain not shown"
+        parent[0]["failed"] = 1  # as many failed on each side
+        assert bench.compare(parent, change, DECLARED)["ops_per_s"]["gain"] == "gain shown"
+
+    def test_crashed_runs_count_as_pairs_run(self, bench):
+        change = runs([v + 20 for v in self.PARENT[:9]]) + [{"metrics": {}}]
+        entry = bench.compare(runs(self.PARENT), change, DECLARED)["ops_per_s"]
+        assert entry["change_better_in_pairs"] == 9
+        assert entry["gain"] == "gain shown"
+        change = runs([v + 20 for v in self.PARENT[:8]]) + [{"metrics": {}}] * 2
+        entry = bench.compare(runs(self.PARENT), change, DECLARED)["ops_per_s"]
+        assert entry["gain"] == "gain not shown"

@@ -129,10 +129,10 @@ def dense_designed_shift_kernel(task_stack, cfg):
     every grid row: the reference its per-run gv must match bit for bit."""
     w = task_stack.base_grid.weights
     modes = _waterfilled_modes(task_stack, cfg)
-    s = modes.s
+    s = take_rows(modes.s, modes.index)
     r_act = min(modes.gain.shape[1], s.shape[1])
     q = 4.0 ** (-cfg.bits)
-    alpha = q * modes.gain[:, :r_act]
+    alpha = q * take_rows(modes.gain, modes.index)[:, :r_act]
     d = alpha / (alpha + q)
     const = float(w @ (s**2).sum(axis=1))
     n_blocks = 2 * task_stack.alias_order_ + 1

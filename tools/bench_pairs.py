@@ -7,9 +7,10 @@ Each pair runs ``python3 perfbench/run.py --trace 0`` once in each checkout,
 one process at a time, with the same seed (seed0 + pair index): even pairs
 run the parent first, odd pairs the change. The record keeps every run's
 metrics, each side's per-metric median and quartiles, how many pairs the
-change wins per metric (the direction and bound come from the change's
-BENCHMARK.json), whether every run was correct and how many operations
-failed (a run that exits non-zero is kept as not correct), and the machine.
+change wins per metric, its verdict against the metric's bound and its gain
+verdict (the direction and bound come from the change's BENCHMARK.json),
+whether every run was correct and how many operations failed (a run that
+exits non-zero is kept as not correct), and the machine.
 ``--out`` gains or replaces this workload's entry, so one file can hold
 several workloads; without it the record is printed.
 Standard library only; numpy's version and BLAS are read in a subprocess.
@@ -70,8 +71,16 @@ def compare(parent: list, change: list, declared: dict) -> dict:
     change's wins over the pairs where both runs did, and a verdict against
     the metric's bound (a relative change of the median). A parent quartile
     spread wider than the bound leaves the verdict unresolved, unless every
-    run of the change reads better than every run of the parent."""
+    run of the change reads better than every run of the parent.
+
+    A declared metric also gets its gain verdict: "gain shown" when the
+    change wins at least nine tenths of all pairs run (a tie, or a pair in
+    which a run did not measure the metric, counts for neither side), the
+    medians differ in the better direction (``median_gap``) by more than the
+    parent's quartile distance q3 - q1 (``parent_iqr``), and the change
+    failed no more operations than the parent."""
     out = {}
+    more_failed = sum(r.get("failed", 0) for r in change) > sum(r.get("failed", 0) for r in parent)
     names = [name for r in parent + change for name in r["metrics"]]
     for name in dict.fromkeys(names):
         a = [r["metrics"][name] for r in parent if name in r["metrics"]]
@@ -88,8 +97,14 @@ def compare(parent: list, change: list, declared: dict) -> dict:
             pairs = [(x["metrics"][name], y["metrics"][name]) for x, y in zip(parent, change)
                      if name in x["metrics"] and name in y["metrics"]]
             entry["better"], entry["bound"] = spec["better"], spec["bound"]
-            entry["change_better_in_pairs"] = sum(sign * (y - x) > 0 for x, y in pairs)
+            wins = sum(sign * (y - x) > 0 for x, y in pairs)
+            entry["change_better_in_pairs"] = wins
             entry["relative_worsening"] = worse
+            entry["median_gap"] = sign * (med_b - med_a)
+            entry["parent_iqr"] = entry["parent"]["q3"] - entry["parent"]["q1"]
+            shown = (10 * wins >= 9 * len(parent) and not more_failed
+                     and entry["median_gap"] > entry["parent_iqr"])
+            entry["gain"] = "gain shown" if shown else "gain not shown"
             every_run_better = all(sign * (y - x) > 0 for x in a for y in b)
             if entry["parent"]["spread"] > spec["bound"] and not every_run_better:
                 entry["verdict"] = "unresolved: parent quartile spread exceeds the bound"
