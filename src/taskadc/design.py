@@ -14,7 +14,9 @@ feeds every digital filter, solve-based MSE and general shift kernel.  One
 assembler (``_assemble``) builds every ``FilterDesign`` from its analog
 filter.  A design records the task shift t0 that its digital filter and
 error belong to: 0.0, unless ``search.shifted_task_design`` shifted it;
-design.json stores it.
+design.json stores it.  A design keeps its singular-value profiles as their
+runs, so design.json writes and reads them without finding or expanding
+them.
 
 Every band integral on the design path (the quantizer noise, the
 support-constraint power, the closed-form residual) forms its per-row terms
@@ -29,6 +31,7 @@ move the results, by up to 1.8e-6 relative in the cancellation-limited
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,8 +41,12 @@ from .quantizer import effective_loading, eta_schedule
 from .spectra import (  # noqa: F401  auto_grid_points is re-exported
     SpectralMatrixFunction,
     StackedSpectrum,
-    _rows_from_dict,
-    _rows_to_dict,
+    _expand_runs,
+    _merged_runs,
+    _rows_at,
+    _run_index,
+    _runs_from_dict,
+    _runs_to_dict,
     auto_grid_points,
     joint_runs,
     row_runs,
@@ -52,6 +59,10 @@ ACTIVE_TOL = 1e-12  # modes below tol*largest are dropped before water-filling
 EQUALIZE_TOL = 1e-12  # diagonal entries within tol*span of trace/K count as equal
 ISOTROPY_TOL = 1e-9  # a covariance within tol*trace of a scaled identity is isotropic
 DESIGN_JSON_VERSION = 2  # the only layout from_dict reads
+_DESIGN_JSON_KEYS = (  # every key of version 2 but t0, which older files lack
+    "k_adcs", "fs_hz", "bits", "eta", "water_level", "mse", "nmse", "task_energy", "dynamic_range",
+    "quant_noise_var", "alias_order", "h_bar", "sigma_h", "sigma_task", "g_freq", "h",
+)
 
 
 class DesignError(RuntimeError):
@@ -126,14 +137,22 @@ class FilterDesign:
     """A designed acquisition chain and its predicted error, built by
     ``_assemble``.  A baseline's fixed filter has no water level and no task
     singular values (None).  h is the unstacked analog filter that design.json
-    gives users, None above alias order 0; Monte-Carlo reads ``h_bar``."""
+    gives users, None above alias order 0; Monte-Carlo reads ``h_bar``.
+
+    The singular-value profiles, the filter's (``sigma_h``) and the task's
+    (``sigma_task``), are kept as their runs on ``h_bar``'s grid, each with
+    its own partition: the first grid row of each run (``sigma_h_starts``,
+    always ``row_runs(sigma_h)[0]``) and one row per run (``run_sigma_h``).
+    The dense profiles are expanded on first use."""
 
     cfg: AdcConfig
     h_bar: StackedSpectrum
-    sigma_h: np.ndarray
+    sigma_h_starts: np.ndarray
+    run_sigma_h: np.ndarray
     water_level: float | None
     task_energy: float
-    sigma_task: np.ndarray | None
+    sigma_task_starts: np.ndarray | None
+    run_sigma_task: np.ndarray | None
     g_freq: SpectralMatrixFunction
     h: SpectralMatrixFunction | None
     mse_theory: float
@@ -142,9 +161,24 @@ class FilterDesign:
     quant_noise_var: float
     t0: float  # task shift of g_freq and the error (search.shifted_task_design)
 
+    @cached_property
+    def sigma_h(self) -> np.ndarray:
+        """The filter's singular values at every grid row, (n_points, k);
+        expanded on first use."""
+        return _expand_runs(self.run_sigma_h, self.sigma_h_starts, self.h_bar.base_grid.n_points)
+
+    @cached_property
+    def sigma_task(self) -> np.ndarray | None:
+        """The task's singular values at every grid row, or None; expanded on
+        first use."""
+        if self.run_sigma_task is None:
+            return None
+        n = self.h_bar.base_grid.n_points
+        return _expand_runs(self.run_sigma_task, self.sigma_task_starts, n)
+
     def to_dict(self) -> dict:
         """design.json, version 2: every grid-sampled field stored as its runs
-        of identical rows (``spectra._rows_to_dict``), and ``h_bar`` also as
+        of identical rows (``spectra._runs_to_dict``), and ``h_bar`` also as
         the runs of identical alias blocks within each row run
         (``StackedSpectrum.to_dict``); a complex field whose imaginary parts
         are all +0.0 (``h_bar`` and ``h`` of a real scenario) keeps only its
@@ -164,8 +198,10 @@ class FilterDesign:
             "quant_noise_var": self.quant_noise_var,
             "alias_order": self.h_bar.alias_order_,
             "h_bar": self.h_bar.to_dict(),
-            "sigma_h": _rows_to_dict(self.sigma_h),
-            "sigma_task": None if self.sigma_task is None else _rows_to_dict(self.sigma_task),
+            "sigma_h": _runs_to_dict(self.sigma_h_starts, self.run_sigma_h),
+            "sigma_task": None if self.run_sigma_task is None else _runs_to_dict(
+                self.sigma_task_starts, self.run_sigma_task
+            ),
             "g_freq": self.g_freq.to_dict(),
             "h": None if self.h is None else self.h.to_dict(),
         }
@@ -176,10 +212,13 @@ class FilterDesign:
         its ``real_values`` (real parts alone) or its ``values`` ([re, im]
         pairs), so a file that stores every field as pairs loads too.  Any version
         but 2 is a ValueError: version 1 did not store ``sigma_h``; so is a
-        null in a field every design has."""
+        missing key other than ``t0``, or a null in a field every design has."""
         version = data.get("version")
         if version != DESIGN_JSON_VERSION:
             raise ValueError(f"design.json version {version} is not {DESIGN_JSON_VERSION}")
+        missing = [key for key in _DESIGN_JSON_KEYS if key not in data]
+        if missing:
+            raise ValueError(f"design.json has no {', '.join(missing)}")
         required = ("g_freq", "mse", "nmse", "dynamic_range", "quant_noise_var")
         null = [key for key in required if data[key] is None]
         if null:
@@ -189,18 +228,20 @@ class FilterDesign:
         )
         h_bar = StackedSpectrum.from_dict(data["h_bar"], data["alias_order"], cfg.fs)
         n, k_eff = h_bar.base_grid.n_points, min(cfg.k_adcs, h_bar.stacked_cols)
-        sigma_h = _rows_from_dict(data["sigma_h"], n, (k_eff,), float)
-        sigma_task = data["sigma_task"]
-        if sigma_task is not None:
-            sigma_task = _rows_from_dict(sigma_task, n, (-1,), float)
+        sigma_h = _merged_runs(*_runs_from_dict(data["sigma_h"], n, (k_eff,), float))
+        sigma_task = (None, None)
+        if data["sigma_task"] is not None:
+            sigma_task = _merged_runs(*_runs_from_dict(data["sigma_task"], n, (-1,), float))
         h = None if data["h"] is None else SpectralMatrixFunction.from_dict(data["h"])
         return cls(
             cfg=cfg,
             h_bar=h_bar,
-            sigma_h=sigma_h,
+            sigma_h_starts=sigma_h[0],
+            run_sigma_h=sigma_h[1],
             water_level=data["water_level"],
             task_energy=data["task_energy"],
-            sigma_task=sigma_task,
+            sigma_task_starts=sigma_task[0],
+            run_sigma_task=sigma_task[1],
             g_freq=SpectralMatrixFunction.from_dict(data["g_freq"]),
             h=h,
             mse_theory=data["mse"],
@@ -224,8 +265,7 @@ def solve_waterfill_level(
     if s.ndim == 1:
         s = s[:, None]
     w = np.broadcast_to(np.asarray(weights, dtype=float), s.shape[:1])
-    # one column per array, as row_runs is slow on rows of a few values
-    starts, _ = row_runs(w, *s.T)
+    starts, _ = row_runs(w, s)
     return _waterfill_level(s[starts], w[starts], np.diff(starts, append=s.shape[0]), cfg)
 
 
@@ -443,9 +483,8 @@ def design_analog_filter(task_stack: StackedSpectrum, cfg: AdcConfig) -> FilterD
     if k > task_stack.block_cols:
         raise ValueError(f"k_adcs={k} exceeds the input count M={task_stack.block_cols}")
     modes = _waterfilled_modes(task_stack, cfg)
-    # the equalizer and the filter rows run once per run of identical rows;
-    # h_bar keeps those runs, the arrays FilterDesign stores are dense.  Rows
-    # beyond the task rank stay zero.
+    # the equalizer and the filter rows run once per run of identical rows,
+    # and h_bar keeps those runs.  Rows beyond the task rank stay zero.
     r = min(modes.s.shape[1], modes.sigma_h.shape[1])
     core = modes.sigma_h[:, :r, None] * _gauge_fixed(modes.vh[:, :r, :])
     # one equalizer per run; sigma_h has k columns, as k <= M
@@ -484,18 +523,19 @@ def _assemble(
     if modes is None:
         report = solve.report(task_stack, cfg.ts)
         # one SVD per run of identical rows
-        sigma_h = take_rows(np.linalg.svd(h_bar.run_blocks, compute_uv=False), h_bar.run_index)
-        water_level, sigma_task = None, None
+        sigma_h = _merged_runs(h_bar.run_starts, np.linalg.svd(h_bar.run_blocks, compute_uv=False))
+        water_level, sigma_task = None, (None, None)
     else:
-        # the profiles FilterDesign stores are dense
-        sigma_h, sigma_task = (take_rows(a, modes.index) for a in (modes.sigma_h, modes.s))
+        # each profile keeps its own runs, which may merge runs of the task
+        sigma_h, sigma_task = (_merged_runs(modes.starts, a) for a in (modes.sigma_h, modes.s))
         water_level = modes.zeta
         residual = _waterfilled_residual(modes.s, modes.sigma_h, cfg.bits)
         weights = task_stack.base_grid.weights
         report = _report(_band_integral(residual, weights, modes.index), energy)
     return FilterDesign(
-        cfg=cfg, h_bar=h_bar, sigma_h=sigma_h, water_level=water_level, task_energy=energy,
-        sigma_task=sigma_task, g_freq=solve.filter(h_bar.base_grid), h=h,
+        cfg=cfg, h_bar=h_bar, sigma_h_starts=sigma_h[0], run_sigma_h=sigma_h[1],
+        water_level=water_level, task_energy=energy, sigma_task_starts=sigma_task[0],
+        run_sigma_task=sigma_task[1], g_freq=solve.filter(h_bar.base_grid), h=h,
         mse_theory=report.mse, nmse=report.nmse, dynamic_range=solve.dynamic_range,
         quant_noise_var=solve.noise_var, t0=0.0,
     )
@@ -578,11 +618,17 @@ def theoretical_mse(
 
 
 def theoretical_mse_waterfilled(design: FilterDesign) -> MseReport:
-    """Closed-form MSE of the designed filter from its singular-value profile."""
-    if design.sigma_task is None:
+    """Closed-form MSE of the designed filter from its singular-value
+    profiles, its per-row terms formed once per joint run of the two."""
+    if design.run_sigma_task is None:
         raise ValueError("design lacks the task singular values")
-    residual = _waterfilled_residual(design.sigma_task, design.sigma_h, design.cfg.bits)
-    return _report(float(design.h_bar.base_grid.weights @ residual), design.task_energy)
+    grid = design.h_bar.base_grid
+    starts = np.union1d(design.sigma_h_starts, design.sigma_task_starts)
+    sigma_task = _rows_at(design.sigma_task_starts, design.run_sigma_task, starts)
+    sigma_h = _rows_at(design.sigma_h_starts, design.run_sigma_h, starts)
+    residual = _waterfilled_residual(sigma_task, sigma_h, design.cfg.bits)
+    index = _run_index(starts, grid.n_points)
+    return _report(_band_integral(residual, grid.weights, index), design.task_energy)
 
 
 def nyquist_analog_filter(

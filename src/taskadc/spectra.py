@@ -10,8 +10,11 @@ Flat-in-band spectra repeat one matrix over long runs of grid rows, so every
 spectrum is stored as its runs: the first row of each run (``run_starts``,
 always ``row_runs`` of the dense rows) and one value per run.  A spectrum
 (``SpectralMatrixFunction``) and an alias stack (``StackedSpectrum``) are
-both held that way, and per-frequency work (eigendecompositions, products,
-alias stacking, cell lookups) runs once per run.  The dense grid
+both held that way, as are a design's singular-value profiles
+(``_merged_runs``), and per-frequency work (eigendecompositions, products,
+alias stacking, cell lookups) runs once per run.  Runs are found by
+comparing bit patterns, with one ``flatnonzero`` over all the rows'
+differences (``_run_firsts``).  The dense grid
 (``values``, ``blocks``) is expanded on first use, for the consumers whose
 results depend on the batch they are computed in or that need every grid
 row in order.  Sums over frequency stay dense and in grid order: a band
@@ -164,9 +167,7 @@ def _store_runs(
     _check_run_starts(run_starts, n_points)
     if rows.ndim != 3 or rows.shape[0] != run_starts.size:
         raise ValueError(f"{name} must have one row per run: (runs, rows, cols)")
-    keep, _ = row_runs(rows)
-    run_starts, rows = take_rows(run_starts, keep), take_rows(rows, keep)
-    run_starts.flags.writeable = rows.flags.writeable = False
+    run_starts, rows = _merged_runs(run_starts, rows)
     object.__setattr__(spectrum, "run_starts", run_starts)
     object.__setattr__(spectrum, f"run_{name}", rows)
     return rows
@@ -186,13 +187,6 @@ def _grid_to_dict(grid: FrequencyGrid) -> dict:
 
 def _grid_from_dict(data: dict) -> FrequencyGrid:
     return FrequencyGrid(data["f_lo"], data["f_hi"], data["n"])
-
-
-def _rows_to_dict(values: np.ndarray) -> dict:
-    """A sampled array stored as its runs of identical rows: the first row of
-    each run (``run_starts``) and those rows' values, flattened."""
-    starts, _ = row_runs(values)
-    return _runs_to_dict(starts, take_rows(values, starts))
 
 
 def _runs_to_dict(starts: np.ndarray, rows: np.ndarray) -> dict:
@@ -245,16 +239,9 @@ def _length_mismatch() -> ValueError:
     return ValueError("values length does not match the grid, runs and shape")
 
 
-def _rows_from_dict(
-    data: dict, n_points: int, shape: tuple, dtype: type = complex
-) -> np.ndarray:
-    """Inverse of ``_rows_to_dict``: the ``n_points`` rows, bit for bit."""
-    starts, rows = _runs_from_dict(data, n_points, shape, dtype)
-    return _expand_runs(rows, starts, n_points)
-
-
 def _check_run_starts(starts: np.ndarray, n_points: int, name: str = "run_starts") -> None:
-    if starts.size == 0 or starts[0] != 0 or np.any(np.diff(starts, append=n_points) <= 0):
+    bounded = starts.size > 0 and starts[0] == 0 and starts[-1] < n_points
+    if not (bounded and np.all(starts[1:] > starts[:-1])):
         raise ValueError(f"{name} must rise strictly from 0 within the grid")
 
 
@@ -284,25 +271,46 @@ def row_runs(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(starts, index)``: the first row of each run, and for every row
     the run it belongs to, so ``a[starts][index]`` reproduces each ``a``
-    exactly.  Per-row work done on ``a[starts]`` and gathered with ``[index]``
-    is therefore bit-identical to the same work done on every row, provided
-    a row's result does not depend on the batch it is computed in: true of
-    numpy.linalg and matmul, not of every einsum.
+    exactly.  Rows are compared as bit patterns, so -0.0 and 0.0 differ, and
+    so do NaNs of different payloads.  Per-row work done on ``a[starts]`` and
+    gathered with ``[index]`` is therefore bit-identical to the same work
+    done on every row, provided a row's result does not depend on the batch
+    it is computed in: true of numpy.linalg and matmul, not of every einsum.
     """
     n = arrays[0].shape[0]
     new_run = np.zeros(n, dtype=bool)
-    new_run[:1] = True
     for a in arrays:
         if a.shape[0] != n:
             raise ValueError("arrays must share the row count")
         rows = np.ascontiguousarray(a).reshape(n, -1)
         # compare bit patterns: float == would merge -0.0 with 0.0
         word = np.uint64 if rows.itemsize % 8 == 0 else np.uint8
-        rows = rows.view(word)
-        new_run[1:] |= (rows[1:] != rows[:-1]).any(axis=1)
+        new_run |= _run_firsts(rows.view(word))
     starts = np.flatnonzero(new_run)
     index = np.cumsum(new_run) - 1
     return starts, index
+
+
+def _run_firsts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a 2-D array that begin a run of identical rows,
+    found from the nonzeros of the whole comparison: an ``any`` over each
+    row costs numpy a reduction per row, ten times as long on rows of a few
+    words."""
+    first = np.zeros(rows.shape[0], dtype=bool)
+    first[:1] = True
+    if rows.shape[1]:
+        first[np.flatnonzero(rows[1:] != rows[:-1]) // rows.shape[1] + 1] = True
+    return first
+
+
+def _merged_runs(starts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, rows) of runs given one row per run, with neighbouring runs of
+    identical rows merged, both read-only: the runs ``row_runs`` finds in
+    the rows expanded to the grid."""
+    keep, _ = row_runs(rows)
+    starts, rows = take_rows(starts, keep), take_rows(rows, keep)
+    starts.flags.writeable = rows.flags.writeable = False
+    return starts, rows
 
 
 def take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -560,8 +568,11 @@ def _block_run_firsts(blocks: np.ndarray) -> np.ndarray:
     row run; bit patterns are compared, as in ``row_runs``, so -0.0 and 0.0
     differ."""
     words = np.ascontiguousarray(blocks).view(np.uint64)
-    first = np.ones((blocks.shape[0], blocks.shape[2]), dtype=bool)
-    first[:, 1:] = (words[:, :, 1:] != words[:, :, :-1]).any(axis=(1, 3))
+    first = np.zeros((blocks.shape[0], blocks.shape[2]), dtype=bool)
+    first[:, 0] = True
+    changed = words[:, :, 1:] != words[:, :, :-1]
+    runs, _, block, _ = np.unravel_index(np.flatnonzero(changed), changed.shape)
+    first[runs, block + 1] = True
     return first
 
 
@@ -626,9 +637,7 @@ def stack_aliases(
     active = np.flatnonzero(end_runs[0] != end_runs[1])
     # the zero row ends the padded runs, so -1 and n_runs both index it
     ids = source_run(np.arange(n_points)[:, None], active - ups) % (n_runs + 1)
-    new_run = np.ones(n_points, dtype=bool)
-    new_run[1:] = (ids[1:] != ids[:-1]).any(axis=1)
-    starts = np.flatnonzero(new_run)
+    starts = np.flatnonzero(_run_firsts(ids))
     run_ids = np.repeat(end_runs[:1] % (n_runs + 1), starts.size, axis=0)
     run_ids[:, active] = ids[starts]
     padded = np.concatenate([f.run_values, np.zeros((1,) + f.shape, dtype=complex)])

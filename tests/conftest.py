@@ -10,6 +10,7 @@ from taskadc.scenarios import ScenarioSpec, build_scenario
 from taskadc.spectra import (
     FrequencyGrid,
     SpectralMatrixFunction,
+    _runs_to_dict,
     constant_spectrum,
     multiply_spectra,
     take_rows,
@@ -194,6 +195,28 @@ def dense_waterfilled_residual(sigma_task, sigma_h, weights, bits, index) -> flo
     residual = sigma_task[:, :r_act] ** 2 * q / (sigma_h[:, :r_act] ** 2 + q)
     leak = (sigma_task[:, r_act:] ** 2).sum(axis=1)
     return float(weights @ (residual.sum(axis=1) + leak))
+
+
+def dense_row_runs(*arrays) -> tuple[np.ndarray, np.ndarray]:
+    """``spectra.row_runs`` with each row's changes reduced by ``any``, as it
+    found them before it took the nonzeros of the whole comparison."""
+    n = arrays[0].shape[0]
+    new_run = np.zeros(n, dtype=bool)
+    new_run[:1] = True
+    for a in arrays:
+        rows = np.ascontiguousarray(a).reshape(n, -1)
+        word = np.uint64 if rows.itemsize % 8 == 0 else np.uint8
+        rows = rows.view(word)
+        new_run[1:] |= (rows[1:] != rows[:-1]).any(axis=1)
+    return np.flatnonzero(new_run), np.cumsum(new_run) - 1
+
+
+def dense_rows_to_dict(values) -> dict:
+    """The design.json entry of a profile given as every grid row, its runs
+    found in the dense rows, as ``FilterDesign.to_dict`` wrote it when it
+    stored dense profiles."""
+    starts, _ = dense_row_runs(values)
+    return _runs_to_dict(starts, values[starts])
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from conftest import (
     dense_outer_integral,
     dense_quantizer_noise,
     dense_row_sums,
+    dense_rows_to_dict,
     dense_task_energy,
     dense_waterfill_level,
     dense_waterfilled_residual,
@@ -207,13 +208,19 @@ def patch_references(monkeypatch) -> dict:
 
 
 def end_to_end_outputs(model) -> list:
-    """design.json text of the 4x16 designs and the rate-search tables."""
+    """design.json text of the 4x16 designs and the rate-search tables.  Each
+    design's profile entries are checked on the way against the profiles'
+    dense rows written by ``conftest.dense_rows_to_dict``."""
     out = []
     for k in (1, 2, 3, 4):
         for bits in (1, 4, 16):
             for fs in (8e8, 4e8, 1e8, 2.5e7):
                 design = design_filters(model, AdcConfig(k, fs, bits))
-                out.append(json.dumps(design.to_dict()))
+                data = design.to_dict()
+                for name in ("sigma_h", "sigma_task"):
+                    dense = dense_rows_to_dict(getattr(design, name))
+                    assert json.dumps(data[name]) == json.dumps(dense), (k, bits, fs, name)
+                out.append(json.dumps(data))
     for arch in ARCHITECTURES:
         spec = SearchSpec(rate_budget=4e8, b_range=(1, 8, 16), architecture=arch)
         out.append(repr(rate_search(model, spec).table))

@@ -1,7 +1,9 @@
-"""tools/bench_pairs.py: quartiles, the per-metric and gain verdicts, and a
-crashed run or one that prints no result."""
+"""tools/bench_pairs.py: quartiles, the per-metric and gain verdicts, a
+crashed run or one that prints no result, and the checkouts' commits."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -158,3 +160,49 @@ class TestGainVerdict:
         change = runs([v + 20 for v in self.PARENT[:8]]) + [{"metrics": {}}] * 2
         entry = bench.compare(runs(self.PARENT), change, DECLARED)["ops_per_s"]
         assert entry["gain"] == "gain not shown"
+
+
+def _git(path, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                    *args], cwd=path, check=True, capture_output=True)
+
+
+def _fake_checkout(path, ops_per_s):
+    """A git checkout whose benchmark prints one correct result."""
+    (path / "perfbench").mkdir(parents=True)
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {"ops_per_s": {"value": ops_per_s}}}
+    (path / "perfbench" / "run.py").write_text(f"print({json.dumps(json.dumps(result))})\n")
+    (path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25}]}))
+    _git(path, "init", "-q")
+    _git(path, "add", "-A")
+    _git(path, "commit", "-q", "-m", "fake benchmark")
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=path, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+class TestCheckoutState:
+    def test_clean_dirty_and_no_git(self, bench, tmp_path):
+        commit = _fake_checkout(tmp_path / "repo", 1.0)
+        assert bench.checkout_state(tmp_path / "repo") == {"commit": commit, "dirty": False}
+        (tmp_path / "repo" / "BENCHMARK.json").write_text("{}")
+        assert bench.checkout_state(tmp_path / "repo") == {"commit": commit, "dirty": True}
+        # an archive copy inside another work tree is not that tree's commit
+        (tmp_path / "repo" / "copy").mkdir()
+        assert bench.checkout_state(tmp_path / "repo" / "copy") == {
+            "commit": None, "dirty": None}
+        assert bench.checkout_state(tmp_path) == {"commit": None, "dirty": None}
+
+    def test_record_names_both_checkouts(self, bench, tmp_path):
+        parent = _fake_checkout(tmp_path / "parent", 100.0)
+        change = _fake_checkout(tmp_path / "change", 120.0)
+        (tmp_path / "change" / "untracked.txt").write_text("new")
+        out = tmp_path / "BENCH_fake.json"
+        bench.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                    "--workload", "mc", "--pairs", "1", "--seconds", "1", "--seed0", "5",
+                    "--out", str(out)])
+        record = json.loads(out.read_text())["workloads"]["mc"]
+        assert record["checkouts"] == {"parent": {"commit": parent, "dirty": False},
+                                       "change": {"commit": change, "dirty": True}}
+        assert record["metrics"]["ops_per_s"]["change_better_in_pairs"] == 1

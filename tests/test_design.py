@@ -41,7 +41,14 @@ from taskadc.spectra import (
     row_runs,
 )
 
-from conftest import piecewise_model, random_flat_model, unit_scalar_model
+from conftest import (
+    dense_row_runs,
+    dense_rows_to_dict,
+    dense_waterfilled_residual,
+    piecewise_model,
+    random_flat_model,
+    unit_scalar_model,
+)
 
 
 def scalar_design(bits, eta=2.0, fs=1.0, n_points=128):
@@ -495,6 +502,15 @@ def _json_round_trip(design: FilterDesign) -> FilterDesign:
     return FilterDesign.from_dict(json.loads(json.dumps(design.to_dict())))
 
 
+def _fields_lost(design: FilterDesign, loaded: FilterDesign) -> list:
+    """The fields whose loaded value differs from the saved one, bit for bit,
+    as the benchmark's ``fields_lost`` counts them."""
+    return [
+        f.name for f in fields(design)
+        if not _same_bits(getattr(design, f.name), getattr(loaded, f.name))
+    ]
+
+
 def _as_pairs(data: dict) -> dict:
     """design.json with ``h_bar`` and ``h`` rewritten from ``real_values`` to
     ``values`` of [re, im] pairs with +0.0 imaginary parts."""
@@ -529,19 +545,30 @@ class TestDesignJson:
         [
             ("task_based", 4, 400e6),  # unaliased
             ("task_based", 4, 100e6),  # alias order 2
+            ("task_based", 1, 100e6),  # sigma_h and sigma_task runs differ
+            ("analog_recovery", 4, 400e6),
             ("analog_recovery", 4, 100e6),
             ("digital_recovery", 16, 400e6),
+            ("digital_recovery", 16, 100e6),
         ],
     )
     def test_round_trip_is_exact(self, matched_model, arch, k, fs):
         design = baseline_design(matched_model, AdcConfig(k, fs, 4), arch, 512)
         back = _json_round_trip(design)
+        # run starts included; a tuple field would crash the benchmark's check
+        assert _fields_lost(design, back) == []
         for f in fields(design):
-            assert _same_bits(getattr(design, f.name), getattr(back, f.name)), f.name
+            value = getattr(design, f.name)
+            assert value is None or not isinstance(value, (tuple, list)), f.name
+        # each profile's runs are those of its own dense rows
+        for name in ("sigma_h", "sigma_task")[: 2 if arch == "task_based" else 1]:
+            dense = getattr(design, name)
+            assert np.array_equal(getattr(design, f"{name}_starts"), dense_row_runs(dense)[0])
         if arch == "task_based":
             assert theoretical_mse_waterfilled(back).nmse == design.nmse
         else:
             assert back.water_level is None and back.sigma_task is None
+            assert back.sigma_task_starts is None
 
     def test_flat_design_stores_one_run(self, matched_model):
         data = design_filters(matched_model, AdcConfig(4, 400e6, 4), 512).to_dict()
@@ -688,6 +715,53 @@ class TestDesignJson:
         data = design_filters(model, AdcConfig(1, 1.0, 2), 16).to_dict()
         with pytest.raises(ValueError, match="version"):
             FilterDesign.from_dict(dict(data, version=3))
+
+    def test_missing_key_is_named(self, rng):
+        # a bare KeyError used to escape; t0 alone may be missing
+        model = random_flat_model(rng, n=1, m=2, n_points=16)
+        data = design_filters(model, AdcConfig(1, 1.0, 2), 16).to_dict()
+        keys = sorted(set(data) - {"version", "t0"})
+        assert len(keys) == 16
+        for key in keys:
+            partial = {k: v for k, v in data.items() if k != key}
+            with pytest.raises(ValueError, match=f"^design.json has no {key}$"):
+                FilterDesign.from_dict(partial)
+        incomplete = {k: v for k, v in data.items() if k not in ("mse", "h_bar")}
+        with pytest.raises(ValueError, match="^design.json has no mse, h_bar$"):
+            FilterDesign.from_dict(incomplete)
+
+
+class TestProfileRuns:
+    """A design keeps its singular-value profiles as runs, each with its own
+    partition: the runs ``row_runs`` finds in the dense profile."""
+
+    def test_profiles_with_their_own_runs(self, matched_model):
+        # K = 1 at alias order 2: the task's singular values change in the
+        # middle of the band, the single designed one does not
+        design = design_filters(matched_model, AdcConfig(1, 100e6, 4), 512)
+        assert design.sigma_h_starts.tolist() == [0]
+        assert design.sigma_task_starts.tolist() == [0, 256]
+        data = design.to_dict()
+        for name in ("sigma_h", "sigma_task"):
+            dense = getattr(design, name)
+            assert json.dumps(data[name]) == json.dumps(dense_rows_to_dict(dense))
+
+    @pytest.mark.parametrize("k, fs", [(1, 100e6), (2, 400e6), (4, 25e6)])
+    def test_closed_form_matches_dense_profiles(self, matched_model, k, fs):
+        design = design_filters(matched_model, AdcConfig(k, fs, 4), 512)
+        grid = design.h_bar.base_grid
+        dense = dense_waterfilled_residual(
+            design.sigma_task, design.sigma_h, grid.weights, 4, np.arange(grid.n_points)
+        )
+        assert theoretical_mse_waterfilled(design).mse == dense == design.mse_theory
+
+    def test_dense_profiles_are_read_only(self, matched_model):
+        design = design_filters(matched_model, AdcConfig(2, 100e6, 4), 512)
+        assert design.sigma_h is design.sigma_h  # expanded once
+        for name in ("sigma_h", "sigma_task", "run_sigma_h", "sigma_h_starts"):
+            assert not getattr(design, name).flags.writeable, name
+        with pytest.raises(AttributeError):
+            design.sigma_h = np.zeros((512, 2))
 
 
 def dense_nyquist_analog_filter(

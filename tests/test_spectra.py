@@ -11,6 +11,7 @@ from taskadc.spectra import (
     FrequencyGrid,
     SpectralMatrixFunction,
     StackedSpectrum,
+    _check_run_starts,
     _grid_from_dict,
     _grid_to_dict,
     _runs_to_dict,
@@ -24,7 +25,7 @@ from taskadc.spectra import (
     stack_aliases,
 )
 
-from conftest import random_flat_model, unit_scalar_model
+from conftest import dense_row_runs, random_flat_model, unit_scalar_model
 
 
 class TestFrequencyGrid:
@@ -177,6 +178,92 @@ class TestRowRuns:
         aliased = whitened_task_stack(matched_model, 100e6, 512)
         assert aliased.alias_order_ == 2
         np.testing.assert_array_equal(row_runs(aliased.blocks)[0], [0, 256])
+
+
+# float bit patterns that compare alike under == but not as bits: signed
+# zeros, and NaNs of several signs and payloads
+_NAN_BITS = np.array(
+    [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
+    dtype=np.uint64,
+)
+_POOLS = {
+    "complex": np.concatenate([[0.0, -0.0, 1.0, np.inf], _NAN_BITS.view(float)]),
+    "float": np.concatenate([[0.0, -0.0, 1.0, -np.inf], _NAN_BITS.view(float)]),
+    "int32": np.array([0, 1, -1, 2**31 - 1, -(2**31)], dtype=np.int32),
+    "bool": np.array([False, True]),
+}
+
+
+def _rows_with_runs(rng, kind: str, n: int, width: int) -> np.ndarray:
+    """(n, width) rows of ``kind`` from its pool, each the row before it, that
+    row with one entry redrawn, or a new draw; a complex row is ``width``
+    floats viewed as complex, so ``width`` is even there.  Values are
+    gathered from the pool, never computed, so every bit pattern survives."""
+    pool = _POOLS[kind]
+    idx = np.empty((n, width), dtype=int)
+    idx[0] = rng.integers(pool.size, size=width)
+    for i in range(1, n):
+        idx[i] = idx[i - 1]
+        step = rng.integers(3)
+        if step == 1 and width:
+            idx[i, rng.integers(width)] = rng.integers(pool.size)
+        elif step == 2:
+            idx[i] = rng.integers(pool.size, size=width)
+    rows = pool[idx]
+    return rows.view(complex) if kind == "complex" else rows
+
+
+class TestRowRunsAgainstDense:
+    """``row_runs`` takes the nonzeros of the whole comparison; the reference
+    (``conftest.dense_row_runs``) reduces every row with ``any``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 30),
+        layout=st.lists(
+            st.tuples(st.sampled_from(sorted(_POOLS)), st.integers(0, 40)),
+            min_size=1, max_size=3,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reference(self, n, layout, seed):
+        # widths of 0 to 40 words; int32 and bool rows take the uint8 view
+        rng = np.random.default_rng(seed)
+        arrays = [
+            _rows_with_runs(rng, kind, n, width - width % 2 if kind == "complex" else width)
+            for kind, width in layout
+        ]
+        starts, index = row_runs(*arrays)
+        want_starts, want_index = dense_row_runs(*arrays)
+        assert np.array_equal(starts, want_starts)
+        assert np.array_equal(index, want_index)
+
+    def test_signed_zeros_and_nan_payloads_split_runs(self):
+        rows = np.array([[0.0], [-0.0], [-0.0]] + [[x] for x in _NAN_BITS.view(float)])
+        rows = np.concatenate([rows, rows[-1:]])
+        starts, _ = row_runs(rows)
+        np.testing.assert_array_equal(starts, [0, 1, 3, 4, 5, 6])
+        np.testing.assert_array_equal(starts, dense_row_runs(rows)[0])
+
+    def test_zero_width_rows_are_one_run(self):
+        starts, index = row_runs(np.empty((5, 0)), np.empty((5, 3, 0), dtype=bool))
+        np.testing.assert_array_equal(starts, [0])
+        np.testing.assert_array_equal(index, np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "starts",
+        [[], [1, 3], [0, 2, 2], [0, 3, 2], [0, 8]],
+        ids=["empty", "not from 0", "repeated", "falling", "past the grid"],
+    )
+    def test_bad_run_starts_are_refused(self, starts):
+        with pytest.raises(
+            ValueError, match="^run_starts must rise strictly from 0 within the grid$"
+        ):
+            _check_run_starts(np.array(starts, dtype=int), 8)
+
+    def test_good_run_starts_pass(self):
+        for starts in ([0], [0, 7], [0, 1, 2, 3, 4, 5, 6, 7]):
+            _check_run_starts(np.array(starts), 8)
 
 
 class TestStackAliases:
@@ -406,8 +493,9 @@ def _json(data: dict) -> dict:
 
 
 def _block_run_reference(stack: StackedSpectrum) -> list:
-    """Each row run's block runs, found by ``row_runs`` over its alias axis."""
-    return [row_runs(np.moveaxis(row, 1, 0))[0].tolist()
+    """Each row run's block runs, found by the dense ``row_runs`` reference
+    over its alias axis."""
+    return [dense_row_runs(np.moveaxis(row, 1, 0))[0].tolist()
             for row in stack.block_view(stack.run_blocks)]
 
 

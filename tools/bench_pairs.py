@@ -10,7 +10,8 @@ metrics, each side's per-metric median and quartiles, how many pairs the
 change wins per metric, its verdict against the metric's bound and its gain
 verdict (the direction and bound come from the change's BENCHMARK.json),
 whether every run was correct and how many operations failed (a run that
-exits non-zero is kept as not correct), and the machine.
+exits non-zero is kept as not correct), each checkout's commit and whether
+its files differ from that commit, and the machine.
 ``--out`` gains or replaces this workload's entry, so one file can hold
 several workloads; without it the record is printed.
 Standard library only; numpy's version and BLAS are read in a subprocess.
@@ -114,6 +115,21 @@ def compare(parent: list, change: list, declared: dict) -> dict:
     return out
 
 
+def checkout_state(checkout: Path) -> dict:
+    """The commit a checkout is on (``git rev-parse HEAD``) and whether its
+    files differ from it, tracked or untracked but not ignored (``dirty``);
+    both None unless the checkout is the top of a git work tree, such as a
+    ``git archive`` copy."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+
+    top = git("rev-parse", "--show-toplevel")
+    if top.returncode != 0 or Path(top.stdout.strip()).resolve() != checkout.resolve():
+        return {"commit": None, "dirty": None}
+    return {"commit": git("rev-parse", "HEAD").stdout.strip(),
+            "dirty": bool(git("status", "--porcelain").stdout.strip())}
+
+
 def machine(checkout: Path) -> dict:
     probe = subprocess.run(["python3", "-c", MACHINE], cwd=checkout, capture_output=True,
                            text=True, check=True)
@@ -134,6 +150,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    # as measured: read before the runs
+    checkouts = {side: checkout_state(path) for side, path in sides.items()}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -147,6 +165,7 @@ def main(argv=None) -> int:
                    f"--seconds {args.seconds} --trace 0",
         "pairs": args.pairs, "seeds": [args.seed0 + i for i in range(args.pairs)],
         "order": "even pairs parent first, odd pairs change first",
+        "checkouts": checkouts,
         "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
         "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
         "metrics": compare(runs["parent"], runs["change"], {m["name"]: m for m in declared}),
