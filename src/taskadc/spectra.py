@@ -12,7 +12,10 @@ always ``row_runs`` of the dense rows) and one value per run.  A spectrum
 (``SpectralMatrixFunction``) and an alias stack (``StackedSpectrum``) are
 both held that way, as are a design's singular-value profiles
 (``_merged_runs``), and per-frequency work (eigendecompositions, products,
-alias stacking, cell lookups) runs once per run.  Runs are found by
+alias stacking, cell lookups) runs once per run.  An alias stack looks up
+the source run of its first and last base point at every shift, and of
+every base point only at the shifts where those two differ
+(``stack_aliases``).  Runs are found by
 comparing bit patterns, with one ``flatnonzero`` over all the rows'
 differences (``_run_firsts``).  The dense grid
 (``values``, ``blocks``) is expanded on first use, for the consumers whose
@@ -599,10 +602,11 @@ def stack_aliases(
     band edge.  Each (base point, shift) pair samples the source run that
     ``sample`` looks up, but few pairs are looked up: at each shift that run
     is non-decreasing in the base point, so a shift whose first and last base
-    points sample the same run samples it at every base point.  Only the
-    shifts that straddle a source run boundary, found by bisection, are
-    looked up at every base point; base points whose lookups agree share one
-    stacked row, which is built once.
+    points sample the same run samples it at every base point.  The two end
+    points are looked up at every shift, O(alias order) integers beside the
+    O(alias order * rows * cols) stacked rows, and only the shifts at which
+    they differ are looked up at every base point; base points whose lookups
+    agree share one stacked row, which is built once.
     """
     grid = f.grid
     if f_max is None:
@@ -613,12 +617,6 @@ def stack_aliases(
     half = fs / 2.0 if ups > 0 else min(fs / 2.0, f_max)
     base = FrequencyGrid(-half, half, n_points)
     rows, cols = f.shape
-    try:
-        # one stacked row first: numpy refuses an impossible stack before any
-        # shift is looked up, and np.empty touches no page of a possible one
-        np.empty((rows, 2 * ups + 1, cols), dtype=complex)
-    except (MemoryError, ValueError) as exc:
-        raise _too_small(fs, ups, exc) from exc
     n_runs = f.run_starts.size
 
     def source_run(points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -630,20 +628,21 @@ def stack_aliases(
         runs = np.searchsorted(f.run_starts, idx, side="right") - 1
         return np.where(inside, runs, np.where(freqs < grid.f_lo, -1, n_runs))
 
-    ends = np.array([[0], [n_points - 1]])
-    breaks, end_runs = _monotone_steps(lambda shifts: source_run(ends, shifts), -ups, ups)
-    # the first and last base point's run at every shift, from their breaks
-    end_runs = np.repeat(end_runs, np.diff(breaks, append=ups + 1), axis=1)
-    active = np.flatnonzero(end_runs[0] != end_runs[1])
-    # the zero row ends the padded runs, so -1 and n_runs both index it
-    ids = source_run(np.arange(n_points)[:, None], active - ups) % (n_runs + 1)
-    starts = np.flatnonzero(_run_firsts(ids))
-    run_ids = np.repeat(end_runs[:1] % (n_runs + 1), starts.size, axis=0)
-    run_ids[:, active] = ids[starts]
     padded = np.concatenate([f.run_values, np.zeros((1,) + f.shape, dtype=complex)])
-    try:  # gathered straight into (runs, rows, shift, cols)
+    try:
+        # one stacked row first: numpy refuses an impossible stack before any
+        # shift is looked up, and np.empty touches no page of a possible one
+        np.empty((rows, 2 * ups + 1, cols), dtype=complex)
+        end_runs = source_run(np.array([[0], [n_points - 1]]), np.arange(-ups, ups + 1))
+        active = np.flatnonzero(end_runs[0] != end_runs[1])
+        # the zero row ends the padded runs, so -1 and n_runs both index it
+        ids = source_run(np.arange(n_points)[:, None], active - ups) % (n_runs + 1)
+        starts = np.flatnonzero(_run_firsts(ids))
+        run_ids = np.repeat(end_runs[:1] % (n_runs + 1), starts.size, axis=0)
+        run_ids[:, active] = ids[starts]
+        # gathered straight into (runs, rows, shift, cols)
         blocks = padded.transpose(1, 0, 2)[np.arange(rows)[:, None], run_ids[:, None, :]]
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
         raise _too_small(fs, ups, exc) from exc
     return StackedSpectrum(
         base_grid=base, alias_order_=ups, blocks=blocks.reshape(starts.size, rows, -1),
@@ -656,30 +655,3 @@ def _too_small(fs: float, ups: int, exc: Exception) -> ValueError:
         f"fs={fs!r} is too small: alias order {ups} needs {2 * ups + 1} alias "
         f"blocks per grid point, more than numpy can allocate ({exc})"
     )
-
-
-def _monotone_steps(key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s, key(s)) at ``lo`` and at every s in lo+1..hi where some row of
-    ``key(s)``, a 2-D integer array monotone in s along axis 1, differs from
-    ``key(s - 1)``.  Bisection: a monotone key equal at two shifts is
-    constant between them."""
-    ends = key(np.array([lo, hi]))
-    a, b, key_a, key_b = np.array([lo]), np.array([hi]), ends[:, :1], ends[:, 1:]
-    steps, values = [a], [key_a]
-    while True:
-        differ = (key_a != key_b).any(axis=0)
-        adjacent = differ & (b - a == 1)
-        steps.append(b[adjacent])
-        values.append(key_b[:, adjacent])
-        split = differ & ~adjacent
-        if not split.any():
-            break
-        a, b, key_a, key_b = a[split], b[split], key_a[:, split], key_b[:, split]
-        mid = (a + b) // 2
-        key_mid = key(mid)
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        key_a = np.concatenate([key_a, key_mid], axis=1)
-        key_b = np.concatenate([key_mid, key_b], axis=1)
-    steps = np.concatenate(steps)
-    order = np.argsort(steps)
-    return steps[order], np.concatenate(values, axis=1)[:, order]

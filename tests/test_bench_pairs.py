@@ -96,6 +96,18 @@ def test_run_without_a_result_is_recorded(bench, tmp_path, printed):
     assert record["metrics"] == {}
 
 
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_no_pairs_is_refused(bench, tmp_path, capsys, pairs):
+    # a record of no runs would read correct on both sides
+    out = tmp_path / "BENCH_x.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "mc",
+                    "--pairs", pairs, "--seconds", "1", "--seed0", "0", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestGainVerdict:
     """The gain verdict of a declared metric: 9/10 pair wins, ties for
     neither side, a median gap beyond the parent's quartile distance, and no

@@ -312,10 +312,9 @@ def readme_scenario(tmp_path):
     return path
 
 
-# design --fs 8 on the 4x16 scenario: alias order 2.5e7, so a 400 MB shift array
-# and a 154 GB (base point, shift) lookup; the address space is capped 1 GiB
-# above the interpreter's, which the shifts fit and the lookup does not. The
-# peak RSS is VmHWM: getrusage's maxrss would count the forking test process
+# design under an address space capped 1 GiB above the interpreter's; it prints
+# the exit code and the peak RSS, VmHWM: getrusage's maxrss would count the
+# forking test process
 CAPPED_DESIGN = """
 import re, resource, sys
 from taskadc.cli import main
@@ -326,19 +325,42 @@ print(code, int(re.search(r"VmHWM:\\s*(\\d+) kB", open("/proc/self/status").read
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
-def test_small_fs_is_refused_before_the_shifts_are_written(readme_scenario, tmp_path):
+def capped_design(scenario, out, *args) -> tuple[int, int, str]:
+    """(exit code, peak RSS, stderr) of ``design`` run under CAPPED_DESIGN."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     child = subprocess.run(
-        [sys.executable, "-c", CAPPED_DESIGN, "design", "--scenario", str(readme_scenario),
-         "--out", str(tmp_path / "o"), "--k", "4", "--bits", "4", "--fs", "8"],
+        [sys.executable, "-c", CAPPED_DESIGN, "design", "--scenario", str(scenario),
+         "--out", str(out), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     code, peak_rss = map(int, child.stdout.split())
+    return code, peak_rss, child.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+def test_small_fs_is_refused_before_the_shifts_are_written(readme_scenario, tmp_path):
+    # alias order 2.5e7 on the 4x16 scenario: a 400 MB shift array, which the
+    # cap fits, and a 51 GB stacked row, which it does not
+    code, peak_rss, err = capped_design(
+        readme_scenario, tmp_path / "o", "--k", "4", "--bits", "4", "--fs", "8"
+    )
     assert code == 2
-    assert "config error: fs=8.0 is too small: alias order 25000000 needs" in child.stderr
+    assert "config error: fs=8.0 is too small: alias order 25000000 needs" in err
     shift_bytes = (2 * 25_000_000 + 1) * 8
     assert peak_rss < shift_bytes / 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+def test_small_fs_is_named_when_a_shift_lookup_fails(tmp_path):
+    # alias order 2e7 on a 1x1 scenario: its 640 MB stacked row fits the cap,
+    # but the lookups over every shift that follow it do not
+    config = {"N": 1, "M": 1, "f_nyq_hz": 4e8, "snr_db": 10.0,
+              "sigma_phi_deg": 1.0, "channel": {"seed": 0}}
+    scenario = tmp_path / "one.json"
+    scenario.write_text(json.dumps(config))
+    code, _, err = capped_design(scenario, tmp_path / "o", "--k", "1", "--bits", "4", "--fs", "10")
+    assert code == 2
+    assert "config error: fs=10.0 is too small: alias order 20000000 needs" in err
 
 
 class TestSweepCommand:

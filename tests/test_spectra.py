@@ -627,6 +627,23 @@ class TestRunNativeStack:
         self.test_matches_dense_reference_bitwise(source, fs, f_max, n_points)
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        log_ratio=st.floats(-0.6, 2.3),
+        n_points=st.integers(2, 40),
+        edge=st.one_of(st.none(), st.floats(0.05, 0.99), st.floats(1.01, 1.5)),
+    )
+    def test_end_point_rule_matches_dense_reference(self, source, log_ratio, n_points, edge):
+        # fs between the fixed RATES, from 4 times the band edge down to 1/200
+        # of it (alias orders 0 to 300), and f_max at the source band edge,
+        # inside it or past it
+        grid = SOURCES[source](np.random.default_rng(7)).grid
+        band_edge = max(abs(grid.f_lo), abs(grid.f_hi))
+        f_max = None if edge is None else edge * band_edge
+        fs = band_edge / 10.0**log_ratio
+        self.test_matches_dense_reference_bitwise(source, fs, f_max, n_points)
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_runs_sample_like_the_dense_spectrum(self, source):
         f = SOURCES[source](np.random.default_rng(3))
         reference = dense_sample_reference(f, SAMPLE_FREQS).tobytes()

@@ -148,6 +148,8 @@ def main(argv=None) -> int:
     p.add_argument("--seed0", type=int, required=True)
     p.add_argument("--out", type=Path, default=None)
     args = p.parse_args(argv)
+    if args.pairs < 1:  # no run measured would still read as correct
+        p.error("--pairs must be at least 1")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     # as measured: read before the runs
