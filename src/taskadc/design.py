@@ -22,10 +22,10 @@ Every band integral on the design path (the quantizer noise, the
 support-constraint power, the closed-form residual) forms its per-row terms
 once per run of identical rows and sums them over the dense grid in grid
 order, so it is bit-identical to the sum over every grid row; the water
-level sorts one value per run and mode, and its cumulative sums run over
-the dense sorted profile.  A sum per run weighted by the run's width would
-move the results, by up to 1.8e-6 relative in the cancellation-limited
-``nmse_t0_0`` of ``search``.
+level (``solve_waterfill_level``) sorts one value per run and mode, and its
+cumulative sums run over the dense sorted profile.  A sum per run weighted
+by the run's width would move the results, by up to 1.8e-6 relative in the
+cancellation-limited ``nmse_t0_0`` of ``search``.
 """
 
 from __future__ import annotations
@@ -39,17 +39,19 @@ import numpy as np
 from .mmse import TaskModel, _times_pinv, task_energy, whitened_task_stack
 from .quantizer import effective_loading, eta_schedule
 from .spectra import (  # noqa: F401  auto_grid_points is re-exported
+    FrequencyGrid,
     SpectralMatrixFunction,
     StackedSpectrum,
+    _check_run_starts,
     _expand_runs,
     _merged_runs,
     _rows_at,
     _run_index,
     _runs_from_dict,
     _runs_to_dict,
+    _too_small,
     auto_grid_points,
     joint_runs,
-    row_runs,
     stack_aliases,
     take_rows,
 )
@@ -141,9 +143,9 @@ class FilterDesign:
 
     The singular-value profiles, the filter's (``sigma_h``) and the task's
     (``sigma_task``), are kept as their runs on ``h_bar``'s grid, each with
-    its own partition: the first grid row of each run (``sigma_h_starts``,
-    always ``row_runs(sigma_h)[0]``) and one row per run (``run_sigma_h``).
-    The dense profiles are expanded on first use."""
+    its own partition: the first grid row of each run of identical rows
+    (``sigma_h_starts``) and one row per run (``run_sigma_h``).  The dense
+    profiles are expanded on first use."""
 
     cfg: AdcConfig
     h_bar: StackedSpectrum
@@ -253,42 +255,33 @@ class FilterDesign:
 
 
 def solve_waterfill_level(
-    singvals: np.ndarray, weights: np.ndarray, cfg: AdcConfig
+    run_s: np.ndarray, starts: np.ndarray, grid: FrequencyGrid, cfg: AdcConfig
 ) -> float:
-    """Water-filling level making the quantizer-support constraint tight.
+    """Water-filling level making the quantizer-support constraint tight, for
+    a profile given as its runs on ``grid``: one row of singular values per
+    run (``run_s``) and the first grid row of each run (``starts``).
 
     Solves sum_j w_j sum_i (zeta*sigma_ij - 1)^+ = K * 4^b / (kappa * Ts) on
     the piecewise-linear left-hand side: candidate levels are evaluated on
-    each breakpoint segment and the unique consistent one is returned.
+    each breakpoint segment and the unique consistent one is returned.  The
+    runs' values are sorted once and repeated over their runs; the cumulative
+    sums run over that dense sorted profile, in order.  Ties may sit in
+    another order than a sort of every grid row's values would leave them,
+    but every cell of a ``FrequencyGrid`` has the same weight, so the level
+    is bit-identical to that sort's.
     """
-    s = np.asarray(singvals, dtype=float)
-    if s.ndim == 1:
-        s = s[:, None]
-    w = np.broadcast_to(np.asarray(weights, dtype=float), s.shape[:1])
-    starts, _ = row_runs(w, s)
-    return _waterfill_level(s[starts], w[starts], np.diff(starts, append=s.shape[0]), cfg)
-
-
-def _waterfill_level(
-    run_s: np.ndarray, run_w: np.ndarray, lengths: np.ndarray, cfg: AdcConfig
-) -> float:
-    """``solve_waterfill_level`` for a profile given as its runs: one row of
-    values ``run_s`` and one weight ``run_w`` per run of ``lengths`` rows.
-
-    The runs' values are sorted once and repeated over their runs; the
-    cumulative sums run over that dense sorted profile, in order.  Ties may
-    sit in another order than a sort of every value would leave them, so the
-    level is bit-identical to that sort's whenever tied values carry equal
-    weights, as on every ``FrequencyGrid``.
-    """
+    _check_run_starts(starts, grid.n_points, "starts")
+    if run_s.ndim != 2 or run_s.shape[0] != starts.size:
+        raise ValueError("run_s must hold one row of singular values per run")
     s_max = run_s.max(initial=0.0)
     if s_max <= 0.0:
         raise ValueError("all singular values are zero: task carries no energy")
     keep = run_s > ACTIVE_TOL * s_max
     order = np.argsort(run_s[keep])[::-1]
+    lengths = np.diff(starts, append=grid.n_points)
     counts = np.broadcast_to(lengths[:, None], run_s.shape)[keep][order]
     flat_s = np.repeat(run_s[keep][order], counts)
-    flat_w = np.repeat(np.broadcast_to(run_w[:, None], run_s.shape)[keep][order], counts)
+    flat_w = np.full(flat_s.size, grid.spacing)
 
     kappa = effective_loading(cfg.eta, cfg.bits)
     target = cfg.k_adcs * 4.0**cfg.bits / (kappa * cfg.ts)
@@ -442,14 +435,10 @@ def _waterfilled_modes(task_stack: StackedSpectrum, cfg: AdcConfig) -> _Modes:
     r = min(s.shape[1], k_eff)
     waterfill_input = np.zeros((s.shape[0], k_eff))
     waterfill_input[:, :r] = s[:, :r]
-    # grid weights are equal, so every run carries its first row's weight
-    lengths = np.diff(starts, append=task_stack.base_grid.n_points)
-    weights = take_rows(task_stack.base_grid.weights, starts)
-    zeta = _waterfill_level(waterfill_input, weights, lengths, cfg)
+    zeta = solve_waterfill_level(waterfill_input, starts, task_stack.base_grid, cfg)
     gain = np.maximum(zeta * waterfill_input - 1.0, 0.0)
-    return _Modes(
-        s, vh, starts, task_stack.run_index, gain, np.sqrt(gain) / 2.0**cfg.bits, zeta
-    )
+    sigma_h = np.sqrt(gain) / 2.0**cfg.bits
+    return _Modes(s, vh, starts, task_stack.run_index, gain, sigma_h, zeta)
 
 
 def _band_integral(row_terms: np.ndarray, weights: np.ndarray, index: np.ndarray) -> float:
@@ -482,29 +471,35 @@ def design_analog_filter(task_stack: StackedSpectrum, cfg: AdcConfig) -> FilterD
     k = cfg.k_adcs
     if k > task_stack.block_cols:
         raise ValueError(f"k_adcs={k} exceeds the input count M={task_stack.block_cols}")
-    modes = _waterfilled_modes(task_stack, cfg)
-    # the equalizer and the filter rows run once per run of identical rows,
-    # and h_bar keeps those runs.  Rows beyond the task rank stay zero.
-    r = min(modes.s.shape[1], modes.sigma_h.shape[1])
-    core = modes.sigma_h[:, :r, None] * _gauge_fixed(modes.vh[:, :r, :])
-    # one equalizer per run; sigma_h has k columns, as k <= M
-    u_h = np.stack([equalize_diagonal(np.diag(d.astype(complex))) for d in modes.sigma_h**2])
-    h_bar = StackedSpectrum(
-        base_grid=task_stack.base_grid,
-        alias_order_=task_stack.alias_order_,
-        blocks=u_h[:, :, :r] @ core,
-        block_cols=task_stack.block_cols,
-        fs=task_stack.fs,
-        run_starts=modes.starts,
-    )
-    # the designed singular values must saturate the quantizer-support constraint
-    power = _band_integral(
-        (modes.sigma_h**2).sum(axis=1), task_stack.base_grid.weights, modes.index
-    )
-    lhs = effective_loading(cfg.eta, cfg.bits) * cfg.ts / k * power
-    if abs(lhs - 1.0) > 1e-9:
-        raise DesignError(f"quantizer-support constraint violated: {lhs}")
-    return _assemble(cfg, task_stack, h_bar, None, modes)
+    try:
+        modes = _waterfilled_modes(task_stack, cfg)
+        # the equalizer and the filter rows run once per run of identical rows,
+        # and h_bar keeps those runs.  Rows beyond the task rank stay zero.
+        r = min(modes.s.shape[1], modes.sigma_h.shape[1])
+        core = modes.sigma_h[:, :r, None] * _gauge_fixed(modes.vh[:, :r, :])
+        # one equalizer per run; sigma_h has k columns, as k <= M
+        u_h = np.stack([equalize_diagonal(np.diag(d.astype(complex))) for d in modes.sigma_h**2])
+        h_bar = StackedSpectrum(
+            base_grid=task_stack.base_grid,
+            alias_order_=task_stack.alias_order_,
+            blocks=u_h[:, :, :r] @ core,
+            block_cols=task_stack.block_cols,
+            fs=task_stack.fs,
+            run_starts=modes.starts,
+        )
+        # the designed singular values must saturate the quantizer-support constraint
+        power = _band_integral(
+            (modes.sigma_h**2).sum(axis=1), task_stack.base_grid.weights, modes.index
+        )
+        lhs = effective_loading(cfg.eta, cfg.bits) * cfg.ts / k * power
+        if abs(lhs - 1.0) > 1e-9:
+            raise DesignError(f"quantizer-support constraint violated: {lhs}")
+        return _assemble(cfg, task_stack, h_bar, None, modes)
+    except MemoryError as exc:
+        # above alias order 0, fs sets the alias blocks that size every array
+        if task_stack.alias_order_ == 0:
+            raise
+        raise _too_small(cfg.fs, task_stack.alias_order_, exc) from exc
 
 
 def _assemble(

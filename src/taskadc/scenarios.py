@@ -59,6 +59,9 @@ class ScenarioSpec:
         """Build from the JSON config layout (sigma_phi given in degrees)."""
         if not isinstance(config, dict):
             raise ValueError("scenario must be a JSON object")
+        missing = [key for key in ("N", "M", "f_nyq_hz", "snr_db") if key not in config]
+        if missing:
+            raise ValueError(f"scenario has no {', '.join(missing)}")
         channel = config.get("channel", {})
         if not isinstance(channel, dict):
             raise ValueError("channel must be a JSON object")

@@ -136,7 +136,8 @@ def dense_quantizer_noise(h_bar, cfg) -> tuple[float, float]:
 
 
 def argsort_waterfill_level(singvals, weights, cfg) -> float:
-    """``design.solve_waterfill_level`` with every value of the profile sorted."""
+    """The water level of a dense profile, (rows, modes) or (rows,), on
+    ``weights``, with every value of the profile sorted."""
     s = np.asarray(singvals, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
@@ -166,11 +167,11 @@ def argsort_waterfill_level(singvals, weights, cfg) -> float:
     return zeta
 
 
-def dense_waterfill_level(run_s, run_w, lengths, cfg) -> float:
-    """``design._waterfill_level``: the argsort level of the runs repeated
-    over every grid row."""
-    dense_s = np.repeat(run_s, lengths, axis=0)
-    return argsort_waterfill_level(dense_s, np.repeat(run_w, lengths), cfg)
+def dense_waterfill_level(run_s, starts, grid, cfg) -> float:
+    """``design.solve_waterfill_level``: the argsort level of the runs
+    repeated over every grid row."""
+    dense_s = np.repeat(run_s, np.diff(starts, append=grid.n_points), axis=0)
+    return argsort_waterfill_level(dense_s, grid.weights, cfg)
 
 
 def dense_band_integral(row_terms, weights, index) -> float:

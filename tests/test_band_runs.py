@@ -24,7 +24,6 @@ from taskadc.design import (
     AdcConfig,
     DesignError,
     _band_integral,
-    _waterfill_level,
     _waterfilled_residual,
     design_filters,
     quantizer_noise,
@@ -119,7 +118,8 @@ class TestWaterfillRuns:
         grid, _, rng = layout
         s = rng.uniform(0.0, 2.0, (grid.n_points, k)) ** 3
         want = outcome(argsort_waterfill_level, s, grid.weights, cfg)
-        assert outcome(solve_waterfill_level, s, grid.weights, cfg) == want
+        every_row = np.arange(grid.n_points)
+        assert outcome(solve_waterfill_level, s, every_row, grid, cfg) == want
 
     @PROPERTY
     @given(run_layouts(max_points=512), st.integers(1, 6), configs())
@@ -129,7 +129,8 @@ class TestWaterfillRuns:
         runs = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], (starts.size, k))
         s = runs[_run_index(starts, grid.n_points)]
         want = outcome(argsort_waterfill_level, s, grid.weights, cfg)
-        assert outcome(solve_waterfill_level, s, grid.weights, cfg) == want
+        every_row = np.arange(grid.n_points)
+        assert outcome(solve_waterfill_level, s, every_row, grid, cfg) == want
 
     @PROPERTY
     @given(run_layouts(max_points=512), st.integers(1, 6), configs())
@@ -137,14 +138,15 @@ class TestWaterfillRuns:
         # runs as a task stack holds them: neighbouring runs may share values
         grid, starts, rng = layout
         run_s = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], (starts.size, k))
-        args = run_s, grid.weights[starts], np.diff(starts, append=grid.n_points), cfg
-        assert outcome(_waterfill_level, *args) == outcome(dense_waterfill_level, *args)
+        args = run_s, starts, grid, cfg
+        assert outcome(solve_waterfill_level, *args) == outcome(dense_waterfill_level, *args)
 
     def test_one_dimensional_profile(self):
         grid = FrequencyGrid(-0.5, 0.5, 32)
+        # a one-mode profile is one column of runs
         s = np.repeat([1.0, 3.0, 2.0, 3.0], 8)
         cfg = AdcConfig(1, 1.0, 2)
-        assert bits_of(solve_waterfill_level(s, grid.weights, cfg)) == bits_of(
+        assert bits_of(solve_waterfill_level(s[:, None], np.arange(32), grid, cfg)) == bits_of(
             argsort_waterfill_level(s, grid.weights, cfg)
         )
 
@@ -182,7 +184,7 @@ class TestPerRowTerms:
 REFERENCES = {
     task_energy: dense_task_energy,
     quantizer_noise: dense_quantizer_noise,
-    _waterfill_level: dense_waterfill_level,
+    solve_waterfill_level: dense_waterfill_level,
     _band_integral: dense_band_integral,
 }
 

@@ -218,3 +218,13 @@ class TestCheckoutState:
         assert record["checkouts"] == {"parent": {"commit": parent, "dirty": False},
                                        "change": {"commit": change, "dirty": True}}
         assert record["metrics"]["ops_per_s"]["change_better_in_pairs"] == 1
+
+
+def test_machine_records_blas_thread_settings(bench, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    record = bench.machine(tmp_path)
+    assert record["OPENBLAS_NUM_THREADS"] == "1"
+    assert record["OMP_NUM_THREADS"] is None
+    assert record["MKL_NUM_THREADS"] is None

@@ -42,6 +42,10 @@ def matched_scenario(tmp_path):
     return path
 
 
+def without(config: dict, *keys) -> dict:
+    return {key: value for key, value in config.items() if key not in keys}
+
+
 class TestDesignCommand:
     def test_scalar_one_bit_summary(self, scalar_scenario, tmp_path, capsys):
         out = tmp_path / "out"
@@ -164,8 +168,10 @@ class TestDesignCommand:
         (lambda c: dict(c, snr_db=math.nan), "must be finite"),
         (lambda c: dict(c, sigma_phi_deg=math.nan), "must be finite"),
         (lambda c: dict(c, sigma_phi_deg=1e300), "too large for the correlation model"),
+        (lambda c: without(c, "N"), "scenario has no N\n"),
+        (lambda c: without(c, "N", "M", "snr_db"), "scenario has no N, M, snr_db\n"),
     ], ids=["list", "channel_string", "N_list", "N_fraction", "N_bool", "nan_snr",
-            "nan_spread", "huge_spread"])
+            "nan_spread", "huge_spread", "no_N", "no_N_M_snr"])
     def test_malformed_scenario_exits_2(self, matched_scenario, tmp_path, capsys, change,
                                         message):
         path = tmp_path / "bad.json"
@@ -361,6 +367,19 @@ def test_small_fs_is_named_when_a_shift_lookup_fails(tmp_path):
     code, _, err = capped_design(scenario, tmp_path / "o", "--k", "1", "--bits", "4", "--fs", "10")
     assert code == 2
     assert "config error: fs=10.0 is too small: alias order 20000000 needs" in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+def test_small_fs_is_named_when_the_design_runs_out_of_memory(tmp_path):
+    # alias order 5e6 on a 1x1 scenario: the stack fits the cap, but the
+    # right-singular vectors of its SVD, 305 MiB, do not
+    config = {"N": 1, "M": 1, "f_nyq_hz": 4e8, "snr_db": 10.0,
+              "sigma_phi_deg": 1.0, "channel": {"seed": 0}}
+    scenario = tmp_path / "one.json"
+    scenario.write_text(json.dumps(config))
+    code, _, err = capped_design(scenario, tmp_path / "o", "--k", "1", "--bits", "4", "--fs", "40")
+    assert code == 2
+    assert "config error: fs=40.0 is too small: alias order 5000000 needs" in err
 
 
 class TestSweepCommand:

@@ -104,13 +104,13 @@ class TestWaterfillLevel:
         grid = FrequencyGrid(-0.5, 0.5, 32)
         cfg = AdcConfig(1, 1.0, 1, eta=2.0)
         sig = np.ones((32, 1))
-        zeta = solve_waterfill_level(sig, grid.weights, cfg)
+        zeta = solve_waterfill_level(sig, np.arange(grid.n_points), grid, cfg)
         assert abs(zeta - (1 + 4.0 / 12.0)) < 1e-12
 
     def test_flat_scalar_four_bit(self):
         grid = FrequencyGrid(-0.5, 0.5, 32)
         cfg = AdcConfig(1, 1.0, 4, eta=2.0)
-        zeta = solve_waterfill_level(np.ones((32, 1)), grid.weights, cfg)
+        zeta = solve_waterfill_level(np.ones((32, 1)), np.arange(32), grid, cfg)
         kappa = effective_loading(2.0, 4)
         assert abs(zeta - (1 + 256.0 / kappa)) < 1e-9
 
@@ -118,22 +118,36 @@ class TestWaterfillLevel:
         grid = FrequencyGrid(-0.5, 0.5, 64)
         cfg = AdcConfig(2, 1.0, 3, eta=2.0)
         sig = rng.uniform(0.5, 2.0, size=(64, 2))
-        z1 = solve_waterfill_level(sig, grid.weights, cfg)
-        z2 = solve_waterfill_level(2 * sig, grid.weights, cfg)
+        z1 = solve_waterfill_level(sig, np.arange(grid.n_points), grid, cfg)
+        z2 = solve_waterfill_level(2 * sig, np.arange(grid.n_points), grid, cfg)
         if np.all(z1 * sig > 1):  # all modes active
             assert abs(z2 - z1 / 2) < 1e-10 * z1
 
     def test_zero_task_rejected(self):
         grid = FrequencyGrid(-0.5, 0.5, 8)
         with pytest.raises(ValueError):
-            solve_waterfill_level(np.zeros((8, 1)), grid.weights, AdcConfig(1, 1.0, 1))
+            solve_waterfill_level(np.zeros((8, 1)), np.arange(8), grid, AdcConfig(1, 1.0, 1))
+
+    @pytest.mark.parametrize("starts, shape", [
+        ([1, 4], (2, 1)),  # not from 0
+        ([0, 4, 4], (3, 1)),  # not strictly rising
+        ([0, 8], (2, 1)),  # past the grid
+        ([], (0, 1)),
+        ([0, 4], (3, 1)),  # a row without a run
+        (range(8), (8,)),  # a one-dimensional profile
+    ])
+    def test_bad_runs_rejected(self, starts, shape):
+        grid = FrequencyGrid(-0.5, 0.5, 8)
+        with pytest.raises(ValueError, match="must rise strictly|one row of singular values"):
+            solve_waterfill_level(np.ones(shape), np.array(starts, dtype=int), grid,
+                                  AdcConfig(1, 1.0, 1))
 
     def test_kinked_profile_residual(self, rng):
         # profile with many inactive modes still satisfies the constraint exactly
         grid = FrequencyGrid(-0.5, 0.5, 128)
         cfg = AdcConfig(3, 1.0, 2, eta=2.0)
         sig = rng.uniform(0.0, 1.0, size=(128, 3)) ** 4
-        zeta = solve_waterfill_level(sig, grid.weights, cfg)
+        zeta = solve_waterfill_level(sig, np.arange(grid.n_points), grid, cfg)
         kappa = effective_loading(2.0, 2)
         lhs = (
             kappa

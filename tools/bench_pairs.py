@@ -11,7 +11,8 @@ change wins per metric, its verdict against the metric's bound and its gain
 verdict (the direction and bound come from the change's BENCHMARK.json),
 whether every run was correct and how many operations failed (a run that
 exits non-zero is kept as not correct), each checkout's commit and whether
-its files differ from that commit, and the machine.
+its files differ from that commit, and the machine, with the BLAS thread
+settings that the runs inherit.
 ``--out`` gains or replaces this workload's entry, so one file can hold
 several workloads; without it the record is printed.
 Standard library only; numpy's version and BLAS are read in a subprocess.
@@ -33,6 +34,8 @@ cfg = np.show_config(mode="dicts")
 blas = cfg.get("Build Dependencies", {}).get("blas", {})
 print(json.dumps({"numpy": np.__version__, "blas": blas.get("name"),
                   "blas_version": blas.get("version")}))"""
+# the runs inherit these; each is recorded, null when unset
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _last_line(text: str) -> str:
@@ -135,7 +138,8 @@ def machine(checkout: Path) -> dict:
                            text=True, check=True)
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {"cpus_usable": usable, "nproc": os.cpu_count(), "python": platform.python_version(),
-            "platform": platform.platform(), **json.loads(probe.stdout)}
+            "platform": platform.platform(), **json.loads(probe.stdout),
+            **{name: os.environ.get(name) for name in BLAS_THREAD_VARS}}
 
 
 def main(argv=None) -> int:
